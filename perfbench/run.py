@@ -12,7 +12,10 @@ whatever the machine speed.  Times are scaled by the host slowdown measured
 alongside them (speed.py); the unscaled figures are printed too.
 
 With --trace 0 the last stdout line carries the end-to-end metrics; with
---trace 1 it carries the per-layer split from a traced run (tracing.py).
+--trace 1 it carries the per-layer split from a traced run (tracing.py), and
+every span is written to <workload>.spans.jsonl at the checkout root.  With
+--workload all the last line combines every workload's result, its metrics
+keyed by workload.
 Every decoded word is checked (binary, length n, identical on every decode
 of the same frame; a codeword for plain OSD) and the run exits 1 if any
 check failed.  Set-up is timed in fresh processes (--probe-setup).
@@ -46,6 +49,7 @@ SRC = HERE.parent / "src"
 SETUP_PROBES = 7
 WARMUP_FRAMES = 5
 SPEED_EVERY_S = 0.1
+SPANS_DIR = HERE.parent
 
 
 def _import_program() -> None:
@@ -256,7 +260,7 @@ def end_to_end(w, decode, checker, llrs, seconds: float):
     return metrics, notes, report
 
 
-def per_layer(w, decode, checker, llrs, seconds: float, spans_path):
+def per_layer(w, decode, checker, llrs, seconds: float):
     """Traced run: set-up split from traced probes, then paired blocks.
 
     Each block decodes the same pool frames untraced and traced (in
@@ -316,8 +320,7 @@ def per_layer(w, decode, checker, llrs, seconds: float, spans_path):
             else:
                 plain_s += total
         start += block
-    if spans_path:
-        tracer.write_spans(spans_path)
+    tracer.write_spans(SPANS_DIR / f"{w.name}.spans.jsonl")
 
     S = tracer.summary()
     frames = max(S.get("frame", {}).get("calls", 0), 1)
@@ -380,20 +383,19 @@ def run_workload(args) -> int:
     w = workloads.WORKLOADS[args.workload]
     spec, decode = workloads.set_up(w)
     H = verified_parity_matrix(spec)
-    pool = args.frames or w.pool
-    _, words, llrs = workloads.generate_frames(w, spec, args.seed, pool)
+    _, words, llrs = workloads.generate_frames(w, spec, args.seed, w.pool)
     checker = Checker(w, spec, H, words)
-    for i in range(min(WARMUP_FRAMES, pool)):
+    for i in range(min(WARMUP_FRAMES, w.pool)):
         checker.call(decode, i, llrs[i])
     if args.trace:
         metrics, notes, report = per_layer(w, decode, checker, llrs,
-                                           args.seconds, args.spans)
+                                           args.seconds)
     else:
         metrics, notes, report = end_to_end(w, decode, checker, llrs,
                                             args.seconds)
 
     print(f"workload {w.name} seed {args.seed} seconds {args.seconds} "
-          f"trace {args.trace} pool {pool}")
+          f"trace {args.trace} pool {w.pool}")
     for name, (value, unit) in metrics.items():
         extra = f"  ({notes[name]})" if name in notes else ""
         print(f"{name} {value:.6g} {unit}{extra}")
@@ -415,20 +417,28 @@ def run_workload(args) -> int:
 
 
 def run_all(args) -> int:
-    """Every workload, each in its own process, one after another."""
+    """Every workload, each in its own process, one after another; then one
+    JSON line with the summed counts and each workload's metrics."""
     import workloads
-    status = 0
+    combined = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     for name in workloads.WORKLOADS:
         cmd = [sys.executable, str(Path(__file__).resolve()),
                "--workload", name, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
-        if args.frames:
-            cmd += ["--frames", str(args.frames)]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
         sys.stdout.write(proc.stdout)
         sys.stderr.write(proc.stderr)
-        status = status or proc.returncode
-    return status
+        try:
+            res = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            res = {"correct": False, "attempted": 0, "failed": 0,
+                   "metrics": {}}
+        combined["correct"] &= res["correct"] and proc.returncode == 0
+        combined["attempted"] += res["attempted"]
+        combined["failed"] += res["failed"]
+        combined["metrics"][name] = res["metrics"]
+    print(json.dumps(combined))
+    return 0 if combined["correct"] else 1
 
 
 def main(argv=None) -> int:
@@ -438,10 +448,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--frames", type=int, default=0,
-                    help="pool size override (smoke tests); 0 = workload's")
-    ap.add_argument("--spans", default=None,
-                    help="with --trace 1, write every span to this JSONL file")
     ap.add_argument("--probe-setup", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     _import_program()

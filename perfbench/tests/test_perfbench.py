@@ -23,11 +23,18 @@ ROOT = BENCH.parent
 SIM_WORKLOADS = ["dd-spa-64", "dd-osd-128", "osd3-128"]
 
 
-def bench(*args):
-    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), *args],
-                          capture_output=True, text=True, timeout=170,
-                          cwd=ROOT)
-    return proc, json.loads(proc.stdout.strip().splitlines()[-1])
+def bench(monkeypatch, capsys, tmp_path, name, seconds, trace, pool=None,
+          seed=5):
+    """Run the benchmark in this process (pool shrunk when given); return
+    its exit code, its stdout and the parsed last line."""
+    if pool is not None:
+        monkeypatch.setitem(workloads.WORKLOADS, name, dataclasses.replace(
+            workloads.WORKLOADS[name], pool=pool))
+    monkeypatch.setattr(run, "SPANS_DIR", tmp_path)
+    code = run.main(["--workload", name, "--seed", str(seed), "--seconds",
+                     str(seconds), "--trace", str(trace)])
+    out = capsys.readouterr().out
+    return code, out, json.loads(out.strip().splitlines()[-1])
 
 
 def declared(kind):
@@ -104,32 +111,40 @@ def test_checker_counts_bad_words():
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
-def test_smoke_end_to_end(name):
-    proc, res = bench("--workload", name, "--seed", "5", "--seconds", "0.3",
-                      "--frames", "12", "--trace", "0")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+def test_smoke_end_to_end(name, monkeypatch, capsys, tmp_path):
+    code, out, res = bench(monkeypatch, capsys, tmp_path, name, 0.3, 0,
+                           pool=12)
+    assert code == 0, out
     assert set(res) == {"correct", "attempted", "failed", "metrics"}
     assert res["correct"] is True
     assert res["failed"] == 0 and res["attempted"] >= 12
     assert {k: v["unit"] for k, v in res["metrics"].items()} == \
         declared("end_to_end")
     assert all(v["value"] > 0 for v in res["metrics"].values())
-    assert "bits_sha256" in proc.stdout
+    assert "bits_sha256" in out
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
-def test_smoke_traced(name):
-    proc, res = bench("--workload", name, "--seed", "5", "--seconds", "0.5",
-                      "--frames", "12", "--trace", "1")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+def test_smoke_traced(name, monkeypatch, capsys, tmp_path):
+    code, out, res = bench(monkeypatch, capsys, tmp_path, name, 0.5, 1,
+                           pool=12)
+    assert code == 0, out
     assert res["correct"] is True and res["failed"] == 0
     assert {k: v["unit"] for k, v in res["metrics"].items()} == \
         declared("per_layer")
+    lines = (tmp_path / f"{name}.spans.jsonl").read_text().splitlines()
+    spans = [json.loads(line) for line in lines]
+    frames = [s for s in spans if s["name"] == "frame"]
+    assert frames and all(s["parent"] == -1 for s in frames)
+    assert all(s["start_ns"] <= s["end_ns"] for s in spans)
+    assert all(spans[s["parent"]]["start_ns"] <= s["start_ns"]
+               for s in spans if s["parent"] >= 0)
 
 
-def test_traced_dd_spa_64_in_criterion_12_bands():
-    _, res = bench("--workload", "dd-spa-64", "--seed", "12", "--seconds", "4",
-                   "--trace", "1")
+def test_traced_dd_spa_64_in_criterion_12_bands(monkeypatch, capsys,
+                                                tmp_path):
+    _, _, res = bench(monkeypatch, capsys, tmp_path, "dd-spa-64", 4, 1,
+                      seed=12)
     m = {k: v["value"] for k, v in res["metrics"].items()}
     assert 1.01 <= m["decoders.spa.iters_mean"] <= 1.31
     assert 0.95 <= m["ddcodec.outer_iters_mean"] <= 1.05

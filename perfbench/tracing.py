@@ -127,9 +127,10 @@ class Tracer:
 
     def write_spans(self, path) -> None:
         """One JSON object per span: name, start_ns, end_ns, parent index."""
+        names = [json.dumps(name) for name in self.names]
         with open(path, "w") as fh:
-            for i in range(len(self.start)):
-                fh.write(json.dumps({"name": self.names[self.name_id[i]],
-                                     "start_ns": self.start[i],
-                                     "end_ns": self.end[i],
-                                     "parent": self.parent[i]}) + "\n")
+            fh.writelines(
+                f'{{"name": {names[nid]}, "start_ns": {s}, "end_ns": {e}, '
+                f'"parent": {p}}}\n'
+                for nid, s, e, p in zip(self.name_id, self.start, self.end,
+                                        self.parent))
