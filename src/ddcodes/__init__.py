@@ -9,7 +9,7 @@ from .gf2m import (GF2m, DEFAULT_PRIMITIVE_POLYS, InvalidSubfieldError,
                    NonPrimitivePolynomialError, coset_closure,
                    coset_representatives, cyclotomic_coset, field_for_length)
 from .gf2 import (nullspace, rank, row_space_contains, row_spaces_equal, rref,
-                  solve_in_rowspace)
+                  rref_stack, solve_in_rowspace)
 from .cyclic import (CodeSpec, DimensionTooLargeError, ExponentSet,
                      NonBinaryResultError, NotADivisorError,
                      NotClosedUnderDoublingError, anf_coefficients, bch_bound,

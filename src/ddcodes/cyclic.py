@@ -10,9 +10,11 @@ position 0 is the zero element, position 1 + e is alpha^e.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .gf2 import nullspace
 from .gf2m import GF2m, coset_closure, coset_representatives, field_for_length
 
 __all__ = [
@@ -96,6 +98,17 @@ class CodeSpec:
     @property
     def k(self) -> int:
         return self.exponents.dimension
+
+    @cached_property
+    def check_matrix(self) -> np.ndarray:
+        """Dense (n - k) x n parity-check matrix: the dual basis of G.
+
+        Computed on first use and then kept, read-only, for the life of the
+        spec; decoders given no explicit H check every output against it.
+        """
+        H = nullspace(self.G)
+        H.setflags(write=False)
+        return H
 
     def __repr__(self):
         return f"CodeSpec(({self.n},{self.k}), reps={self.exponents.representatives()})"

@@ -23,7 +23,6 @@ import numpy as np
 from .cyclic import CodeSpec
 from .decoders import LLR_CLIP
 from .derivative import ZeroDirectionError
-from .gf2 import nullspace
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix
 
@@ -138,7 +137,7 @@ class DecodeReport:
 
 def _check_matrix(spec: CodeSpec, H) -> np.ndarray:
     if H is None:
-        return nullspace(spec.G).astype(np.int64)
+        return spec.check_matrix.astype(np.int64)
     if isinstance(H, SparseParityMatrix):
         return H.to_dense().astype(np.int64)
     return np.asarray(H, dtype=np.int64)

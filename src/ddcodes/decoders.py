@@ -4,16 +4,20 @@ These are the inner engines the derivative decoders call on each derivative
 LLR vector.  All of them consume log-likelihood ratios with the convention
 L > 0 favoring bit 0 and magnitudes clipped to +-30.  The batch variants
 decode a stack of LLR vectors at once (one per derivative direction) and
-share the `(bits, iterations, converged)` return contract used throughout.
+share the `(bits, iterations, converged)` return contract used throughout;
+the OSD one systematizes the whole stack in a single GF(2) elimination
+(`gf2.rref_stack`) rather than one elimination per vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .cyclic import DimensionTooLargeError
+from .gf2 import rref_stack
 from .parity import SparseParityMatrix
 
 __all__ = [
@@ -110,36 +114,86 @@ class OsdWorkspace:
     basis_positions: np.ndarray
 
 
+def _checked_llrs(L, n: int, batch: bool) -> np.ndarray:
+    """L as float64: one length-n vector, or an (F, n) stack if batch.
+
+    Raises ValueError for any other shape and for NaN or infinite values,
+    which would otherwise decode to arbitrary words.
+    """
+    L = np.asarray(L, dtype=np.float64)
+    if L.ndim != 1 + batch or L.shape[-1] != n:
+        want = f"(F, {n})" if batch else f"({n},)"
+        raise ValueError(f"LLR input has shape {L.shape}, expected {want}")
+    if not np.isfinite(L).all():
+        raise ValueError("LLR input holds NaN or infinite values")
+    return L
+
+
+def _reliability_bases(G: np.ndarray, L: np.ndarray):
+    """Systematize G on the most reliable basis of every row of L at once.
+
+    Each row's positions are sorted by falling |L|, ties to the lower index,
+    and one rref_stack call reduces G under all these orders: the kept
+    (pivot) columns of row d are the first independent positions of its
+    order, and they form a scattered identity in its reduced G.  Returns
+    (orders, systematic, basis_positions) with shapes (F, n), (F, k, n),
+    (F, k).
+    """
+    k = G.shape[0]
+    orders = np.argsort(-np.abs(L), axis=1, kind="stable")
+    M, pivots = rref_stack(G, orders)
+    if M.shape[1] < k:
+        raise RankDeficientError(f"generator rank {M.shape[1]} below row count {k}")
+    return orders, M, pivots
+
+
 def osd_workspace(G: np.ndarray, L: np.ndarray) -> OsdWorkspace:
     """Greedy Gauss-Jordan elimination over the reliability-sorted columns.
 
     Walks positions from most to least reliable, keeping each column that is
     independent of those already kept, and reduces G so the kept columns form
-    an identity (scattered).  Ties in |L| resolve to the lower index.
+    an identity (scattered).  Ties in |L| resolve to the lower index.  Raises
+    ValueError unless L is a finite vector of length n.
     """
     G = np.asarray(G, dtype=np.uint8)
-    k = G.shape[0]
-    M = G.copy()
-    cols = np.argsort(-np.abs(L), kind="stable")
-    piv = []
-    r = 0
-    for c in cols:
-        nz = np.nonzero(M[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        p = r + nz[0]
-        if p != r:
-            M[[r, p]] = M[[p, r]]
-        for i in np.nonzero(M[:, c])[0]:
-            if i != r:
-                M[i] ^= M[r]
-        piv.append(int(c))
-        r += 1
-        if r == k:
-            break
-    if r < k:
-        raise RankDeficientError(f"generator rank {r} below row count {k}")
-    return OsdWorkspace(G, cols, M, np.array(piv, dtype=np.int64))
+    L = _checked_llrs(L, G.shape[1], batch=False)
+    orders, M, pivots = _reliability_bases(G, L[None])
+    return OsdWorkspace(G, orders[0], M[0], pivots[0])
+
+
+@lru_cache(maxsize=None)
+def _flip_sets(k: int, order: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the basis-flip patterns of weight 2..order, in
+    lexicographic order (weight 1 is the reduced generator itself)."""
+    tables = []
+    for w in range(2, min(order, k) + 1):
+        I = np.array(list(combinations(range(k), w)), dtype=np.int64)
+        I.setflags(write=False)
+        tables.append(I)
+    return tuple(tables)
+
+
+def _osd_stack(G: np.ndarray, L: np.ndarray, order: int) -> np.ndarray:
+    """osd_decode of every row of a checked (F, n) LLR stack."""
+    _, M, pivots = _reliability_bases(G, L)
+    F, k, n = M.shape
+    hard = (L < 0).astype(np.uint8)
+    flips = np.take_along_axis(hard, pivots, axis=1)
+    c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
+    pats = [np.zeros((F, 1, n), dtype=np.uint8)]
+    if order >= 1:
+        pats.append(M)
+    for I in _flip_sets(k, order):
+        acc = M[:, I[:, 0]]
+        for col in range(1, I.shape[1]):
+            acc = acc ^ M[:, I[:, col]]
+        pats.append(acc)
+    cands = np.concatenate(pats, axis=1) ^ c0[:, None, :]
+    bits = np.empty((F, n), dtype=np.uint8)
+    for d in range(F):
+        scores = (1.0 - 2.0 * cands[d]) @ L[d]
+        bits[d] = cands[d, np.argmax(scores)]
+    return bits
 
 
 def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
@@ -148,30 +202,12 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     Re-encodes the hard decision on the most reliable basis and every
     pattern of at most `order` basis-bit flips, then returns the candidate
     with the highest correlation sum (1 - 2c) . L; correlation ties resolve
-    to the earliest-generated candidate.
+    to the earliest-generated candidate.  Raises ValueError unless L is a
+    finite vector of length n.
     """
-    L = np.asarray(L, dtype=np.float64)
-    ws = osd_workspace(G, L)
-    M = ws.systematic
-    k, n = M.shape
-    hard = (L < 0).astype(np.uint8)
-    sel = np.nonzero(hard[ws.basis_positions])[0]
-    c0 = M[sel].sum(axis=0) % 2 if len(sel) else np.zeros(n, dtype=np.uint8)
-    pats = [np.zeros((1, n), dtype=np.uint8)]
-    for w in range(1, order + 1):
-        if w > k:
-            break
-        if w == 1:
-            pats.append(M)
-        else:
-            I = np.array(list(combinations(range(k), w)))
-            acc = M[I[:, 0]]
-            for col in range(1, w):
-                acc = acc ^ M[I[:, col]]
-            pats.append(acc)
-    cands = np.concatenate(pats) ^ c0[None, :]
-    scores = (1.0 - 2.0 * cands) @ L
-    return cands[np.argmax(scores)].astype(np.uint8)
+    G = np.asarray(G, dtype=np.uint8)
+    L = _checked_llrs(L, G.shape[1], batch=False)
+    return _osd_stack(G, L[None], order)[0]
 
 
 def all_codewords(G: np.ndarray) -> np.ndarray:
@@ -207,14 +243,18 @@ def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
 
 
 def osd_batch_decoder(G: np.ndarray, order: int):
-    """Batch-decoder closure over a fixed generator matrix (loop per vector)."""
+    """Batch-decoder closure over a fixed generator matrix.
+
+    Each call systematizes G for the whole (F, n) stack with one rref_stack
+    call, then reprocesses and scores every row as osd_decode does, so row d
+    of the output is osd_decode(G, Ld[d], order).  Raises ValueError unless
+    the stack is finite with rows of length n.
+    """
     G = np.asarray(G, dtype=np.uint8)
 
     def decode(Ld: np.ndarray):
-        Ld = np.atleast_2d(Ld)
-        bits = np.zeros(Ld.shape, dtype=np.uint8)
-        for d in range(Ld.shape[0]):
-            bits[d] = osd_decode(G, Ld[d], order)
+        Ld = _checked_llrs(np.atleast_2d(Ld), G.shape[1], batch=True)
+        bits = _osd_stack(G, Ld, order)
         ones = np.ones(Ld.shape[0], dtype=np.int64)
         return bits, ones, ones.astype(bool)
     return decode

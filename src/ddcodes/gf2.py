@@ -2,42 +2,74 @@
 
 Elimination pivots on the leftmost available column, so reduced forms are
 deterministic and two matrices span the same row space iff their reduced
-forms are identical arrays.
+forms are identical arrays.  `rref_stack` is the one elimination routine:
+it reduces a matrix under a whole stack of column orders at once (the
+ordered-statistics decoder passes reliability orders), and `rref` is its
+natural-order case.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rref", "rank", "nullspace", "row_space_contains", "row_spaces_equal",
-           "solve_in_rowspace"]
+__all__ = ["rref_stack", "rref", "rank", "nullspace", "row_space_contains",
+           "row_spaces_equal", "solve_in_rowspace"]
+
+
+def rref_stack(M: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms of M under each column order in a stack.
+
+    orders is an (F, n) stack of permutations of M's n columns.  Copy f
+    visits the columns in the order orders[f]: each pivot step takes the
+    first visited column with a 1 in the rows not yet pivoted, uses the
+    lowest such row as the pivot row (swapped up into place) and clears the
+    column in every other row.  The F copies are column permutations of one
+    matrix, so they share its rank and take their pivot steps in lockstep.
+
+    Returns (R, pivots): R is the (F, rank, n) stack of reduced forms, in
+    M's own column positions, and pivots is the (F, rank) array of pivot
+    columns in pivot order.
+    """
+    A0 = np.asarray(M, dtype=np.uint8) & 1
+    if A0.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    rows, cols = A0.shape
+    orders = np.asarray(orders, dtype=np.int64)
+    if orders.ndim != 2 or orders.shape[1] != cols or not len(orders):
+        raise ValueError(f"orders must have shape (F, {cols}) with F >= 1, "
+                         f"got {orders.shape}")
+    if (np.sort(orders, axis=1) != np.arange(cols)).any():
+        raise ValueError("every order must be a permutation of the columns")
+    F = orders.shape[0]
+    A = np.repeat(A0[None], F, axis=0)
+    f = np.arange(F)
+    steps = []
+    for r in range(min(rows, cols)):
+        live = A[:, r:, :].any(axis=1)[f[:, None], orders]   # in visiting order
+        i = live.argmax(axis=1)
+        if not live[0, i[0]]:
+            break
+        c = orders[f, i]
+        col = A[f, :, c]
+        p = r + col[:, r:].argmax(axis=1)
+        pivot_row = A[f, p]
+        A[f, p] = A[f, r]
+        A[f, r] = pivot_row
+        col[f, p] = col[:, r]
+        col[:, r] = 0
+        A ^= col[:, :, None] & pivot_row[:, None, :]
+        steps.append(c)
+    rank_ = len(steps)
+    return A[:, :rank_], np.array(steps, dtype=np.int64).reshape(rank_, F).T
 
 
 def rref(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(2).
+    """Reduced row-echelon form over GF(2), pivoting on the leftmost column.
 
     Returns (R, pivot_cols) where R holds only the nonzero rows.
     """
-    A = (np.asarray(M, dtype=np.uint8) & 1).copy()
-    if A.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    rows, cols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = np.nonzero(A[r:, c])[0]
-        if hit.size == 0:
-            continue
-        p = r + hit[0]
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-        others = np.nonzero(A[:, c])[0]
-        others = others[others != r]
-        A[others] ^= A[r]
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+    cols = np.asarray(M).shape[-1] if np.ndim(M) == 2 else 0
+    R, pivots = rref_stack(M, np.arange(cols)[None, :])
+    return R[0], pivots[0].tolist()
 
 
 def rank(M: np.ndarray) -> int:
@@ -47,14 +79,13 @@ def rank(M: np.ndarray) -> int:
 def nullspace(M: np.ndarray) -> np.ndarray:
     """Basis (rows) of {v : M v^T = 0 over GF(2)}."""
     R, pivots = rref(M)
-    cols = np.asarray(M).shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    cols = R.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in zip(R, pivots):
-            if row[f]:
-                basis[i, p] = 1
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R[:, free].T
     return basis
 
 

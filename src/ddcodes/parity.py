@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cyclic import CodeSpec
-from .gf2 import nullspace
 from .gf2m import GF2m
 
 __all__ = [
@@ -109,8 +108,11 @@ def eg_line_parity_matrix(mu_dims: int, subfield_bits: int) -> SparseParityMatri
 
 
 def dual_basis_parity_matrix(spec: CodeSpec) -> np.ndarray:
-    """Dense (n - k) x n parity-check matrix from the dual-space basis."""
-    return nullspace(spec.G)
+    """Dense (n - k) x n parity-check matrix from the dual-space basis.
+
+    This is the spec's cached, read-only `check_matrix`.
+    """
+    return spec.check_matrix
 
 
 def _pack_rows(M: np.ndarray) -> np.ndarray:
@@ -131,7 +133,7 @@ def dual_orbit_parity_matrix(spec: CodeSpec, max_row_weight: int) -> SparseParit
     result is closed under the extension-fixing cyclic shifts because the
     dual of an extended cyclic code is invariant under them.
     """
-    D = nullspace(spec.G)
+    D = spec.check_matrix
     r = D.shape[0]
     if r > 30:
         raise DualTooLargeError(f"dual dimension {r} too large for exhaustive search")

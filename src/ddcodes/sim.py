@@ -19,7 +19,6 @@ from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
 from .decoders import (mld_exhaustive, osd_batch_decoder, osd_decode,
                        spa_batch_decoder, spa_decode)
 from .derivative import dd_code, minimal_dd_basis
-from .gf2 import nullspace
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
 
@@ -130,7 +129,7 @@ def _dd_parity_matrix(spec: CodeSpec) -> SparseParityMatrix:
         H = eg_line_parity_matrix(mu, s)
         if is_orthogonal_to(H, descendant.G):
             return H
-    return SparseParityMatrix.from_dense(nullspace(descendant.G))
+    return SparseParityMatrix.from_dense(descendant.check_matrix)
 
 
 def build_decoder(cfg: SimConfig, spec: CodeSpec):
@@ -152,7 +151,7 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
             return bits, 1, 1, 1, True
         return decode
     if cfg.algo == "spa":
-        H = SparseParityMatrix.from_dense(nullspace(spec.G))
+        H = SparseParityMatrix.from_dense(spec.check_matrix)
 
         def decode(L):
             bits, conv, its = spa_decode(H, L, cfg.inner_max_iter)
@@ -160,7 +159,7 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
         return decode
 
     B = _parse_directions(cfg.directions, field)
-    H_outer = nullspace(spec.G)
+    H_outer = spec.check_matrix
     if cfg.algo == "dd-spa":
         H_dd = _dd_parity_matrix(spec)
         inner = spa_batch_decoder(H_dd, cfg.inner_max_iter)

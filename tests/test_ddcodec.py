@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ddcodes.cyclic
 from ddcodes.cyclic import code_from_generator, cyclic_shift, is_member
 from ddcodes.ddcodec import (
     DecodeReport,
@@ -25,6 +26,7 @@ from ddcodes.derivative import (
     derivative_codeword,
     minimal_dd_basis,
 )
+from ddcodes.gf2 import nullspace
 from ddcodes.gf2m import GF2m
 from ddcodes.parity import dual_orbit_parity_matrix
 
@@ -197,6 +199,32 @@ def test_cyclic_loop_accepts_explicit_checks(ex_code, inner_mld):
     L = 6.0 * (1.0 - 2.0 * word)
     report = dd_decode_cyclic(L, ex_code, inner_mld, H=H)
     assert report.converged and np.array_equal(report.bits, word)
+
+
+def test_outer_check_matrix_is_computed_once_per_code(f16, inner_mld,
+                                                     monkeypatch):
+    """Without H the loops check against spec.check_matrix: the dual basis
+    is computed on the first decode only, kept read-only, and decodes as an
+    explicit H does."""
+    calls = []
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return nullspace(M)
+    monkeypatch.setattr(ddcodes.cyclic, "nullspace", counting)
+    spec = code_from_generator(f16, 0x1D1)
+    rng = np.random.default_rng(263)
+    frames = [_noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
+              for _ in range(2)]
+    reports = [dd_decode_cyclic(L, spec, inner_mld) for L in frames]
+    assert calls == [spec.G.shape]
+    assert not spec.check_matrix.flags.writeable
+    H = nullspace(spec.G)
+    for L, rep in zip(frames, reports):
+        explicit = dd_decode_cyclic(L, spec, inner_mld, H=H)
+        assert np.array_equal(rep.bits, explicit.bits)
+        assert (rep.iterations, rep.converged) == \
+            (explicit.iterations, explicit.converged)
 
 
 def test_cyclic_loop_reports_flops_with_omega(ex_code, inner_mld):

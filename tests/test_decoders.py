@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ddcodes.decoders
 from ddcodes.cyclic import code_from_exponents, code_from_generator, rm_exponent_set
 from ddcodes.ddcodec import boxplus
 from ddcodes.decoders import (
@@ -20,6 +25,7 @@ from ddcodes.decoders import (
     spa_decode,
     spa_decode_batch,
 )
+from ddcodes.derivative import minimal_dd_basis
 from ddcodes.gf2m import GF2m
 from ddcodes.parity import SparseParityMatrix, dual_orbit_parity_matrix
 
@@ -214,3 +220,154 @@ def test_batch_decoder_factories(rm24):
         assert bits.dtype == np.uint8
         assert iters.shape == conv.shape == (8,)
         assert conv.all()
+
+
+def _osd_workspace_loop(G, L):
+    """Reference: the original one-vector greedy Gauss-Jordan over the
+    reliability-sorted columns; returns (order, systematic, basis)."""
+    M = np.asarray(G, dtype=np.uint8).copy()
+    k = M.shape[0]
+    cols = np.argsort(-np.abs(L), kind="stable")
+    piv = []
+    r = 0
+    for c in cols:
+        nz = np.nonzero(M[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        p = r + nz[0]
+        if p != r:
+            M[[r, p]] = M[[p, r]]
+        for i in np.nonzero(M[:, c])[0]:
+            if i != r:
+                M[i] ^= M[r]
+        piv.append(int(c))
+        r += 1
+        if r == k:
+            break
+    assert r == k
+    return cols, M, np.array(piv, dtype=np.int64)
+
+
+def _osd_decode_reference(G, L, order):
+    """Reference: the original one-vector OSD on the reference workspace."""
+    _, M, basis = _osd_workspace_loop(G, L)
+    k, n = M.shape
+    hard = (L < 0).astype(np.uint8)
+    sel = np.nonzero(hard[basis])[0]
+    c0 = M[sel].sum(axis=0) % 2 if len(sel) else np.zeros(n, dtype=np.uint8)
+    pats = [np.zeros((1, n), dtype=np.uint8)]
+    for w in range(1, min(order, k) + 1):
+        I = np.array(list(combinations(range(k), w)))
+        acc = M[I[:, 0]]
+        for col in range(1, w):
+            acc = acc ^ M[I[:, col]]
+        pats.append(acc)
+    cands = np.concatenate(pats) ^ c0[None, :]
+    scores = (1.0 - 2.0 * cands) @ L
+    return cands[np.argmax(scores)].astype(np.uint8)
+
+
+_FIELD16 = GF2m(4)
+_SPEC16 = code_from_generator(_FIELD16, 0x1D1)
+_GENERATORS = {"(16,7)": _SPEC16.G,
+               "minimal-basis": minimal_dd_basis(_SPEC16, 1).basis,
+               "RM(1,4)": code_from_exponents(_FIELD16, rm_exponent_set(1, 4).members).G}
+
+
+@st.composite
+def _tied_llrs(draw, rows):
+    """(rows, 16) LLR stacks full of reliability ties: magnitudes from a
+    few repeated values or coarsely rounded, and, as in derivative words,
+    often equal values at both positions of each direction-1 pair."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        L = rng.choice([0.25, 0.5, 1.0, 3.0], size=(rows, 16)) \
+            * rng.choice([-1.0, 1.0], size=(rows, 16))
+    else:
+        L = np.round(rng.normal(0.0, 2.0, size=(rows, 16)))
+    if draw(st.booleans()):
+        perm = _FIELD16.pair_permutation(1)
+        L = L[:, np.minimum(np.arange(16), perm)]
+    return L
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS)), _tied_llrs(1))
+def test_osd_workspace_matches_reference_loop(name, L):
+    G = _GENERATORS[name]
+    ws = osd_workspace(G, L[0])
+    order, M, basis = _osd_workspace_loop(G, L[0])
+    assert np.array_equal(ws.order_perm, order)
+    assert np.array_equal(ws.systematic, M)
+    assert np.array_equal(ws.basis_positions, basis)
+    assert ws.systematic.dtype == np.uint8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS)), st.sampled_from([1, 32]),
+       st.integers(0, 3), st.data())
+def test_osd_batch_matches_reference_per_row(name, F, order, data):
+    G = _GENERATORS[name]
+    L = data.draw(_tied_llrs(F))
+    bits, iters, conv = osd_batch_decoder(G, order)(L)
+    assert bits.shape == (F, 16) and bits.dtype == np.uint8
+    for d in range(F):
+        assert np.array_equal(bits[d], _osd_decode_reference(G, L[d], order))
+
+
+def test_osd_batch_matches_reference_on_128_minimal_basis():
+    """The (128,36) minimal basis with a 32-vector stack of derivative words."""
+    field = GF2m(7)
+    spec = code_from_generator(field, 0xCCC3CDB5487A24FA5F3A3DD)
+    G = minimal_dd_basis(spec, 1).basis
+    rng = np.random.default_rng(223)
+    L = np.round(rng.normal(0.0, 2.0, size=(32, 128)), 1)
+    L = boxplus(L, L[:, field.pair_permutation(1)])
+    bits, _, _ = osd_batch_decoder(G, 1)(L)
+    for d in range(32):
+        assert np.array_equal(bits[d], _osd_decode_reference(G, L[d], 1))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_osd_batch_rows_equal_osd_decode(order):
+    rng = np.random.default_rng(227 + order)
+    L = np.round(rng.normal(0.0, 2.0, size=(32, 16)), 1)
+    bits, iters, conv = osd_batch_decoder(_SPEC16.G, order)(L)
+    for d in range(32):
+        assert np.array_equal(bits[d], osd_decode(_SPEC16.G, L[d], order))
+    assert iters.tolist() == [1] * 32 and conv.all()
+
+
+def test_osd_batch_eliminates_once_per_stack(monkeypatch):
+    calls = []
+    real = ddcodes.decoders.rref_stack
+
+    def counting(M, orders):
+        calls.append(np.shape(orders))
+        return real(M, orders)
+    monkeypatch.setattr(ddcodes.decoders, "rref_stack", counting)
+    decode = osd_batch_decoder(_SPEC16.G, 2)
+    decode(np.random.default_rng(229).normal(0.0, 2.0, size=(32, 16)))
+    assert calls == [(32, 16)]
+
+
+_BAD_LLRS = {
+    "wrong length": np.ones(15),
+    "nan": np.where(np.arange(16) == 3, np.nan, 1.0),
+    "+inf": np.where(np.arange(16) == 5, np.inf, -1.0),
+    "-inf": np.where(np.arange(16) == 0, -np.inf, 1.0),
+    "mixed inf": np.where(np.arange(16) % 2, np.inf, -np.inf),
+}
+_OSD_ENTRY_POINTS = {
+    "osd_workspace": lambda L: osd_workspace(_SPEC16.G, L),
+    "osd_decode": lambda L: osd_decode(_SPEC16.G, L, 1),
+    "osd_batch_decoder": lambda L: osd_batch_decoder(_SPEC16.G, 1)(
+        np.vstack([np.ones_like(L), L])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OSD_ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(_BAD_LLRS))
+def test_osd_entry_points_reject_bad_llrs(entry, case):
+    with pytest.raises(ValueError, match="LLR input"):
+        _OSD_ENTRY_POINTS[entry](_BAD_LLRS[case])

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddcodes.cyclic import code_from_generator
 from ddcodes.gf2 import (
     nullspace,
     rank,
     row_space_contains,
     row_spaces_equal,
     rref,
+    rref_stack,
     solve_in_rowspace,
 )
+from ddcodes.gf2m import GF2m
 
 
 def _random_matrix(rng, rows, cols):
@@ -103,3 +109,100 @@ def test_solve_in_rowspace():
     M = np.zeros((2, 4), dtype=np.uint8)
     M[0, 0] = 1
     assert solve_in_rowspace(M, np.array([0, 0, 1, 0], dtype=np.uint8)) is None
+
+
+def _rref_loop(M):
+    """Reference: column-by-column Gauss-Jordan over GF(2), leftmost pivot
+    column, lowest available row as pivot row (the original loop)."""
+    A = (np.asarray(M, dtype=np.uint8) & 1).copy()
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hit = np.nonzero(A[r:, c])[0]
+        if hit.size == 0:
+            continue
+        p = r + hit[0]
+        if p != r:
+            A[[r, p]] = A[[p, r]]
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != r]
+        A[others] ^= A[r]
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+@st.composite
+def _matrices(draw):
+    """Tall, wide, all-zero and rank-deficient (repeated-row) 0/1 matrices."""
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["random", "sparse", "zero", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = {"random": 0.5, "sparse": 0.15, "zero": 0.0, "repeated": 0.5}[kind]
+    M = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if kind == "repeated" and rows >= 2:
+        # every row past the first two is a combination of those two
+        coeffs = rng.integers(0, 2, size=(rows, 2)).astype(np.uint8)
+        M = (coeffs @ M[:2]) % 2
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rref_matches_reference_loop(M):
+    R, pivots = rref(M)
+    R_ref, pivots_ref = _rref_loop(M)
+    assert R.dtype == np.uint8
+    assert np.array_equal(R, R_ref)
+    assert pivots == pivots_ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.sampled_from([1, 32]), st.integers(0, 2**32 - 1))
+def test_rref_stack_matches_reference_per_order(M, F, seed):
+    """Copy f is the reference reduction of M with its columns visited in
+    orders[f], scattered back to M's own column positions."""
+    cols = M.shape[1]
+    orders = np.argsort(np.random.default_rng(seed).random((F, cols)), axis=1)
+    R, pivots = rref_stack(M, orders)
+    assert R.shape == (F, rank(M), cols)
+    assert pivots.shape == (F, rank(M))
+    for f in range(F):
+        Rp, piv = _rref_loop(M[:, orders[f]])
+        expected = np.zeros_like(Rp)
+        expected[:, orders[f]] = Rp
+        assert np.array_equal(R[f], expected)
+        assert pivots[f].tolist() == orders[f][piv].tolist()
+
+
+def test_rref_stack_rejects_bad_orders():
+    M = np.eye(3, dtype=np.uint8)
+    with pytest.raises(ValueError, match="permutation"):
+        rref_stack(M, [[0, 0, 1]])
+    with pytest.raises(ValueError, match="shape"):
+        rref_stack(M, [0, 1, 2])
+    with pytest.raises(ValueError, match="shape"):
+        rref_stack(M, np.zeros((0, 3), dtype=np.int64))
+
+
+def test_nullspace_pinned_on_16_7_code():
+    """Exact dual basis of the (16,7) code 0x1D1, row for row."""
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    expected = np.array([[int(b) for b in row] for row in [
+        "1100111100000000",
+        "0110100010000000",
+        "0011010001000000",
+        "0001101000100000",
+        "1100001000010000",
+        "0110111000001000",
+        "1111100000000100",
+        "1011110000000010",
+        "1001111000000001",
+    ]], dtype=np.uint8)
+    N = nullspace(spec.G)
+    assert N.dtype == np.uint8
+    assert np.array_equal(N, expected)
