@@ -3,8 +3,8 @@
 The derivatives of a code in one fixed direction span a small exact
 subspace.  Its basis is computed once; every direction then reuses it
 after a cyclic shift, because all the per-direction subspaces are shift
-equivalent.  Derivatives are constant on pairs {x, x + beta}, so the
-inner decoder only ever sees half the coordinates.
+equivalent.  Derivatives are constant on pairs {x, x + beta}, so one
+coordinate per pair (a pair transversal) carries a whole derivative word.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .ddcodec import (DecodeReport, DirectionSet, boxplus, dd_decode_cyclic,
                       dd_decode_minimal, derivative_llr, flop_account,
                       get_vote, pair_transversal)
 from .sim import (ChannelConfig, ConfigError, SimConfig, SimPoint, SimResult,
-                  build_decoder, default_workers, load_config,
-                  run_monte_carlo, save_config, transmit, write_results)
+                  build_decoder, load_config, run_monte_carlo,
+                  save_config, transmit, write_results)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Derivative decoding: soft derivative combination, voting, and the two loops.
+"""Derivative decoding: soft derivative combination, voting, and the loop.
 
 A derivative decoder never decodes the outer code directly.  Each iteration
 it forms, for every direction beta in a chosen set B, the LLR vector of the
@@ -9,19 +9,23 @@ word.  The votes are averaged across directions to give the next LLR
 vector, and the loop stops as soon as the hard decision satisfies the outer
 code's parity checks.
 
-Two loops are provided: one decoding every direction against the common
-cyclic descendant, and one that reuses a single decoder for the direction-1
-minimal descendant by cyclically shifting the problem into that direction
-and shifting the votes back.
+One loop serves both decoders of the paper; they differ only in the index
+maps that carry the derivative words into the inner decoder and its bits
+back, built once per (field, B).  `dd_decode_cyclic` decodes every
+direction in the common cyclic descendant, so its maps are the identity.
+`dd_decode_minimal` reuses one decoder for the direction-1 minimal
+descendant: its maps cyclically shift each direction's problem into
+direction 1 and shift the bits back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cyclic import CodeSpec
-from .decoders import LLR_CLIP
+from .decoders import LLR_CLIP, _checked_llrs
 from .derivative import ZeroDirectionError
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix
@@ -147,6 +151,62 @@ def _is_codeword(Hd: np.ndarray, hard: np.ndarray) -> bool:
     return not (Hd @ hard % 2).any()
 
 
+@lru_cache(maxsize=32)
+def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
+    """Read-only (|B|, 2^m) index maps of the derivative loop for one
+    (field, direction set, kind), built on first use.
+
+    partner[d] is the pair permutation of direction B[d] on the original
+    positions.  to_inner and from_inner hold flat indices into a raveled
+    (|B|, 2^m) stack, row offsets included: np.take(Ld, to_inner) carries
+    the derivative LLRs into the inner decoder's domain, and
+    np.take(bits, from_inner) brings its bits back.  Both are the identity
+    for the "cyclic" kind.  For the "minimal" kind row d is the shift by
+    the discrete log b of B[d] and its inverse: the b-shifted derivative in
+    direction alpha^b is the direction-1 derivative of the b-shifted word.
+    """
+    partner = np.stack([field.pair_permutation(b) for b in B.elements])
+    if kind == "cyclic":
+        shifts = np.broadcast_to(np.arange(field.size), partner.shape)
+    else:
+        shifts = np.stack([field.shift_index(e) for e in B.exponents(field)])
+    rows = field.size * np.arange(len(B))[:, None]
+    maps = (partner, shifts + rows, np.argsort(shifts, axis=1) + rows)
+    for a in maps:
+        a.setflags(write=False)
+    return maps
+
+
+def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
+                     N_max: int, H, omega: float, kind: str) -> DecodeReport:
+    """The derivative loop of both public decoders; `kind` picks the maps."""
+    field = spec.field
+    L = _checked_llrs(L, spec.n, batch=False)
+    if B is None:
+        B = DirectionSet.all_of(field)
+    Hd = _check_matrix(spec, H)
+    partner, to_inner, from_inner = _direction_maps(field, B, kind)
+    Lcur = L
+    hard = (Lcur < 0).astype(np.uint8)
+    inner_tallies = []
+    converged = False
+    it = 0
+    for it in range(1, N_max + 1):
+        Lp = Lcur[partner]
+        Ld = boxplus(Lcur[None, :], Lp)
+        bits, inner_its, _ = decoder(np.take(Ld, to_inner))
+        inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
+        votes = (1.0 - 2.0 * np.take(bits, from_inner).astype(np.float64)) * Lp
+        Lcur = votes.mean(axis=0)
+        hard = (Lcur < 0).astype(np.uint8)
+        if _is_codeword(Hd, hard):
+            converged = True
+            break
+    tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
+    return DecodeReport(hard, it, converged,
+                        flop_account(it, spec.n, len(B), omega), tallies)
+
+
 def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = None,
                      N_max: int = 3, H=None, omega: float = 0.0) -> DecodeReport:
     """Derivative decoding with every direction decoded in the cyclic descendant.
@@ -157,7 +217,8 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     vector is decoded in every direction, the soft votes are averaged into
     the new LLR vector, and the loop exits early once the hard decision
     passes the outer code's checks.  `omega` is the assumed inner-decoder
-    flop count used for the closed-form flop estimate.
+    flop count used for the closed-form flop estimate.  Raises ValueError
+    unless L is a finite vector of length 2^m.
 
     With an exact inner decoder, any hard decision that lies in the
     derivative ascendant A(D(C)) is a fixed point of the loop: its
@@ -166,31 +227,7 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     Reed-Muller codes; otherwise the loop can stall on a word of A(D(C))
     outside C and exit at N_max unconverged.
     """
-    field = spec.field
-    L = np.asarray(L, dtype=np.float64)
-    if B is None:
-        B = DirectionSet.all_of(field)
-    Hd = _check_matrix(spec, H)
-    perms = np.stack([field.pair_permutation(b) for b in B.elements])
-    Lcur = L.copy()
-    hard = (Lcur < 0).astype(np.uint8)
-    inner_tallies = []
-    converged = False
-    it = 0
-    for it in range(1, N_max + 1):
-        Lp = Lcur[perms]
-        Ld = boxplus(Lcur[None, :], Lp)
-        bits, inner_its, _ = dd_decoder(Ld)
-        inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
-        votes = (1.0 - 2.0 * bits.astype(np.float64)) * Lp
-        Lcur = votes.mean(axis=0)
-        hard = (Lcur < 0).astype(np.uint8)
-        if _is_codeword(Hd, hard):
-            converged = True
-            break
-    tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
-    return DecodeReport(hard, it, converged,
-                        flop_account(it, spec.n, len(B), omega), tallies)
+    return _derivative_loop(L, spec, dd_decoder, B, N_max, H, omega, "cyclic")
 
 
 def pair_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
@@ -210,56 +247,17 @@ def pair_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = None,
-                      N_max: int = 4, H=None, omega: float = 0.0,
-                      transversal: tuple[np.ndarray, np.ndarray] | None = None,
-                      ) -> DecodeReport:
+                      N_max: int = 4, H=None, omega: float = 0.0) -> DecodeReport:
     """Derivative decoding through one decoder for the direction-1 descendant.
 
     For a direction alpha^b, shifting the problem b places turns it into a
     direction-alpha^0 problem: the derivative of the b-shifted LLR vector in
-    direction 1 is decoded by mdd_decoder, votes are taken in the shifted
-    domain, and shifting b places back aligns them with the original word.
-    All directions in B are processed each iteration in one batch.
-
-    With `transversal=(T, slot)` from pair_transversal, mdd_decoder sees
-    only the |T| distinct pair values (derivative words repeat every value
-    at both pair positions) and its output is expanded back via slot.
+    direction 1 is decoded by mdd_decoder, and shifting its bits b places
+    back aligns the votes with the original word.  All directions in B are
+    processed each iteration in one batch.  Raises ValueError unless L is a
+    finite vector of length 2^m.
     """
-    field = spec.field
-    L = np.asarray(L, dtype=np.float64)
-    if B is None:
-        B = DirectionSet.all_of(field)
-    Hd = _check_matrix(spec, H)
-    shifts = [e if e > 0 else field.n for e in B.exponents(field)]
-    sidx = np.stack([field.shift_index(b) for b in shifts])
-    perm1 = field.pair_permutation(1)
-    Lcur = L.copy()
-    hard = (Lcur < 0).astype(np.uint8)
-    inner_tallies = []
-    converged = False
-    it = 0
-    for it in range(1, N_max + 1):
-        Ls = Lcur[sidx]
-        Lp = Ls[:, perm1]
-        Ld = boxplus(Ls, Lp)
-        if transversal is None:
-            bits, inner_its, _ = mdd_decoder(Ld)
-        else:
-            T, slot = transversal
-            bits_t, inner_its, _ = mdd_decoder(Ld[:, T])
-            bits = bits_t[:, slot]
-        inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
-        votes_shifted = (1.0 - 2.0 * bits.astype(np.float64)) * Lp
-        votes = np.zeros_like(votes_shifted)
-        np.put_along_axis(votes, sidx, votes_shifted, axis=1)
-        Lcur = votes.mean(axis=0)
-        hard = (Lcur < 0).astype(np.uint8)
-        if _is_codeword(Hd, hard):
-            converged = True
-            break
-    tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
-    return DecodeReport(hard, it, converged,
-                        flop_account(it, spec.n, len(B), omega), tallies)
+    return _derivative_loop(L, spec, mdd_decoder, B, N_max, H, omega, "minimal")
 
 
 def flop_account(report_or_iterations, n: int, num_directions: int,

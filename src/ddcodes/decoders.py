@@ -99,9 +99,12 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
 
 
 def spa_decode(H: SparseParityMatrix, L, max_iter: int = 20):
-    """Single-vector sum-product decode; returns (bits, converged, iterations)."""
-    bits, iters, conv = spa_decode_batch(H, np.asarray(L, dtype=np.float64)[None, :],
-                                         max_iter)
+    """Single-vector sum-product decode; returns (bits, converged, iterations).
+
+    Raises ValueError unless L is a finite vector of length n.
+    """
+    L = _checked_llrs(L, H.n, batch=False)
+    bits, iters, conv = spa_decode_batch(H, L[None, :], max_iter)
     return bits[0], bool(conv[0]), int(iters[0])
 
 
@@ -227,10 +230,11 @@ def mld_exhaustive(G: np.ndarray, L) -> np.ndarray:
     """Correlation-maximizing codeword over the entire codebook (k <= 20).
 
     Ties resolve to the lexicographically smallest message, which is the
-    lowest codebook index under the bit-mask message convention.
+    lowest codebook index under the bit-mask message convention.  Raises
+    ValueError unless L is a finite vector of length n.
     """
     C = all_codewords(G)
-    L = np.asarray(L, dtype=np.float64)
+    L = _checked_llrs(L, C.shape[1], batch=False)
     scores = (1.0 - 2.0 * C.astype(np.float64)) @ L
     return C[np.argmax(scores)]
 

@@ -1,14 +1,14 @@
 """AWGN/BPSK channel, Monte-Carlo block-error-rate harness, config and CSV I/O.
 
-Frames are dealt round-robin to per-worker random-number substreams spawned
-from one seed, and processed in global frame order, so a result depends only
-on (seed, worker count) and not on how the work is actually scheduled.
+Frames are dealt round-robin to `SimConfig.workers` random-number
+substreams spawned from one seed and decoded one after another in frame
+order, in one process: a result depends only on (seed, workers), and the
+substream count does no parallel work.
 """
 from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -25,7 +25,7 @@ from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
 __all__ = [
     "ChannelConfig", "SimConfig", "SimPoint", "SimResult", "ConfigError",
     "transmit", "build_decoder", "run_monte_carlo",
-    "write_results", "save_config", "load_config", "default_workers",
+    "write_results", "save_config", "load_config",
 ]
 
 ALGOS = ("dd-spa", "dd-osd", "osd", "spa", "mld")
@@ -56,17 +56,13 @@ def transmit(a, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     return 2.0 * y / sigma2
 
 
-def default_workers() -> int:
-    """Worker count from the DDCODES_WORKERS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("DDCODES_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class SimConfig:
-    """One simulation campaign: code, decoder, SNR sweep, stopping rules."""
+    """One simulation campaign: code, decoder, SNR sweep, stopping rules.
+
+    `workers` is the number of random-number substreams the frames are
+    dealt to; frames are still decoded one at a time in one process.
+    """
     n: int                      # extended block length 2^m
     gen_poly_hex: str           # generator polynomial, bit i = coeff of x^i
     algo: str                   # one of ALGOS
@@ -78,7 +74,7 @@ class SimConfig:
     max_frames: int = 1000
     max_frame_errors: int = 100
     seed: int = 1
-    workers: int = 0            # 0: take default_workers()
+    workers: int = 1            # RNG substreams, no parallel work; < 1 means 1
     all_zero: bool = False      # transmit the zero codeword instead of random
     noiseless: bool = False     # saturated correct-sign LLRs (sanity runs)
     omega: float = 0.0          # assumed per-call inner-decoder flops
@@ -160,23 +156,17 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
 
     B = _parse_directions(cfg.directions, field)
     H_outer = spec.check_matrix
-    if cfg.algo == "dd-spa":
-        H_dd = _dd_parity_matrix(spec)
-        inner = spa_batch_decoder(H_dd, cfg.inner_max_iter)
-
-        def decode(L):
-            rep = dd_decode_cyclic(L, spec, inner, B, cfg.n_max, H_outer,
-                                   cfg.omega)
-            return (rep.bits, rep.iterations, int(rep.inner_iterations.sum()),
-                    rep.inner_iterations.size, rep.converged)
-        return decode
-    # dd-osd: one OSD engine on the direction-1 minimal descendant
-    basis = minimal_dd_basis(spec, 1).basis
-    inner = osd_batch_decoder(basis, cfg.order)
+    cyclic = cfg.algo == "dd-spa"
+    if cyclic:
+        inner = spa_batch_decoder(_dd_parity_matrix(spec), cfg.inner_max_iter)
+    else:
+        # dd-osd: one OSD engine on the direction-1 minimal descendant
+        inner = osd_batch_decoder(minimal_dd_basis(spec, 1).basis, cfg.order)
 
     def decode(L):
-        rep = dd_decode_minimal(L, spec, inner, B, cfg.n_max, H_outer,
-                                cfg.omega)
+        # looked up per call, so a wrapper installed after set-up is seen
+        loop = dd_decode_cyclic if cyclic else dd_decode_minimal
+        rep = loop(L, spec, inner, B, cfg.n_max, H_outer, cfg.omega)
         return (rep.bits, rep.iterations, int(rep.inner_iterations.sum()),
                 rep.inner_iterations.size, rep.converged)
     return decode
@@ -187,7 +177,7 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
     field = field_for_length(cfg.n)
     spec = code_from_generator(field, int(cfg.gen_poly_hex, 16))
     decode = build_decoder(cfg, spec)
-    workers = cfg.workers if cfg.workers >= 1 else default_workers()
+    workers = max(1, cfg.workers)
     num_dirs = 0
     if cfg.algo.startswith("dd-"):
         num_dirs = len(_parse_directions(cfg.directions, field))

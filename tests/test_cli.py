@@ -70,6 +70,15 @@ def test_decode_to_stdout(tmp_path, capsys):
     assert out.split() == ["0"] * 16
 
 
+def test_decode_nan_llr_is_reported(tmp_path, capsys):
+    llr_path = tmp_path / "llrs.txt"
+    np.savetxt(llr_path, np.where(np.arange(16) == 4, np.nan, 2.0))
+    rc = main(["decode", "--code", "16:1d1", "--algo", "dd-osd",
+               "--llr-in", str(llr_path)])
+    assert rc == 2
+    assert "error: LLR input holds NaN" in capsys.readouterr().err
+
+
 def test_decode_length_mismatch(tmp_path, capsys):
     llr_path = tmp_path / "llrs.txt"
     np.savetxt(llr_path, np.ones(10))

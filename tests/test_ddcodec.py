@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddcodes.cyclic
-from ddcodes.cyclic import code_from_generator, cyclic_shift, is_member
+import ddcodes.ddcodec
+from ddcodes.cyclic import (code_from_exponents, code_from_generator,
+                            cyclic_shift, is_member, rm_exponent_set)
 from ddcodes.ddcodec import (
     DecodeReport,
     DirectionSet,
@@ -18,7 +22,7 @@ from ddcodes.ddcodec import (
     get_vote,
     pair_transversal,
 )
-from ddcodes.decoders import mld_batch_decoder, mld_exhaustive
+from ddcodes.decoders import mld_batch_decoder, mld_exhaustive, osd_batch_decoder
 from ddcodes.derivative import (
     ZeroDirectionError,
     da_code,
@@ -324,12 +328,15 @@ def test_minimal_loop_transversal_equivalence(ex_code, f16):
     T, slot = pair_transversal(f16)
     full_dec = mld_batch_decoder(basis)
     half_dec = mld_batch_decoder(basis[:, T])
+
+    def through_transversal(Ld):
+        bits, its, conv = half_dec(Ld[:, T])
+        return bits[:, slot], its, conv
     for _ in range(40):
         word = _random_codeword(rng, ex_code)
         L = _noisy_llrs(rng, word, sigma2=0.9)
         rf = dd_decode_minimal(L, ex_code, full_dec, N_max=2)
-        rh = dd_decode_minimal(L, ex_code, half_dec, N_max=2,
-                               transversal=(T, slot))
+        rh = dd_decode_minimal(L, ex_code, through_transversal, N_max=2)
         assert np.array_equal(rf.bits, rh.bits)
         assert rf.iterations == rh.iterations
         assert rf.converged == rh.converged
@@ -351,3 +358,168 @@ def test_loops_match_exhaustive_decoding_at_high_snr(ex_code, inner_mld,
         agree_min += int(np.array_equal(rm.bits, ml))
     assert agree_cyc >= trials - 3
     assert agree_min >= trials - 3
+
+
+def _reference_cyclic(L, spec, dd_decoder, B, N_max, H):
+    """The cyclic loop as it was written before the merge, kept as reference."""
+    field = spec.field
+    L = np.asarray(L, dtype=np.float64)
+    Hd = ddcodes.ddcodec._check_matrix(spec, H)
+    perms = np.stack([field.pair_permutation(b) for b in B.elements])
+    Lcur = L.copy()
+    hard = (Lcur < 0).astype(np.uint8)
+    inner_tallies = []
+    converged = False
+    it = 0
+    for it in range(1, N_max + 1):
+        Lp = Lcur[perms]
+        Ld = boxplus(Lcur[None, :], Lp)
+        bits, inner_its, _ = dd_decoder(Ld)
+        inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
+        votes = (1.0 - 2.0 * bits.astype(np.float64)) * Lp
+        Lcur = votes.mean(axis=0)
+        hard = (Lcur < 0).astype(np.uint8)
+        if not (Hd @ hard % 2).any():
+            converged = True
+            break
+    return hard, it, converged, np.stack(inner_tallies)
+
+
+def _reference_minimal(L, spec, mdd_decoder, B, N_max, H):
+    """The minimal loop as it was written before the merge, kept as reference."""
+    field = spec.field
+    L = np.asarray(L, dtype=np.float64)
+    Hd = ddcodes.ddcodec._check_matrix(spec, H)
+    shifts = [e if e > 0 else field.n for e in B.exponents(field)]
+    sidx = np.stack([field.shift_index(b) for b in shifts])
+    perm1 = field.pair_permutation(1)
+    Lcur = L.copy()
+    hard = (Lcur < 0).astype(np.uint8)
+    inner_tallies = []
+    converged = False
+    it = 0
+    for it in range(1, N_max + 1):
+        Ls = Lcur[sidx]
+        Lp = Ls[:, perm1]
+        Ld = boxplus(Ls, Lp)
+        bits, inner_its, _ = mdd_decoder(Ld)
+        inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
+        votes_shifted = (1.0 - 2.0 * bits.astype(np.float64)) * Lp
+        votes = np.zeros_like(votes_shifted)
+        np.put_along_axis(votes, sidx, votes_shifted, axis=1)
+        Lcur = votes.mean(axis=0)
+        hard = (Lcur < 0).astype(np.uint8)
+        if not (Hd @ hard % 2).any():
+            converged = True
+            break
+    return hard, it, converged, np.stack(inner_tallies)
+
+
+def _loop_cases():
+    """(spec, kind, inner name) -> batch decoder, for two fields."""
+    specs = {"(16,7)": code_from_generator(GF2m(4), 0x1D1),
+             "RM(2,5)": code_from_exponents(GF2m(5),
+                                            rm_exponent_set(2, 5).members)}
+    cases = {}
+    for name, spec in specs.items():
+        inner_codes = {"cyclic": dd_code(spec).G,
+                       "minimal": minimal_dd_basis(spec, 1).basis}
+        for kind, G in inner_codes.items():
+            cases[name, kind, "ml"] = (spec, mld_batch_decoder(G))
+            cases[name, kind, "osd1"] = (spec, osd_batch_decoder(G, 1))
+    return cases
+
+
+_LOOP_CASES = _loop_cases()
+_LOOPS = {"cyclic": (dd_decode_cyclic, _reference_cyclic),
+          "minimal": (dd_decode_minimal, _reference_minimal)}
+# repeated magnitudes, erasures and saturated values, as derivative words have
+_LLR_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.25, -1.25, 30.0, -30.0]),
+    st.floats(-35.0, 35.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(sorted(_LOOP_CASES)), data=st.data())
+def test_merged_loop_matches_reference_loops(case, data):
+    """Both public loops give exactly the bits, iteration counts,
+    convergence flags and inner tallies of the two loops they replaced."""
+    name, kind, _ = case
+    spec, inner = _LOOP_CASES[case]
+    field = spec.field
+    L = np.array(data.draw(st.lists(_LLR_VALUES, min_size=spec.n,
+                                    max_size=spec.n)))
+    if data.draw(st.booleans()):
+        # a codeword's signs with a few flips, so that some loops converge
+        msg = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.k,
+                                          max_size=spec.k)), dtype=np.uint8)
+        flips = list(data.draw(st.sets(st.integers(0, spec.n - 1),
+                                       max_size=3)))
+        L = np.abs(L) * (1.0 - 2.0 * (msg @ spec.G % 2))
+        L[flips] *= -1.0
+    if data.draw(st.booleans()):
+        B = DirectionSet.all_of(field)
+    else:
+        B = DirectionSet.random_subset(
+            field, data.draw(st.integers(1, field.n)),
+            data.draw(st.integers(0, 2**16)))
+    N_max = data.draw(st.integers(1, 4))
+    H = nullspace(spec.G) if data.draw(st.booleans()) else None
+    loop, reference = _LOOPS[kind]
+    rep = loop(L, spec, inner, B, N_max, H)
+    bits, it, converged, tallies = reference(L, spec, inner, B, N_max, H)
+    assert np.array_equal(rep.bits, bits)
+    assert (rep.iterations, rep.converged) == (it, converged)
+    assert np.array_equal(rep.inner_iterations, tallies)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
+    """A second decode with the same (field, B) builds no index map, and the
+    cached maps cannot be written."""
+    field = GF2m(4)
+    spec = code_from_generator(field, 0x1D1)
+    inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
+                              else minimal_dd_basis(spec, 1).basis)
+    calls = []
+    for attr in ("pair_permutation", "shift_index"):
+        real = getattr(GF2m, attr)
+
+        def counting(self, x, real=real, attr=attr):
+            calls.append(attr)
+            return real(self, x)
+        monkeypatch.setattr(GF2m, attr, counting)
+    loop = _LOOPS[kind][0]
+    rng = np.random.default_rng(283)
+    B = DirectionSet.random_subset(field, 6, seed=4)
+    L = _noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
+    loop(L, spec, inner, B)
+    assert len(calls) == (6 if kind == "cyclic" else 12)
+    calls.clear()
+    loop(L, spec, inner, DirectionSet.random_subset(field, 6, seed=4))
+    loop(_noisy_llrs(rng, _random_codeword(rng, spec), 0.8), spec, inner, B)
+    assert calls == []
+    for a in ddcodes.ddcodec._direction_maps(field, B, kind):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+
+
+_BAD_LLRS = {
+    "wrong length": np.ones(15),
+    "all nan": np.full(16, np.nan),
+    "nan": np.where(np.arange(16) == 3, np.nan, 1.0),
+    "+inf": np.where(np.arange(16) == 5, np.inf, -1.0),
+    "-inf": np.where(np.arange(16) == 0, -np.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+@pytest.mark.parametrize("case", sorted(_BAD_LLRS))
+def test_loops_reject_bad_llrs(kind, case, ex_code, inner_mld,
+                               inner_minimal_mld):
+    """NaN used to "converge" to the zero word, a short vector raised a bare
+    IndexError, and an infinite value reached the votes unclipped."""
+    inner = inner_mld if kind == "cyclic" else inner_minimal_mld
+    with pytest.raises(ValueError, match="LLR input"):
+        _LOOPS[kind][0](_BAD_LLRS[case], ex_code, inner)

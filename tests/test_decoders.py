@@ -353,6 +353,7 @@ def test_osd_batch_eliminates_once_per_stack(monkeypatch):
 
 _BAD_LLRS = {
     "wrong length": np.ones(15),
+    "all nan": np.full(16, np.nan),
     "nan": np.where(np.arange(16) == 3, np.nan, 1.0),
     "+inf": np.where(np.arange(16) == 5, np.inf, -1.0),
     "-inf": np.where(np.arange(16) == 0, -np.inf, 1.0),
@@ -371,3 +372,19 @@ _OSD_ENTRY_POINTS = {
 def test_osd_entry_points_reject_bad_llrs(entry, case):
     with pytest.raises(ValueError, match="LLR input"):
         _OSD_ENTRY_POINTS[entry](_BAD_LLRS[case])
+
+
+_SINGLE_ENTRY_POINTS = {
+    "spa_decode": lambda L: spa_decode(
+        SparseParityMatrix.from_dense(_SPEC16.check_matrix), L),
+    "mld_exhaustive": lambda L: mld_exhaustive(_SPEC16.G, L),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SINGLE_ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(_BAD_LLRS))
+def test_spa_and_ml_entry_points_reject_bad_llrs(entry, case):
+    """NaN used to decode to the zero word (SPA reporting convergence), and
+    a short vector raised an unrelated shape error."""
+    with pytest.raises(ValueError, match="LLR input"):
+        _SINGLE_ENTRY_POINTS[entry](_BAD_LLRS[case])

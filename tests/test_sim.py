@@ -12,7 +12,6 @@ from ddcodes.sim import (
     ConfigError,
     SimConfig,
     build_decoder,
-    default_workers,
     load_config,
     run_monte_carlo,
     save_config,
@@ -55,17 +54,6 @@ def test_transmit_is_deterministic_per_seed():
     assert not np.array_equal(L1, L3)
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("DDCODES_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("DDCODES_WORKERS", "4")
-    assert default_workers() == 4
-    monkeypatch.setenv("DDCODES_WORKERS", "junk")
-    assert default_workers() == 1
-    monkeypatch.setenv("DDCODES_WORKERS", "-2")
-    assert default_workers() == 1
-
-
 def _base_config(**kw):
     base = dict(n=16, gen_poly_hex="1d1", algo="mld", ebn0_db=[3.0],
                 max_frames=300, max_frame_errors=50, seed=11)
@@ -96,6 +84,16 @@ def test_worker_split_is_reproducible():
     p1 = run_monte_carlo(cfg).points[0]
     p2 = run_monte_carlo(cfg).points[0]
     assert vars(p1) == vars(p2)
+
+
+def test_workers_below_one_mean_one_substream():
+    """Saved configs with "workers": 0 replay as the default single stream."""
+    one = run_monte_carlo(_base_config(ebn0_db=[1.0])).points[0]
+    assert SimConfig(n=16, gen_poly_hex="1d1", algo="mld").workers == 1
+    for workers in (0, -2):
+        point = run_monte_carlo(_base_config(workers=workers,
+                                             ebn0_db=[1.0])).points[0]
+        assert vars(point) == vars(one)
 
 
 def test_error_budget_stops_early():
