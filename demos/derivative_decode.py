@@ -42,7 +42,7 @@ def main() -> None:
     report = dd_decode_cyclic(L, spec, inner, DirectionSet.all_of(field))
     print(f"decoded  : {''.join(map(str, report.bits))}   "
           f"(converged={report.converged} after {report.iterations} "
-          f"outer iteration(s), ~{report.flops} flops)")
+          f"outer iteration(s))")
     print(f"matches the sent word: {np.array_equal(report.bits, word)}")
 
 

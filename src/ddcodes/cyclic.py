@@ -104,7 +104,7 @@ class CodeSpec:
         """Dense (n - k) x n parity-check matrix: the dual basis of G.
 
         Computed on first use and then kept, read-only, for the life of the
-        spec; decoders given no explicit H check every output against it.
+        spec; the derivative loops test convergence against it.
         """
         H = nullspace(self.G)
         H.setflags(write=False)

@@ -6,8 +6,9 @@ derivative word (box-plus of the received LLRs over each pair {x, x+beta}),
 hands it to a decoder for the (much smaller) descendant code, and converts
 the decoded derivative back into per-position soft votes on the original
 word.  The votes are averaged across directions to give the next LLR
-vector, and the loop stops as soon as the hard decision satisfies the outer
-code's parity checks.
+vector, and the loop stops as soon as the hard decision is a codeword of the
+outer code C, tested against C's cached parity-check matrix
+`spec.check_matrix`.
 
 One loop serves both decoders of the paper; they differ only in the index
 maps that carry the derivative words into the inner decoder and its bits
@@ -28,7 +29,6 @@ from .cyclic import CodeSpec
 from .decoders import LLR_CLIP, _checked_llrs
 from .derivative import ZeroDirectionError
 from .gf2m import GF2m, field_for_length
-from .parity import SparseParityMatrix
 
 __all__ = [
     "DirectionSet", "DecodeReport",
@@ -127,28 +127,19 @@ class DirectionSet:
 
 @dataclass(eq=False)
 class DecodeReport:
-    """Outcome of one derivative-decoding call."""
+    """Outcome of one derivative-decoding call; every field is measured.
+
+    `flop_account` turns the iteration count into a closed-form flop
+    estimate when one is wanted.
+    """
     bits: np.ndarray
     iterations: int
     converged: bool
-    flops: int
     inner_iterations: np.ndarray   # (iterations, |B|) inner-decoder tallies
 
     @property
     def avg_inner_iterations(self) -> float:
         return float(self.inner_iterations.mean()) if self.inner_iterations.size else 0.0
-
-
-def _check_matrix(spec: CodeSpec, H) -> np.ndarray:
-    if H is None:
-        return spec.check_matrix.astype(np.int64)
-    if isinstance(H, SparseParityMatrix):
-        return H.to_dense().astype(np.int64)
-    return np.asarray(H, dtype=np.int64)
-
-
-def _is_codeword(Hd: np.ndarray, hard: np.ndarray) -> bool:
-    return not (Hd @ hard % 2).any()
 
 
 @lru_cache(maxsize=32)
@@ -178,13 +169,13 @@ def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
 
 
 def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
-                     N_max: int, H, omega: float, kind: str) -> DecodeReport:
+                     N_max: int, kind: str) -> DecodeReport:
     """The derivative loop of both public decoders; `kind` picks the maps."""
     field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
     if B is None:
         B = DirectionSet.all_of(field)
-    Hd = _check_matrix(spec, H)
+    H = spec.check_matrix
     partner, to_inner, from_inner = _direction_maps(field, B, kind)
     Lcur = L
     hard = (Lcur < 0).astype(np.uint8)
@@ -199,16 +190,15 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
         votes = (1.0 - 2.0 * np.take(bits, from_inner).astype(np.float64)) * Lp
         Lcur = votes.mean(axis=0)
         hard = (Lcur < 0).astype(np.uint8)
-        if _is_codeword(Hd, hard):
+        if not (H @ hard % 2).any():    # uint8 wraps mod 256: parity exact
             converged = True
             break
     tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
-    return DecodeReport(hard, it, converged,
-                        flop_account(it, spec.n, len(B), omega), tallies)
+    return DecodeReport(hard, it, converged, tallies)
 
 
 def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = None,
-                     N_max: int = 3, H=None, omega: float = 0.0) -> DecodeReport:
+                     N_max: int = 3) -> DecodeReport:
     """Derivative decoding with every direction decoded in the cyclic descendant.
 
     dd_decoder is a batch decoder for the cyclic descendant code: it maps a
@@ -216,9 +206,8 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     converged).  Per outer iteration the derivative of the running LLR
     vector is decoded in every direction, the soft votes are averaged into
     the new LLR vector, and the loop exits early once the hard decision
-    passes the outer code's checks.  `omega` is the assumed inner-decoder
-    flop count used for the closed-form flop estimate.  Raises ValueError
-    unless L is a finite vector of length 2^m.
+    passes every check of `spec.check_matrix`.  Raises ValueError unless L
+    is a finite vector of length 2^m.
 
     With an exact inner decoder, any hard decision that lies in the
     derivative ascendant A(D(C)) is a fixed point of the loop: its
@@ -227,7 +216,7 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     Reed-Muller codes; otherwise the loop can stall on a word of A(D(C))
     outside C and exit at N_max unconverged.
     """
-    return _derivative_loop(L, spec, dd_decoder, B, N_max, H, omega, "cyclic")
+    return _derivative_loop(L, spec, dd_decoder, B, N_max, "cyclic")
 
 
 def pair_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
@@ -247,28 +236,31 @@ def pair_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = None,
-                      N_max: int = 4, H=None, omega: float = 0.0) -> DecodeReport:
+                      N_max: int = 4) -> DecodeReport:
     """Derivative decoding through one decoder for the direction-1 descendant.
 
     For a direction alpha^b, shifting the problem b places turns it into a
     direction-alpha^0 problem: the derivative of the b-shifted LLR vector in
     direction 1 is decoded by mdd_decoder, and shifting its bits b places
     back aligns the votes with the original word.  All directions in B are
-    processed each iteration in one batch.  Raises ValueError unless L is a
-    finite vector of length 2^m.
+    processed each iteration in one batch, and the loop exits early once
+    the hard decision passes every check of `spec.check_matrix`.  Raises
+    ValueError unless L is a finite vector of length 2^m.
     """
-    return _derivative_loop(L, spec, mdd_decoder, B, N_max, H, omega, "minimal")
+    return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 
 
 def flop_account(report_or_iterations, n: int, num_directions: int,
                  omega: float) -> int:
     """Closed-form flop estimate: iterations * |B| * (5n + omega).
 
-    Per iteration each direction costs 4n for the derivative combination
-    plus n for its share of the voting average, plus one descendant decode
-    at omega flops.  Accepts a DecodeReport or a (possibly fractional,
-    e.g. averaged) iteration count; the result rounds to the nearest
-    integer.
+    An estimate, not a measurement: per iteration each direction is assumed
+    to cost 4n for the derivative combination plus n for its share of the
+    voting average, plus one descendant decode at an assumed omega flops.
+    `sim.run_monte_carlo` computes it once per SNR point from the mean
+    iteration count (`SimPoint.flops_est`).  Accepts a DecodeReport or a
+    (possibly fractional, e.g. averaged) iteration count; the result rounds
+    to the nearest integer.
     """
     iters = report_or_iterations.iterations \
         if isinstance(report_or_iterations, DecodeReport) else report_or_iterations

@@ -43,22 +43,16 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     need no special casing.  A frame stops contributing once its hard
     decision satisfies every check; its iteration count is the first
     iteration where that held.  Non-converged frames report max_iter and the
-    final-posterior hard decision.
+    final-posterior hard decision.  The check table is H's padded
+    `idx`/`mask`, built with H; a matrix with no checks returns the hard
+    decision, converged at iteration 1.
 
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
     (batch,).
     """
-    rows = H.rows
-    n = H.n
+    idx, mask, n = H.idx, H.mask, H.n
     L = np.atleast_2d(np.asarray(L, dtype=np.float64))
     B = L.shape[0]
-    R = len(rows)
-    deg = max(len(r) for r in rows)
-    idx = np.zeros((R, deg), dtype=np.int64)
-    mask = np.zeros((R, deg), dtype=bool)
-    for i, rw in enumerate(rows):
-        idx[i, :len(rw)] = rw
-        mask[i, :len(rw)] = True
     Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
     q = Lc[:, idx]                                       # (B, R, deg)
     out = (Lc < 0).astype(np.uint8)

@@ -39,7 +39,10 @@ class SparseParityMatrix:
     """A binary parity-check matrix stored as per-check position lists.
 
     `source` records how the matrix was built ("eg-lines", "dual-orbit",
-    "file", or empty for ad hoc construction).
+    "file", or empty for ad hoc construction).  The same checks are also
+    kept as a padded table, built once and read-only: row i of the
+    (checks, max row weight) arrays `idx` and `mask` holds check i's
+    positions, and `mask` marks the entries that are real, not padding.
     """
 
     def __init__(self, n: int, rows, source: str = ""):
@@ -49,24 +52,27 @@ class SparseParityMatrix:
         for r in self.rows:
             if r and not 0 <= r[0] <= r[-1] < n:
                 raise ValueError("check position out of range")
+        deg = max(map(len, self.rows), default=0)
+        self.idx = np.zeros((len(self.rows), deg), dtype=np.int64)
+        self.mask = np.arange(deg) < np.array([len(r) for r in self.rows],
+                                              dtype=np.int64)[:, None]
+        self.idx[self.mask] = [i for r in self.rows for i in r]
+        self.idx.setflags(write=False)
+        self.mask.setflags(write=False)
 
     @property
     def num_checks(self) -> int:
         return len(self.rows)
 
     def row_weights(self) -> np.ndarray:
-        return np.array([len(r) for r in self.rows], dtype=int)
+        return self.mask.sum(axis=1, dtype=int)
 
     def col_weights(self) -> np.ndarray:
-        w = np.zeros(self.n, dtype=int)
-        for r in self.rows:
-            w[r] += 1
-        return w
+        return self.to_dense().sum(axis=0, dtype=int)
 
     def to_dense(self) -> np.ndarray:
         H = np.zeros((len(self.rows), self.n), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            H[i, r] = 1
+        H[np.nonzero(self.mask)[0], self.idx[self.mask]] = 1
         return H
 
     @classmethod

@@ -155,7 +155,6 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
         return decode
 
     B = _parse_directions(cfg.directions, field)
-    H_outer = spec.check_matrix
     cyclic = cfg.algo == "dd-spa"
     if cyclic:
         inner = spa_batch_decoder(_dd_parity_matrix(spec), cfg.inner_max_iter)
@@ -166,7 +165,7 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     def decode(L):
         # looked up per call, so a wrapper installed after set-up is seen
         loop = dd_decode_cyclic if cyclic else dd_decode_minimal
-        rep = loop(L, spec, inner, B, cfg.n_max, H_outer, cfg.omega)
+        rep = loop(L, spec, inner, B, cfg.n_max)
         return (rep.bits, rep.iterations, int(rep.inner_iterations.sum()),
                 rep.inner_iterations.size, rep.converged)
     return decode

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ddcodes.decoders
 from ddcodes.cyclic import code_from_exponents, code_from_generator, rm_exponent_set
@@ -27,7 +28,8 @@ from ddcodes.decoders import (
 )
 from ddcodes.derivative import minimal_dd_basis
 from ddcodes.gf2m import GF2m
-from ddcodes.parity import SparseParityMatrix, dual_orbit_parity_matrix
+from ddcodes.parity import (SparseParityMatrix, dual_orbit_parity_matrix,
+                            eg_line_parity_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -388,3 +390,132 @@ def test_spa_and_ml_entry_points_reject_bad_llrs(entry, case):
     a short vector raised an unrelated shape error."""
     with pytest.raises(ValueError, match="LLR input"):
         _SINGLE_ENTRY_POINTS[entry](_BAD_LLRS[case])
+
+
+def test_spa_without_checks_returns_the_hard_decision():
+    """A matrix with no checks used to raise a bare ValueError from max()
+    on an empty sequence; every hard decision satisfies it."""
+    H = SparseParityMatrix(16, [])
+    L = np.random.default_rng(191).normal(0.0, 2.0, size=(3, 16))
+    bits, iters, conv = spa_decode_batch(H, L)
+    assert np.array_equal(bits, (L < 0).astype(np.uint8))
+    assert iters.tolist() == [1, 1, 1]
+    assert conv.all()
+    one, conv1, iters1 = spa_decode(H, L[0])
+    assert np.array_equal(one, bits[0]) and (conv1, iters1) == (True, 1)
+
+
+def _spa_decode_batch_reference(H, L, max_iter=20):
+    """spa_decode_batch as it was before the check table moved onto
+    SparseParityMatrix: the table is rebuilt from H.rows on every call."""
+    rows = H.rows
+    n = H.n
+    L = np.atleast_2d(np.asarray(L, dtype=np.float64))
+    B = L.shape[0]
+    R = len(rows)
+    deg = max(len(r) for r in rows)
+    idx = np.zeros((R, deg), dtype=np.int64)
+    mask = np.zeros((R, deg), dtype=bool)
+    for i, rw in enumerate(rows):
+        idx[i, :len(rw)] = rw
+        mask[i, :len(rw)] = True
+    Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
+    q = Lc[:, idx]
+    out = (Lc < 0).astype(np.uint8)
+    iters = np.full(B, max_iter, dtype=np.int64)
+    conv = np.zeros(B, dtype=bool)
+    done = np.zeros(B, dtype=bool)
+    flat = idx[None, :, :] + (np.arange(B) * n)[:, None, None]
+    tot = np.zeros((B, n))
+    lim = ddcodes.decoders._ATANH_LIM
+    for it in range(1, max_iter + 1):
+        t = np.tanh(q / 2)
+        t = np.where(mask, t, 1.0)
+        c = np.cumprod(t, axis=-1)
+        left = np.ones_like(t)
+        left[..., 1:] = c[..., :-1]
+        rs = np.cumprod(t[..., ::-1], axis=-1)[..., ::-1]
+        right = np.ones_like(t)
+        right[..., :-1] = rs[..., 1:]
+        r = 2 * np.arctanh(np.clip(left * right, -lim, lim))
+        r = np.where(mask, r, 0.0)
+        tot = np.bincount(flat.ravel(), weights=r.ravel(),
+                          minlength=B * n).reshape(B, n)
+        post = Lc + tot
+        q = np.clip(post[:, idx] - r, -LLR_CLIP, LLR_CLIP)
+        hard = (post < 0).astype(np.uint8)
+        synd = np.where(mask, hard[:, idx], 0).sum(axis=-1) % 2
+        ok = ~synd.any(axis=-1)
+        newly = ok & ~done
+        out[newly] = hard[newly]
+        iters[newly] = it
+        conv |= newly
+        done |= newly
+        if done.all():
+            break
+    if not done.all():
+        post = Lc + tot
+        out[~done] = (post[~done] < 0).astype(np.uint8)
+    return out, iters, conv
+
+
+_SPA_MATRICES = {
+    "EG(2,4) lines": eg_line_parity_matrix(2, 2),
+    "EG(2,8) lines": eg_line_parity_matrix(2, 3),
+    "RM(2,4) dual orbit": dual_orbit_parity_matrix(
+        code_from_exponents(_FIELD16, rm_exponent_set(2, 4).members), 8),
+    "irregular": SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]]),
+}
+# repeated magnitudes, erasures and saturated values, as derivative words have
+_SPA_LLRS = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.25, -1.25, 30.0, -30.0]),
+    st.floats(-35.0, 35.0, allow_nan=False))
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_SPA_MATRICES)), data=st.data())
+def test_spa_batch_matches_per_call_table_reference(name, data):
+    """Reading the table built with H gives exactly the bits, iteration
+    counts and convergence flags of rebuilding it on every call."""
+    H = _SPA_MATRICES[name]
+    F = data.draw(st.integers(1, 8))
+    L = data.draw(arrays(np.float64, (F, H.n), elements=_SPA_LLRS))
+    max_iter = data.draw(st.integers(1, 20))
+    bits, iters, conv = spa_decode_batch(H, L, max_iter)
+    ref_bits, ref_iters, ref_conv = _spa_decode_batch_reference(H, L, max_iter)
+    assert np.array_equal(bits, ref_bits)
+    assert np.array_equal(iters, ref_iters)
+    assert np.array_equal(conv, ref_conv)
+
+
+_SPA_CODES = {
+    "RM(2,4), dual orbit": (code_from_exponents(
+        _FIELD16, rm_exponent_set(2, 4).members).G,
+        _SPA_MATRICES["RM(2,4) dual orbit"]),
+    "RM(1,4), EG(2,4) lines": (_GENERATORS["RM(1,4)"],
+                               _SPA_MATRICES["EG(2,4) lines"]),
+}
+_CODEWORD_DECODERS = {
+    **{f"spa {name}": (G, spa_batch_decoder(H))
+       for name, (G, H) in _SPA_CODES.items()},
+    **{f"osd{order} {name}": (G, osd_batch_decoder(G, order))
+       for name, G in _GENERATORS.items() for order in (0, 1, 2)},
+    **{f"mld {name}": (G, mld_batch_decoder(G))
+       for name, G in _GENERATORS.items()},
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_CODEWORD_DECODERS)), data=st.data())
+def test_batch_decoders_return_codewords_unchanged(name, data):
+    """A stack of +-8 LLRs of codewords decodes to those codewords, in one
+    iteration, converged."""
+    G, decode = _CODEWORD_DECODERS[name]
+    F = data.draw(st.integers(1, 6))
+    msgs = data.draw(arrays(np.uint8, (F, G.shape[0]),
+                            elements=st.integers(0, 1)))
+    words = msgs @ G % 2
+    bits, iters, conv = decode(8.0 * (1.0 - 2.0 * words))
+    assert np.array_equal(bits, words)
+    assert iters.tolist() == [1] * F
+    assert conv.all()

@@ -177,3 +177,62 @@ def test_alist_irregular_roundtrip(tmp_path):
     write_alist(path, H)
     back = read_alist(path)
     assert back.to_dense().tolist() == H.to_dense().tolist()
+
+
+def _to_dense_loop(H):
+    """The row loop to_dense used to run, kept as reference."""
+    D = np.zeros((len(H.rows), H.n), dtype=np.uint8)
+    for i, r in enumerate(H.rows):
+        D[i, r] = 1
+    return D
+
+
+def _col_weights_loop(H):
+    """The row loop col_weights used to run, kept as reference."""
+    w = np.zeros(H.n, dtype=int)
+    for r in H.rows:
+        w[r] += 1
+    return w
+
+
+def _irregular_from_alist(tmp_path):
+    path = tmp_path / "irregular.alist"
+    write_alist(path, SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]]))
+    return read_alist(path)
+
+
+_TABLE_MATRICES = {
+    "EG(2,4) lines": lambda _: eg_line_parity_matrix(2, 2),
+    "EG(2,8) lines": lambda _: eg_line_parity_matrix(2, 3),
+    "EG(3,4) lines": lambda _: eg_line_parity_matrix(3, 2),
+    "RM(2,4) dual orbit": lambda _: dual_orbit_parity_matrix(
+        code_from_exponents(GF2m(4), rm_exponent_set(2, 4).members), 8),
+    "irregular alist": _irregular_from_alist,
+    "check-free": lambda _: SparseParityMatrix(16, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_MATRICES))
+def test_check_table_reproduces_rows(name, tmp_path):
+    """idx/mask hold every check's positions in order, padded to the
+    largest row weight, and cannot be written."""
+    H = _TABLE_MATRICES[name](tmp_path)
+    deg = max(map(len, H.rows), default=0)
+    assert H.idx.shape == H.mask.shape == (H.num_checks, deg)
+    assert [H.idx[i][H.mask[i]].tolist() for i in range(H.num_checks)] == H.rows
+    assert [H.mask[i].tolist() for i in range(H.num_checks)] == \
+        [[j < len(r) for j in range(deg)] for r in H.rows]
+    for a in (H.idx, H.mask):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_MATRICES))
+def test_dense_and_weights_match_row_loops(name, tmp_path):
+    H = _TABLE_MATRICES[name](tmp_path)
+    dense = H.to_dense()
+    assert dense.dtype == np.uint8
+    assert np.array_equal(dense, _to_dense_loop(H))
+    assert H.row_weights().tolist() == [len(r) for r in H.rows]
+    assert H.col_weights().tolist() == _col_weights_loop(H).tolist()
