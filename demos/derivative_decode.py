@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddcodes.cyclic import code_from_generator, is_member
-from ddcodes.ddcodec import DirectionSet, dd_decode_cyclic, derivative_llr
+from ddcodes.ddcodec import DirectionSet, boxplus, dd_decode_cyclic
 from ddcodes.decoders import spa_batch_decoder
 from ddcodes.gf2m import field_for_length
 from ddcodes.parity import eg_line_parity_matrix
@@ -33,7 +33,7 @@ def main() -> None:
           f"codeword: {is_member(spec, hard)})")
 
     beta = int(field.antilog[0])
-    dL = derivative_llr(L, beta, field)
+    dL = boxplus(L, L[field.pair_permutation(beta)])
     print(f"derivative LLRs in direction {beta}: "
           f"{np.array2string(dL[:8], precision=2)} ...")
 

@@ -9,13 +9,13 @@ from .gf2m import (GF2m, DEFAULT_PRIMITIVE_POLYS, InvalidSubfieldError,
                    NonPrimitivePolynomialError, coset_closure,
                    coset_representatives, cyclotomic_coset, field_for_length)
 from .gf2 import (nullspace, rank, row_space_contains, row_spaces_equal, rref,
-                  rref_stack, solve_in_rowspace)
+                  rref_stack)
 from .cyclic import (CodeSpec, DimensionTooLargeError, ExponentSet,
                      NonBinaryResultError, NotADivisorError,
                      NotClosedUnderDoublingError, anf_coefficients, bch_bound,
                      code_from_exponents, code_from_generator, cyclic_shift,
                      ebch_code, exponent_set_from_generator, extend_cyclic,
-                     generator_from_exponent_set, generator_matrix, is_member,
+                     generator_from_exponent_set, is_member,
                      min_distance_exhaustive, ms_evaluate, ms_transform,
                      rm_exponent_set, rm_membership)
 from .derivative import (CoveredSet, MinimalDdBasis, ZeroDirectionError,
@@ -25,16 +25,14 @@ from .derivative import (CoveredSet, MinimalDdBasis, ZeroDirectionError,
                          stacked_derivative_rank)
 from .parity import (DualTooLargeError, EmptyParityMatrixError,
                      InvalidGeometryError, SparseParityMatrix,
-                     dual_basis_parity_matrix, dual_orbit_parity_matrix,
-                     eg_line_parity_matrix, is_orthogonal_to, read_alist,
-                     write_alist)
-from .decoders import (LLR_CLIP, OsdWorkspace, RankDeficientError,
-                       all_codewords, mld_batch_decoder, mld_exhaustive,
-                       osd_batch_decoder, osd_decode, osd_workspace,
-                       spa_batch_decoder, spa_decode, spa_decode_batch)
+                     dual_orbit_parity_matrix, eg_line_parity_matrix,
+                     is_orthogonal_to, read_alist, write_alist)
+from .decoders import (LLR_CLIP, RankDeficientError, all_codewords,
+                       mld_batch_decoder, mld_exhaustive, osd_batch_decoder,
+                       osd_decode, spa_batch_decoder, spa_decode,
+                       spa_decode_batch)
 from .ddcodec import (DecodeReport, DirectionSet, boxplus, dd_decode_cyclic,
-                      dd_decode_minimal, derivative_llr, flop_account,
-                      get_vote, pair_transversal)
+                      dd_decode_minimal, flop_account, pair_transversal)
 from .sim import (ChannelConfig, ConfigError, SimConfig, SimPoint, SimResult,
                   build_decoder, load_config, run_monte_carlo,
                   save_config, transmit, write_results)

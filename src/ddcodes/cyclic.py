@@ -23,7 +23,7 @@ __all__ = [
     "NotADivisorError", "DimensionTooLargeError",
     "exponent_set_from_generator", "generator_from_exponent_set",
     "code_from_generator", "code_from_exponents", "ebch_code",
-    "ms_transform", "ms_evaluate", "generator_matrix", "extend_cyclic",
+    "ms_transform", "ms_evaluate", "extend_cyclic",
     "cyclic_shift", "is_member", "bch_bound", "min_distance_exhaustive",
     "rm_exponent_set", "anf_coefficients", "rm_membership",
 ]
@@ -166,11 +166,6 @@ def _build_generator_matrix(field: GF2m, gen_poly: int) -> np.ndarray:
         G[r, 0] = cyc.sum() % 2
         G[r, 1:] = cyc
     return G
-
-
-def generator_matrix(spec: "CodeSpec") -> np.ndarray:
-    """The k x 2^m generator matrix whose row r extends x^r * g(x)."""
-    return spec.G.copy()
 
 
 def code_from_generator(field: GF2m, gen_poly: int) -> CodeSpec:

@@ -28,11 +28,10 @@ import numpy as np
 from .cyclic import CodeSpec
 from .decoders import LLR_CLIP, _checked_llrs
 from .derivative import ZeroDirectionError
-from .gf2m import GF2m, field_for_length
+from .gf2m import GF2m
 
 __all__ = [
-    "DirectionSet", "DecodeReport",
-    "boxplus", "derivative_llr", "get_vote",
+    "DirectionSet", "DecodeReport", "boxplus",
     "dd_decode_cyclic", "dd_decode_minimal", "pair_transversal",
     "flop_account",
 ]
@@ -52,36 +51,6 @@ def boxplus(a, b) -> np.ndarray:
     p = np.tanh(a / 2) * np.tanh(b / 2)
     p = np.clip(p, -_ATANH_LIM, _ATANH_LIM)
     return np.clip(2 * np.arctanh(p), -LLR_CLIP, LLR_CLIP)
-
-
-def derivative_llr(L, beta: int, field: GF2m | None = None) -> np.ndarray:
-    """LLR vector of the derivative word in direction beta.
-
-    Position of x receives boxplus(L at x, L at x + beta); paired positions
-    therefore hold equal values.
-    """
-    L = np.asarray(L, dtype=np.float64)
-    if field is None:
-        field = field_for_length(L.shape[0])
-    if beta == 0:
-        raise ZeroDirectionError("derivative direction must be nonzero")
-    return boxplus(L, L[field.pair_permutation(beta)])
-
-
-def get_vote(L, a_hat, beta: int, field: GF2m | None = None) -> np.ndarray:
-    """Soft vote on the original word from a decoded derivative word.
-
-    If the derivative bit at x is right, the bits at x and x + beta agree
-    through it, so the partner's LLR vouches for x with the derivative's
-    sign: vote at x = (1 - 2 * a_hat at x) * (L at x + beta).
-    """
-    L = np.asarray(L, dtype=np.float64)
-    if field is None:
-        field = field_for_length(L.shape[0])
-    if beta == 0:
-        raise ZeroDirectionError("derivative direction must be nonzero")
-    return (1.0 - 2.0 * np.asarray(a_hat, dtype=np.float64)) \
-        * L[field.pair_permutation(beta)]
 
 
 @dataclass(frozen=True)
@@ -137,10 +106,6 @@ class DecodeReport:
     converged: bool
     inner_iterations: np.ndarray   # (iterations, |B|) inner-decoder tallies
 
-    @property
-    def avg_inner_iterations(self) -> float:
-        return float(self.inner_iterations.mean()) if self.inner_iterations.size else 0.0
-
 
 @lru_cache(maxsize=32)
 def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
@@ -170,7 +135,15 @@ def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
 
 def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
                      N_max: int, kind: str) -> DecodeReport:
-    """The derivative loop of both public decoders; `kind` picks the maps."""
+    """The derivative loop of both public decoders; `kind` picks the maps.
+
+    Per iteration, for each direction beta in B and position x with
+    partner p = x + beta, on the running LLR vector L: the derivative LLR
+    at x is boxplus(L[x], L[p]), so both positions of a pair hold the same
+    value; and the decoded derivative bit a_hat[x] votes
+    (1 - 2 * a_hat[x]) * L[p] on x, since a correct derivative bit says
+    whether x agrees with its partner.  The next L is the mean vote over B.
+    """
     field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
     if B is None:
@@ -250,7 +223,7 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 
 
-def flop_account(report_or_iterations, n: int, num_directions: int,
+def flop_account(iterations: float, n: int, num_directions: int,
                  omega: float) -> int:
     """Closed-form flop estimate: iterations * |B| * (5n + omega).
 
@@ -258,10 +231,7 @@ def flop_account(report_or_iterations, n: int, num_directions: int,
     to cost 4n for the derivative combination plus n for its share of the
     voting average, plus one descendant decode at an assumed omega flops.
     `sim.run_monte_carlo` computes it once per SNR point from the mean
-    iteration count (`SimPoint.flops_est`).  Accepts a DecodeReport or a
-    (possibly fractional, e.g. averaged) iteration count; the result rounds
-    to the nearest integer.
+    iteration count (`SimPoint.flops_est`).  The iteration count may be
+    fractional (e.g. averaged); the result rounds to the nearest integer.
     """
-    iters = report_or_iterations.iterations \
-        if isinstance(report_or_iterations, DecodeReport) else report_or_iterations
-    return int(round(iters * num_directions * (5.0 * n + omega)))
+    return int(round(iterations * num_directions * (5.0 * n + omega)))

@@ -10,7 +10,6 @@ the OSD one systematizes the whole stack in a single GF(2) elimination
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -21,9 +20,9 @@ from .gf2 import rref_stack
 from .parity import SparseParityMatrix
 
 __all__ = [
-    "LLR_CLIP", "RankDeficientError", "OsdWorkspace",
+    "LLR_CLIP", "RankDeficientError",
     "spa_decode", "spa_decode_batch",
-    "osd_workspace", "osd_decode", "mld_exhaustive", "all_codewords",
+    "osd_decode", "mld_exhaustive", "all_codewords",
     "spa_batch_decoder", "osd_batch_decoder", "mld_batch_decoder",
 ]
 
@@ -102,15 +101,6 @@ def spa_decode(H: SparseParityMatrix, L, max_iter: int = 20):
     return bits[0], bool(conv[0]), int(iters[0])
 
 
-@dataclass(frozen=True, eq=False)
-class OsdWorkspace:
-    """Most-reliable-basis systematization for one received LLR vector."""
-    generator: np.ndarray      # original G
-    order_perm: np.ndarray     # positions sorted by falling reliability
-    systematic: np.ndarray     # G row-reduced so basis columns are unit vectors
-    basis_positions: np.ndarray
-
-
 def _checked_llrs(L, n: int, batch: bool) -> np.ndarray:
     """L as float64: one length-n vector, or an (F, n) stack if batch.
 
@@ -133,29 +123,15 @@ def _reliability_bases(G: np.ndarray, L: np.ndarray):
     and one rref_stack call reduces G under all these orders: the kept
     (pivot) columns of row d are the first independent positions of its
     order, and they form a scattered identity in its reduced G.  Returns
-    (orders, systematic, basis_positions) with shapes (F, n), (F, k, n),
-    (F, k).
+    (systematic, basis_positions) with shapes (F, k, n) and (F, k).  Raises
+    RankDeficientError if G's rank is below its row count.
     """
     k = G.shape[0]
     orders = np.argsort(-np.abs(L), axis=1, kind="stable")
     M, pivots = rref_stack(G, orders)
     if M.shape[1] < k:
         raise RankDeficientError(f"generator rank {M.shape[1]} below row count {k}")
-    return orders, M, pivots
-
-
-def osd_workspace(G: np.ndarray, L: np.ndarray) -> OsdWorkspace:
-    """Greedy Gauss-Jordan elimination over the reliability-sorted columns.
-
-    Walks positions from most to least reliable, keeping each column that is
-    independent of those already kept, and reduces G so the kept columns form
-    an identity (scattered).  Ties in |L| resolve to the lower index.  Raises
-    ValueError unless L is a finite vector of length n.
-    """
-    G = np.asarray(G, dtype=np.uint8)
-    L = _checked_llrs(L, G.shape[1], batch=False)
-    orders, M, pivots = _reliability_bases(G, L[None])
-    return OsdWorkspace(G, orders[0], M[0], pivots[0])
+    return M, pivots
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +148,7 @@ def _flip_sets(k: int, order: int) -> tuple[np.ndarray, ...]:
 
 def _osd_stack(G: np.ndarray, L: np.ndarray, order: int) -> np.ndarray:
     """osd_decode of every row of a checked (F, n) LLR stack."""
-    _, M, pivots = _reliability_bases(G, L)
+    M, pivots = _reliability_bases(G, L)
     F, k, n = M.shape
     hard = (L < 0).astype(np.uint8)
     flips = np.take_along_axis(hard, pivots, axis=1)

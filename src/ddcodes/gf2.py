@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["rref_stack", "rref", "rank", "nullspace", "row_space_contains",
-           "row_spaces_equal", "solve_in_rowspace"]
+           "row_spaces_equal"]
 
 
 def rref_stack(M: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -103,23 +103,3 @@ def row_spaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
     Ra, _ = rref(A)
     Rb, _ = rref(B)
     return Ra.shape == Rb.shape and np.array_equal(Ra, Rb)
-
-
-def solve_in_rowspace(M: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Coefficients x with x @ M = v (mod 2), or None if v is outside the span."""
-    A = (np.asarray(M, dtype=np.uint8) & 1).copy()
-    rows = A.shape[0]
-    aug = np.concatenate([A, np.eye(rows, dtype=np.uint8)], axis=1)
-    R, pivots = rref(aug)
-    cols = A.shape[1]
-    w = (np.asarray(v, dtype=np.uint8) & 1).copy()
-    x = np.zeros(rows, dtype=np.uint8)
-    for row, p in zip(R, pivots):
-        if p >= cols:
-            break
-        if w[p]:
-            w ^= row[:cols]
-            x ^= row[cols:]
-    if w.any():
-        return None
-    return x

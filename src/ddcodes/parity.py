@@ -17,8 +17,7 @@ from .gf2m import GF2m
 __all__ = [
     "SparseParityMatrix", "InvalidGeometryError", "DualTooLargeError",
     "EmptyParityMatrixError",
-    "eg_line_parity_matrix", "dual_basis_parity_matrix",
-    "dual_orbit_parity_matrix", "is_orthogonal_to",
+    "eg_line_parity_matrix", "dual_orbit_parity_matrix", "is_orthogonal_to",
     "write_alist", "read_alist",
 ]
 
@@ -43,6 +42,7 @@ class SparseParityMatrix:
     kept as a padded table, built once and read-only: row i of the
     (checks, max row weight) arrays `idx` and `mask` holds check i's
     positions, and `mask` marks the entries that are real, not padding.
+    A check that lists a position twice raises ValueError.
     """
 
     def __init__(self, n: int, rows, source: str = ""):
@@ -57,6 +57,10 @@ class SparseParityMatrix:
         self.mask = np.arange(deg) < np.array([len(r) for r in self.rows],
                                               dtype=np.int64)[:, None]
         self.idx[self.mask] = [i for r in self.rows for i in r]
+        repeats = (np.diff(self.idx, axis=1) == 0) & self.mask[:, 1:]
+        if repeats.any():
+            i, j = np.argwhere(repeats)[0]
+            raise ValueError(f"check {i} repeats position {self.idx[i, j]}")
         self.idx.setflags(write=False)
         self.mask.setflags(write=False)
 
@@ -111,14 +115,6 @@ def eg_line_parity_matrix(mu_dims: int, subfield_bits: int) -> SparseParityMatri
             lines.add(frozenset(a ^ p for p in through_zero))
     rows = sorted(sorted(field.pos_of_elem[e] for e in line) for line in lines)
     return SparseParityMatrix(field.size, rows, source="eg-lines")
-
-
-def dual_basis_parity_matrix(spec: CodeSpec) -> np.ndarray:
-    """Dense (n - k) x n parity-check matrix from the dual-space basis.
-
-    This is the spec's cached, read-only `check_matrix`.
-    """
-    return spec.check_matrix
 
 
 def _pack_rows(M: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
                       flop_account)
-from .decoders import (mld_exhaustive, osd_batch_decoder, osd_decode,
-                       spa_batch_decoder, spa_decode)
+from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
+                       osd_decode, spa_batch_decoder, spa_decode)
 from .derivative import dd_code, minimal_dd_basis
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
@@ -136,10 +136,11 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     if cfg.algo == "mld":
         if spec.k > 20:
             raise ConfigError(f"mld needs k <= 20, got {spec.k}")
+        mld = mld_batch_decoder(spec.G)
 
         def decode(L):
-            bits = mld_exhaustive(spec.G, L)
-            return bits, 1, 1, 1, True
+            bits, _, _ = mld(_checked_llrs(L, spec.n, batch=False)[None])
+            return bits[0], 1, 1, 1, True
         return decode
     if cfg.algo == "osd":
         def decode(L):

@@ -23,7 +23,6 @@ from ddcodes.cyclic import (
     exponent_set_from_generator,
     extend_cyclic,
     generator_from_exponent_set,
-    generator_matrix,
     is_member,
     min_distance_exhaustive,
     ms_evaluate,
@@ -100,7 +99,7 @@ def test_generator_roundtrip(f16):
 
 
 def test_generator_matrix_structure(ex_code):
-    G = generator_matrix(ex_code)
+    G = ex_code.G
     assert G.shape == (7, 16)
     assert rank(G) == 7
     for row in G:

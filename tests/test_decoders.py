@@ -16,17 +16,18 @@ from ddcodes.ddcodec import boxplus
 from ddcodes.decoders import (
     LLR_CLIP,
     RankDeficientError,
+    _reliability_bases,
     all_codewords,
     mld_batch_decoder,
     mld_exhaustive,
     osd_batch_decoder,
     osd_decode,
-    osd_workspace,
     spa_batch_decoder,
     spa_decode,
     spa_decode_batch,
 )
 from ddcodes.derivative import minimal_dd_basis
+from ddcodes.gf2 import rank
 from ddcodes.gf2m import GF2m
 from ddcodes.parity import (SparseParityMatrix, dual_orbit_parity_matrix,
                             eg_line_parity_matrix)
@@ -134,23 +135,29 @@ def test_osd_workspace_properties():
     rng = np.random.default_rng(181)
     for _ in range(50):
         L = rng.normal(0.0, 3.0, size=16)
-        ws = osd_workspace(spec.G, L)
+        M, pivots = _reliability_bases(spec.G, L[None])
+        systematic, basis = M[0], pivots[0]
         k = spec.k
-        assert len(ws.basis_positions) == k
+        assert len(basis) == k
         # basis columns of the reduced generator form a scattered identity
-        sub = ws.systematic[:, ws.basis_positions]
+        sub = systematic[:, basis]
         assert np.array_equal(sub, np.eye(k, dtype=np.uint8))
         # basis positions appear in reliability order and are maximal:
         # no skipped position may be independent of the ones kept before it
         rel = np.abs(L)
-        order = list(ws.order_perm)
-        assert sorted(order, key=lambda c: (-rel[c], c)) == order
+        kept = []
+        for c in sorted(range(16), key=lambda c: (-rel[c], c)):
+            if c in basis:
+                kept.append(c)
+            else:
+                assert rank(spec.G[:, kept + [c]]) == len(kept)
+        assert kept == list(basis)
 
 
 def test_osd_workspace_rejects_rank_deficient():
     G = np.array([[1, 0, 1, 0], [1, 0, 1, 0]], dtype=np.uint8)
     with pytest.raises(RankDeficientError):
-        osd_workspace(G, np.ones(4))
+        osd_decode(G, np.ones(4), 0)
 
 
 def test_osd_order0_recovers_clean_words():
@@ -297,12 +304,11 @@ def _tied_llrs(draw, rows):
 @given(st.sampled_from(sorted(_GENERATORS)), _tied_llrs(1))
 def test_osd_workspace_matches_reference_loop(name, L):
     G = _GENERATORS[name]
-    ws = osd_workspace(G, L[0])
-    order, M, basis = _osd_workspace_loop(G, L[0])
-    assert np.array_equal(ws.order_perm, order)
-    assert np.array_equal(ws.systematic, M)
-    assert np.array_equal(ws.basis_positions, basis)
-    assert ws.systematic.dtype == np.uint8
+    systematic, pivots = _reliability_bases(G, L)
+    _, M, basis = _osd_workspace_loop(G, L[0])
+    assert np.array_equal(systematic[0], M)
+    assert np.array_equal(pivots[0], basis)
+    assert systematic.dtype == np.uint8
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +368,6 @@ _BAD_LLRS = {
     "mixed inf": np.where(np.arange(16) % 2, np.inf, -np.inf),
 }
 _OSD_ENTRY_POINTS = {
-    "osd_workspace": lambda L: osd_workspace(_SPEC16.G, L),
     "osd_decode": lambda L: osd_decode(_SPEC16.G, L, 1),
     "osd_batch_decoder": lambda L: osd_batch_decoder(_SPEC16.G, 1)(
         np.vstack([np.ones_like(L), L])),

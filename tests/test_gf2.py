@@ -15,7 +15,6 @@ from ddcodes.gf2 import (
     row_spaces_equal,
     rref,
     rref_stack,
-    solve_in_rowspace,
 )
 from ddcodes.gf2m import GF2m
 
@@ -95,20 +94,6 @@ def test_row_spaces_equal_under_row_operations():
         C[2] ^= 1  # flip a whole row's bits: usually leaves the span
         if rank(np.vstack([M, C])) != rank(M):
             assert not row_spaces_equal(M, C)
-
-
-def test_solve_in_rowspace():
-    rng = np.random.default_rng(41)
-    for _ in range(40):
-        M = _random_matrix(rng, 6, 11)
-        coeffs = rng.integers(0, 2, size=6).astype(np.uint8)
-        v = (coeffs @ M) % 2
-        x = solve_in_rowspace(M, v.astype(np.uint8))
-        assert x is not None
-        assert np.array_equal((x @ M) % 2, v)
-    M = np.zeros((2, 4), dtype=np.uint8)
-    M[0, 0] = 1
-    assert solve_in_rowspace(M, np.array([0, 0, 1, 0], dtype=np.uint8)) is None
 
 
 def _rref_loop(M):

@@ -15,7 +15,6 @@ from ddcodes.parity import (
     EmptyParityMatrixError,
     InvalidGeometryError,
     SparseParityMatrix,
-    dual_basis_parity_matrix,
     dual_orbit_parity_matrix,
     eg_line_parity_matrix,
     is_orthogonal_to,
@@ -103,7 +102,7 @@ def test_eg_checks_descendant_codes():
 def test_dual_basis_matrix():
     f16 = GF2m(4)
     spec = code_from_generator(f16, 0x1D1)
-    H = dual_basis_parity_matrix(spec)
+    H = spec.check_matrix
     assert H.shape == (16 - 7, 16)
     assert rank(H) == 9
     assert not ((H @ spec.G.T) % 2).any()
@@ -169,6 +168,24 @@ def test_alist_roundtrip(tmp_path):
     # header sanity: n, m, then max weights
     first = path.read_text().split("\n")[0].split()
     assert first == ["16", "20"]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 0, 1]], "check 0 repeats position 0"),
+    ([[1, 2], [2, 0, 2]], "check 1 repeats position 2"),
+])
+def test_repeated_position_is_rejected(rows, message):
+    with pytest.raises(ValueError, match=message):
+        SparseParityMatrix(3, rows)
+    # padding after a short row is not a repeat
+    assert SparseParityMatrix(3, [[0], [0, 1, 2]]).row_weights().tolist() == [1, 3]
+
+
+def test_alist_with_repeated_position_is_rejected(tmp_path):
+    path = tmp_path / "repeat.alist"
+    path.write_text("3 1\n2 3\n1 1 0\n3\n1 0\n2 0\n0 0\n1 1 2\n")
+    with pytest.raises(ValueError, match="check 0 repeats position 0"):
+        read_alist(path)
 
 
 def test_alist_irregular_roundtrip(tmp_path):

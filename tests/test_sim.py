@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ddcodes.cyclic import code_from_generator
-from ddcodes.gf2m import GF2m
+import ddcodes.decoders
+import ddcodes.sim
+from ddcodes.cyclic import code_from_generator, ebch_code
+from ddcodes.decoders import all_codewords, mld_exhaustive
+from ddcodes.gf2m import GF2m, field_for_length
 from ddcodes.sim import (
     ChannelConfig,
     ConfigError,
@@ -165,6 +168,48 @@ def test_mld_dimension_guard():
     spec = code_from_generator(GF2m(6), 0x782CF)  # k = 45
     with pytest.raises(ConfigError):
         build_decoder(_base_config(algo="mld"), spec)
+
+
+def _mld_per_frame_decoder(cfg, spec):
+    """The mld decode closure as it was: the codebook enumerated per frame."""
+    def decode(L):
+        return mld_exhaustive(spec.G, L), 1, 1, 1, True
+    return decode
+
+
+@pytest.mark.parametrize("n, k", [(16, 7), (16, 11), (32, 11)])
+def test_mld_points_match_per_frame_enumeration(n, k, monkeypatch):
+    spec = ebch_code(field_for_length(n), k)
+    cfg = _base_config(n=n, gen_poly_hex=f"{spec.gen_poly:x}",
+                       ebn0_db=[1.0, 3.0], max_frames=200,
+                       max_frame_errors=200)
+    points = run_monte_carlo(cfg).points
+    assert any(p.frame_errors for p in points)
+    monkeypatch.setattr(ddcodes.sim, "build_decoder", _mld_per_frame_decoder)
+    assert run_monte_carlo(cfg).points == points
+
+
+def test_mld_enumerates_the_codebook_once(monkeypatch):
+    calls = []
+
+    def counting(G):
+        calls.append(np.shape(G))
+        return all_codewords(G)
+    monkeypatch.setattr(ddcodes.decoders, "all_codewords", counting)
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    decode = build_decoder(_base_config(), spec)
+    rng = np.random.default_rng(293)
+    for _ in range(5):
+        decode(rng.normal(0.0, 2.0, size=16))
+    assert calls == [(7, 16)]
+
+
+@pytest.mark.parametrize("L", [np.full(16, np.nan), np.ones(15),
+                               np.where(np.arange(16) == 2, np.inf, 1.0)])
+def test_mld_rejects_bad_llrs(L):
+    decode = build_decoder(_base_config(), code_from_generator(GF2m(4), 0x1D1))
+    with pytest.raises(ValueError, match="LLR input"):
+        decode(L)
 
 
 def test_results_csv(tmp_path):
