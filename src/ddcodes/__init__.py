@@ -29,8 +29,7 @@ from .parity import (DualTooLargeError, EmptyParityMatrixError,
                      is_orthogonal_to, read_alist, write_alist)
 from .decoders import (LLR_CLIP, RankDeficientError, all_codewords,
                        mld_batch_decoder, mld_exhaustive, osd_batch_decoder,
-                       osd_decode, spa_batch_decoder, spa_decode,
-                       spa_decode_batch)
+                       osd_decode, spa_batch_decoder, spa_decode_batch)
 from .ddcodec import (DecodeReport, DirectionSet, boxplus, dd_decode_cyclic,
                       dd_decode_minimal, flop_account, pair_transversal)
 from .sim import (ChannelConfig, ConfigError, SimConfig, SimPoint, SimResult,

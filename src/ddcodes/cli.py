@@ -55,8 +55,6 @@ def _cmd_code(args) -> int:
 def _cmd_decode(args) -> int:
     spec = _parse_code(args.code)
     L = np.loadtxt(args.llr_in, dtype=np.float64).reshape(-1)
-    if L.shape[0] != spec.n:
-        raise ConfigError(f"LLR file has {L.shape[0]} values, code length is {spec.n}")
     cfg = SimConfig(n=spec.n, gen_poly_hex=hex(spec.gen_poly), algo=args.algo,
                     directions=args.directions, order=args.order,
                     inner_max_iter=args.max_iter if args.algo == "spa" else args.inner_max_iter,

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclic import CodeSpec
-from .decoders import LLR_CLIP, _checked_llrs
+from .decoders import LLR_CLIP, _ATANH_LIM, _checked_llrs
 from .derivative import ZeroDirectionError
 from .gf2m import GF2m
 
@@ -35,8 +35,6 @@ __all__ = [
     "dd_decode_cyclic", "dd_decode_minimal", "pair_transversal",
     "flop_account",
 ]
-
-_ATANH_LIM = 1.0 - 1e-12
 
 
 def boxplus(a, b) -> np.ndarray:

@@ -2,11 +2,19 @@
 
 These are the inner engines the derivative decoders call on each derivative
 LLR vector.  All of them consume log-likelihood ratios with the convention
-L > 0 favoring bit 0 and magnitudes clipped to +-30.  The batch variants
-decode a stack of LLR vectors at once (one per derivative direction) and
-share the `(bits, iterations, converged)` return contract used throughout;
-the OSD one systematizes the whole stack in a single GF(2) elimination
+L > 0 favoring bit 0 and magnitudes clipped to +-30.
+
+Every decoder has one shape: `spa_batch_decoder`, `osd_batch_decoder` and
+`mld_batch_decoder` build a closure over a fixed code that maps a finite
+(F, n) stack of LLR vectors (one per derivative direction, or one frame) to
+`(bits, iterations, converged)` with shapes (F, n), (F,), (F,), and raises
+`ValueError("LLR input ...")` for any other input.  The SPA and OSD closures
+call the two stack engines `spa_decode_batch` and `osd_decode` through this
+module's globals, so a wrapper installed on either name sees every call;
+`osd_decode` systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`) rather than one elimination per vector.
+`mld_exhaustive` decodes one vector over the whole codebook and stays as an
+independent reference for the ML closure.
 """
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ from .parity import SparseParityMatrix
 
 __all__ = [
     "LLR_CLIP", "RankDeficientError",
-    "spa_decode", "spa_decode_batch",
+    "spa_decode_batch",
     "osd_decode", "mld_exhaustive", "all_codewords",
     "spa_batch_decoder", "osd_batch_decoder", "mld_batch_decoder",
 ]
@@ -42,24 +50,23 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     need no special casing.  A frame stops contributing once its hard
     decision satisfies every check; its iteration count is the first
     iteration where that held.  Non-converged frames report max_iter and the
-    final-posterior hard decision.  The check table is H's padded
-    `idx`/`mask`, built with H; a matrix with no checks returns the hard
-    decision, converged at iteration 1.
+    final-posterior hard decision (the channel hard decision if max_iter is
+    0).  The check table is H's padded `idx`/`mask`, built with H; a matrix
+    with no checks returns the hard decision, converged at iteration 1.
 
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
-    (batch,).
+    (batch,).  Raises ValueError unless L is a finite (batch, n) stack.
     """
     idx, mask, n = H.idx, H.mask, H.n
-    L = np.atleast_2d(np.asarray(L, dtype=np.float64))
+    L = _checked_llrs(L, n, batch=True)
     B = L.shape[0]
     Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
     q = Lc[:, idx]                                       # (B, R, deg)
-    out = (Lc < 0).astype(np.uint8)
+    out = np.empty((B, n), dtype=np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
     conv = np.zeros(B, dtype=bool)
-    done = np.zeros(B, dtype=bool)
     flat = idx[None, :, :] + (np.arange(B) * n)[:, None, None]
-    tot = np.zeros((B, n))
+    post = Lc
     for it in range(1, max_iter + 1):
         t = np.tanh(q / 2)
         t = np.where(mask, t, 1.0)
@@ -78,27 +85,14 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
         hard = (post < 0).astype(np.uint8)
         synd = np.where(mask, hard[:, idx], 0).sum(axis=-1) % 2
         ok = ~synd.any(axis=-1)
-        newly = ok & ~done
+        newly = ok & ~conv
         out[newly] = hard[newly]
         iters[newly] = it
         conv |= newly
-        done |= newly
-        if done.all():
+        if conv.all():
             break
-    if not done.all():
-        post = Lc + tot
-        out[~done] = (post[~done] < 0).astype(np.uint8)
+    out[~conv] = post[~conv] < 0
     return out, iters, conv
-
-
-def spa_decode(H: SparseParityMatrix, L, max_iter: int = 20):
-    """Single-vector sum-product decode; returns (bits, converged, iterations).
-
-    Raises ValueError unless L is a finite vector of length n.
-    """
-    L = _checked_llrs(L, H.n, batch=False)
-    bits, iters, conv = spa_decode_batch(H, L[None, :], max_iter)
-    return bits[0], bool(conv[0]), int(iters[0])
 
 
 def _checked_llrs(L, n: int, batch: bool) -> np.ndarray:
@@ -146,8 +140,19 @@ def _flip_sets(k: int, order: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _osd_stack(G: np.ndarray, L: np.ndarray, order: int) -> np.ndarray:
-    """osd_decode of every row of a checked (F, n) LLR stack."""
+def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
+    """Ordered statistics decoding of reprocessing depth `order`, per row of
+    an (F, n) LLR stack; returns the (F, n) uint8 decoded words.
+
+    One rref_stack call systematizes G on every row's most reliable basis.
+    Row d then re-encodes its hard decision on that basis and every pattern
+    of at most `order` basis-bit flips, and keeps the candidate with the
+    highest correlation sum (1 - 2c) . L[d]; correlation ties resolve to the
+    earliest-generated candidate.  Raises ValueError unless L is a finite
+    (F, n) stack, and RankDeficientError if G's rank is below its row count.
+    """
+    G = np.asarray(G, dtype=np.uint8)
+    L = _checked_llrs(L, G.shape[1], batch=True)
     M, pivots = _reliability_bases(G, L)
     F, k, n = M.shape
     hard = (L < 0).astype(np.uint8)
@@ -167,20 +172,6 @@ def _osd_stack(G: np.ndarray, L: np.ndarray, order: int) -> np.ndarray:
         scores = (1.0 - 2.0 * cands[d]) @ L[d]
         bits[d] = cands[d, np.argmax(scores)]
     return bits
-
-
-def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
-    """Ordered statistics decoding of reprocessing depth `order`.
-
-    Re-encodes the hard decision on the most reliable basis and every
-    pattern of at most `order` basis-bit flips, then returns the candidate
-    with the highest correlation sum (1 - 2c) . L; correlation ties resolve
-    to the earliest-generated candidate.  Raises ValueError unless L is a
-    finite vector of length n.
-    """
-    G = np.asarray(G, dtype=np.uint8)
-    L = _checked_llrs(L, G.shape[1], batch=False)
-    return _osd_stack(G, L[None], order)[0]
 
 
 def all_codewords(G: np.ndarray) -> np.ndarray:
@@ -210,7 +201,8 @@ def mld_exhaustive(G: np.ndarray, L) -> np.ndarray:
 
 
 def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
-    """Batch-decoder closure over a fixed parity-check matrix."""
+    """Batch-decoder closure over a fixed parity-check matrix: each call is
+    spa_decode_batch(H, Ld, max_iter)."""
     def decode(Ld: np.ndarray):
         return spa_decode_batch(H, Ld, max_iter)
     return decode
@@ -219,28 +211,29 @@ def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
 def osd_batch_decoder(G: np.ndarray, order: int):
     """Batch-decoder closure over a fixed generator matrix.
 
-    Each call systematizes G for the whole (F, n) stack with one rref_stack
-    call, then reprocesses and scores every row as osd_decode does, so row d
-    of the output is osd_decode(G, Ld[d], order).  Raises ValueError unless
-    the stack is finite with rows of length n.
+    Each call is one osd_decode(G, Ld, order) on the whole (F, n) stack,
+    reported as converged in one iteration.
     """
     G = np.asarray(G, dtype=np.uint8)
 
     def decode(Ld: np.ndarray):
-        Ld = _checked_llrs(np.atleast_2d(Ld), G.shape[1], batch=True)
-        bits = _osd_stack(G, Ld, order)
-        ones = np.ones(Ld.shape[0], dtype=np.int64)
+        bits = osd_decode(G, Ld, order)
+        ones = np.ones(bits.shape[0], dtype=np.int64)
         return bits, ones, ones.astype(bool)
     return decode
 
 
 def mld_batch_decoder(G: np.ndarray):
-    """Batch-decoder closure enumerating a fixed codebook once."""
+    """Batch-decoder closure enumerating a fixed codebook once.
+
+    Row d of the output is mld_exhaustive(G, Ld[d]), reported as converged
+    in one iteration.  Raises ValueError unless Ld is a finite (F, n) stack.
+    """
     C = all_codewords(G)
     S = 1.0 - 2.0 * C.astype(np.float64)
 
     def decode(Ld: np.ndarray):
-        Ld = np.atleast_2d(Ld)
+        Ld = _checked_llrs(Ld, C.shape[1], batch=True)
         best = np.argmax(S @ Ld.T, axis=0)
         ones = np.ones(Ld.shape[0], dtype=np.int64)
         return C[best], ones, ones.astype(bool)

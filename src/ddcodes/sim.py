@@ -16,8 +16,7 @@ import numpy as np
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
                       flop_account)
-from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
-                       osd_decode, spa_batch_decoder, spa_decode)
+from .decoders import mld_batch_decoder, osd_batch_decoder, spa_batch_decoder
 from .derivative import dd_code, minimal_dd_basis
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
@@ -129,30 +128,32 @@ def _dd_parity_matrix(spec: CodeSpec) -> SparseParityMatrix:
 
 
 def build_decoder(cfg: SimConfig, spec: CodeSpec):
-    """Per-frame decode closure: L -> (bits, dd_iters, inner_sum, inner_calls, converged)."""
+    """Per-frame decode closure: L -> (bits, dd_iters, inner_sum, inner_calls, converged).
+
+    The baselines `mld`, `osd` and `spa` build the batch-decoder closure
+    for the outer code and decode each frame as a one-row stack; the `dd-*`
+    algorithms run a derivative loop around a closure for the descendant.
+    Every algorithm raises ValueError("LLR input ...") unless L is a finite
+    vector of length n.
+    """
     field = spec.field
     if cfg.algo not in ALGOS:
         raise ConfigError(f"unknown algo {cfg.algo!r}")
-    if cfg.algo == "mld":
-        if spec.k > 20:
-            raise ConfigError(f"mld needs k <= 20, got {spec.k}")
-        mld = mld_batch_decoder(spec.G)
+    if cfg.algo in ("mld", "osd", "spa"):
+        if cfg.algo == "mld":
+            if spec.k > 20:
+                raise ConfigError(f"mld needs k <= 20, got {spec.k}")
+            batch = mld_batch_decoder(spec.G)
+        elif cfg.algo == "osd":
+            batch = osd_batch_decoder(spec.G, cfg.order)
+        else:
+            batch = spa_batch_decoder(
+                SparseParityMatrix.from_dense(spec.check_matrix),
+                cfg.inner_max_iter)
 
         def decode(L):
-            bits, _, _ = mld(_checked_llrs(L, spec.n, batch=False)[None])
-            return bits[0], 1, 1, 1, True
-        return decode
-    if cfg.algo == "osd":
-        def decode(L):
-            bits = osd_decode(spec.G, L, cfg.order)
-            return bits, 1, 1, 1, True
-        return decode
-    if cfg.algo == "spa":
-        H = SparseParityMatrix.from_dense(spec.check_matrix)
-
-        def decode(L):
-            bits, conv, its = spa_decode(H, L, cfg.inner_max_iter)
-            return bits, 1, its, 1, conv
+            bits, its, conv = batch(np.asarray(L)[None])
+            return bits[0], 1, int(its[0]), 1, bool(conv[0])
         return decode
 
     B = _parse_directions(cfg.directions, field)

@@ -70,22 +70,27 @@ def test_decode_to_stdout(tmp_path, capsys):
     assert out.split() == ["0"] * 16
 
 
+_ALGOS = ["dd-spa", "dd-osd", "osd", "spa", "mld"]
+
+
 def test_decode_nan_llr_is_reported(tmp_path, capsys):
     llr_path = tmp_path / "llrs.txt"
     np.savetxt(llr_path, np.where(np.arange(16) == 4, np.nan, 2.0))
-    rc = main(["decode", "--code", "16:1d1", "--algo", "dd-osd",
-               "--llr-in", str(llr_path)])
-    assert rc == 2
-    assert "error: LLR input holds NaN" in capsys.readouterr().err
+    for algo in _ALGOS:
+        rc = main(["decode", "--code", "16:1d1", "--algo", algo,
+                   "--llr-in", str(llr_path)])
+        assert rc == 2, algo
+        assert "error: LLR input holds NaN" in capsys.readouterr().err, algo
 
 
 def test_decode_length_mismatch(tmp_path, capsys):
     llr_path = tmp_path / "llrs.txt"
     np.savetxt(llr_path, np.ones(10))
-    rc = main(["decode", "--code", "16:1d1", "--algo", "mld",
-               "--llr-in", str(llr_path)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    for algo in _ALGOS:
+        rc = main(["decode", "--code", "16:1d1", "--algo", algo,
+                   "--llr-in", str(llr_path)])
+        assert rc == 2, algo
+        assert "error: LLR input has shape" in capsys.readouterr().err, algo
 
 
 def test_simulate(tmp_path, capsys):

@@ -23,7 +23,6 @@ from ddcodes.decoders import (
     osd_batch_decoder,
     osd_decode,
     spa_batch_decoder,
-    spa_decode,
     spa_decode_batch,
 )
 from ddcodes.derivative import minimal_dd_basis
@@ -66,9 +65,9 @@ def test_spa_corrects_single_flips(rm24):
         L = 8.0 * (1.0 - 2.0 * word)
         pos = int(rng.integers(0, 16))
         L[pos] = -0.5 * L[pos]  # one weakly wrong position
-        bits, conv, iters = spa_decode(H, L)
-        assert conv
-        assert np.array_equal(bits, word)
+        bits, iters, conv = spa_decode_batch(H, L[None])
+        assert conv[0]
+        assert np.array_equal(bits[0], word)
 
 
 def test_spa_all_zero_llrs_give_zero_word(rm24):
@@ -99,7 +98,7 @@ def test_spa_single_parity_check_is_exact():
     rng = np.random.default_rng(173)
     for _ in range(200):
         L = rng.normal(0.0, 4.0, size=5)
-        bits, conv, iters = spa_decode(H, L, max_iter=1)
+        bits = spa_decode_batch(H, L[None], max_iter=1)[0][0]
         for i in range(5):
             ext = None
             for j in range(5):
@@ -124,10 +123,10 @@ def test_spa_batch_matches_single(rm24):
     L = rng.normal(0.0, 3.0, size=(10, 16))
     bits, iters, conv = spa_decode_batch(H, L, max_iter=10)
     for b in range(10):
-        sb, sc, si = spa_decode(H, L[b], max_iter=10)
-        assert np.array_equal(sb, bits[b])
-        assert sc == conv[b]
-        assert si == iters[b]
+        sb, si, sc = spa_decode_batch(H, L[b][None], max_iter=10)
+        assert np.array_equal(sb[0], bits[b])
+        assert sc[0] == conv[b]
+        assert si[0] == iters[b]
 
 
 def test_osd_workspace_properties():
@@ -157,7 +156,7 @@ def test_osd_workspace_properties():
 def test_osd_workspace_rejects_rank_deficient():
     G = np.array([[1, 0, 1, 0], [1, 0, 1, 0]], dtype=np.uint8)
     with pytest.raises(RankDeficientError):
-        osd_decode(G, np.ones(4), 0)
+        osd_decode(G, np.ones((1, 4)), 0)
 
 
 def test_osd_order0_recovers_clean_words():
@@ -166,7 +165,7 @@ def test_osd_order0_recovers_clean_words():
     for _ in range(50):
         word = (rng.integers(0, 2, size=spec.k).astype(np.uint8) @ spec.G) % 2
         L = 6.0 * (1.0 - 2.0 * word)
-        assert np.array_equal(osd_decode(spec.G, L, 0), word)
+        assert np.array_equal(osd_decode(spec.G, L[None], 0)[0], word)
 
 
 def test_osd_full_order_equals_mld():
@@ -176,7 +175,8 @@ def test_osd_full_order_equals_mld():
     for _ in range(300):
         word = (rng.integers(0, 2, size=5).astype(np.uint8) @ spec.G) % 2
         L = _noisy_llrs(rng, word, sigma2=1.2)
-        assert np.array_equal(osd_decode(spec.G, L, 5), mld_exhaustive(spec.G, L))
+        assert np.array_equal(osd_decode(spec.G, L[None], 5)[0],
+                              mld_exhaustive(spec.G, L))
 
 
 def test_osd_order_improves_correlation():
@@ -187,9 +187,8 @@ def test_osd_order_improves_correlation():
     for _ in range(100):
         word = (rng.integers(0, 2, size=7).astype(np.uint8) @ spec.G) % 2
         L = _noisy_llrs(rng, word, sigma2=1.5)
-        c0 = corr(osd_decode(spec.G, L, 0), L)
-        c1 = corr(osd_decode(spec.G, L, 1), L)
-        c2 = corr(osd_decode(spec.G, L, 2), L)
+        c0, c1, c2 = (corr(osd_decode(spec.G, L[None], order)[0], L)
+                      for order in (0, 1, 2))
         assert c0 <= c1 + 1e-9 <= c2 + 2e-9
 
 
@@ -342,7 +341,7 @@ def test_osd_batch_rows_equal_osd_decode(order):
     L = np.round(rng.normal(0.0, 2.0, size=(32, 16)), 1)
     bits, iters, conv = osd_batch_decoder(_SPEC16.G, order)(L)
     for d in range(32):
-        assert np.array_equal(bits[d], osd_decode(_SPEC16.G, L[d], order))
+        assert np.array_equal(bits[d], osd_decode(_SPEC16.G, L[d][None], order)[0])
     assert iters.tolist() == [1] * 32 and conv.all()
 
 
@@ -367,34 +366,71 @@ _BAD_LLRS = {
     "-inf": np.where(np.arange(16) == 0, -np.inf, 1.0),
     "mixed inf": np.where(np.arange(16) % 2, np.inf, -np.inf),
 }
-_OSD_ENTRY_POINTS = {
-    "osd_decode": lambda L: osd_decode(_SPEC16.G, L, 1),
-    "osd_batch_decoder": lambda L: osd_batch_decoder(_SPEC16.G, 1)(
-        np.vstack([np.ones_like(L), L])),
+_H16 = SparseParityMatrix.from_dense(_SPEC16.check_matrix)
+_CLOSURES = {
+    "spa_batch_decoder": spa_batch_decoder(_H16),
+    "osd_batch_decoder": osd_batch_decoder(_SPEC16.G, 1),
+    "mld_batch_decoder": mld_batch_decoder(_SPEC16.G),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(_OSD_ENTRY_POINTS))
-@pytest.mark.parametrize("case", sorted(_BAD_LLRS))
-def test_osd_entry_points_reject_bad_llrs(entry, case):
-    with pytest.raises(ValueError, match="LLR input"):
-        _OSD_ENTRY_POINTS[entry](_BAD_LLRS[case])
+def _two_rows(L):
+    return np.vstack([np.ones_like(L), L])
 
 
-_SINGLE_ENTRY_POINTS = {
-    "spa_decode": lambda L: spa_decode(
-        SparseParityMatrix.from_dense(_SPEC16.check_matrix), L),
+# Every decoder entry point.  Closures and stack engines get the bad vector
+# as the second row of a 2-row stack; mld_exhaustive, the one-vector
+# reference, gets it alone.
+_ENTRY_POINTS = {
+    **{name: lambda L, f=f: f(_two_rows(L)) for name, f in _CLOSURES.items()},
+    "spa_decode_batch": lambda L: spa_decode_batch(_H16, _two_rows(L)),
+    "osd_decode": lambda L: osd_decode(_SPEC16.G, _two_rows(L), 1),
     "mld_exhaustive": lambda L: mld_exhaustive(_SPEC16.G, L),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(_SINGLE_ENTRY_POINTS))
+@pytest.mark.parametrize("entry", ["osd_batch_decoder", "osd_decode"])
+@pytest.mark.parametrize("case", sorted(_BAD_LLRS))
+def test_osd_entry_points_reject_bad_llrs(entry, case):
+    with pytest.raises(ValueError, match="LLR input"):
+        _ENTRY_POINTS[entry](_BAD_LLRS[case])
+
+
+@pytest.mark.parametrize("entry", sorted(set(_ENTRY_POINTS) - {
+    "osd_batch_decoder", "osd_decode"}))
 @pytest.mark.parametrize("case", sorted(_BAD_LLRS))
 def test_spa_and_ml_entry_points_reject_bad_llrs(entry, case):
     """NaN used to decode to the zero word (SPA reporting convergence), and
     a short vector raised an unrelated shape error."""
     with pytest.raises(ValueError, match="LLR input"):
-        _SINGLE_ENTRY_POINTS[entry](_BAD_LLRS[case])
+        _ENTRY_POINTS[entry](_BAD_LLRS[case])
+
+
+def test_osd_decode_takes_a_stack():
+    with pytest.raises(ValueError, match="LLR input"):
+        osd_decode(_SPEC16.G, np.ones(16), 1)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURES))
+def test_closures_return_the_stack_contract(name):
+    L = np.random.default_rng(233).normal(0.0, 2.0, size=(5, 16))
+    bits, iters, conv = _CLOSURES[name](L)
+    assert bits.shape == (5, 16) and bits.dtype == np.uint8
+    assert iters.shape == (5,) and np.issubdtype(iters.dtype, np.integer)
+    assert conv.shape == (5,) and conv.dtype == bool
+
+
+def test_osd_closure_makes_one_engine_call_per_stack(monkeypatch):
+    calls = []
+    real = ddcodes.decoders.osd_decode
+
+    def counting(G, L, order):
+        calls.append(L)
+        return real(G, L, order)
+    monkeypatch.setattr(ddcodes.decoders, "osd_decode", counting)
+    L = np.random.default_rng(239).normal(0.0, 2.0, size=(32, 16))
+    osd_batch_decoder(_SPEC16.G, 1)(L)
+    assert len(calls) == 1 and calls[0] is L
 
 
 def test_spa_without_checks_returns_the_hard_decision():
@@ -406,8 +442,8 @@ def test_spa_without_checks_returns_the_hard_decision():
     assert np.array_equal(bits, (L < 0).astype(np.uint8))
     assert iters.tolist() == [1, 1, 1]
     assert conv.all()
-    one, conv1, iters1 = spa_decode(H, L[0])
-    assert np.array_equal(one, bits[0]) and (conv1, iters1) == (True, 1)
+    one, iters1, conv1 = spa_decode_batch(H, L[:1])
+    assert np.array_equal(one, bits[:1]) and (conv1[0], iters1[0]) == (True, 1)
 
 
 def _spa_decode_batch_reference(H, L, max_iter=20):
@@ -485,7 +521,7 @@ def test_spa_batch_matches_per_call_table_reference(name, data):
     H = _SPA_MATRICES[name]
     F = data.draw(st.integers(1, 8))
     L = data.draw(arrays(np.float64, (F, H.n), elements=_SPA_LLRS))
-    max_iter = data.draw(st.integers(1, 20))
+    max_iter = data.draw(st.integers(0, 20))
     bits, iters, conv = spa_decode_batch(H, L, max_iter)
     ref_bits, ref_iters, ref_conv = _spa_decode_batch_reference(H, L, max_iter)
     assert np.array_equal(bits, ref_bits)

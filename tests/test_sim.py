@@ -8,8 +8,10 @@ import pytest
 import ddcodes.decoders
 import ddcodes.sim
 from ddcodes.cyclic import code_from_generator, ebch_code
-from ddcodes.decoders import all_codewords, mld_exhaustive
+from ddcodes.decoders import (all_codewords, mld_exhaustive, osd_decode,
+                              spa_decode_batch)
 from ddcodes.gf2m import GF2m, field_for_length
+from ddcodes.parity import SparseParityMatrix
 from ddcodes.sim import (
     ChannelConfig,
     ConfigError,
@@ -170,23 +172,63 @@ def test_mld_dimension_guard():
         build_decoder(_base_config(algo="mld"), spec)
 
 
-def _mld_per_frame_decoder(cfg, spec):
-    """The mld decode closure as it was: the codebook enumerated per frame."""
+def _per_frame_engine_decoder(cfg, spec):
+    """The baseline decode closures as they were: one engine call per frame
+    on the vector itself, the mld codebook enumerated per frame."""
+    if cfg.algo == "mld":
+        return lambda L: (mld_exhaustive(spec.G, L), 1, 1, 1, True)
+    if cfg.algo == "osd":
+        return lambda L: (osd_decode(spec.G, L[None], cfg.order)[0],
+                          1, 1, 1, True)
+    H = SparseParityMatrix.from_dense(spec.check_matrix)
+
     def decode(L):
-        return mld_exhaustive(spec.G, L), 1, 1, 1, True
+        bits, its, conv = spa_decode_batch(H, L[None], cfg.inner_max_iter)
+        return bits[0], 1, int(its[0]), 1, bool(conv[0])
     return decode
 
 
-@pytest.mark.parametrize("n, k", [(16, 7), (16, 11), (32, 11)])
-def test_mld_points_match_per_frame_enumeration(n, k, monkeypatch):
+def _assert_points_match_per_frame_engines(algo, n, k, monkeypatch):
     spec = ebch_code(field_for_length(n), k)
-    cfg = _base_config(n=n, gen_poly_hex=f"{spec.gen_poly:x}",
+    cfg = _base_config(algo=algo, n=n, gen_poly_hex=f"{spec.gen_poly:x}",
                        ebn0_db=[1.0, 3.0], max_frames=200,
                        max_frame_errors=200)
     points = run_monte_carlo(cfg).points
     assert any(p.frame_errors for p in points)
-    monkeypatch.setattr(ddcodes.sim, "build_decoder", _mld_per_frame_decoder)
+    monkeypatch.setattr(ddcodes.sim, "build_decoder", _per_frame_engine_decoder)
     assert run_monte_carlo(cfg).points == points
+
+
+_BASELINE_CODES = [(16, 7), (16, 11), (32, 11)]
+
+
+@pytest.mark.parametrize("n, k", _BASELINE_CODES)
+def test_mld_points_match_per_frame_enumeration(n, k, monkeypatch):
+    _assert_points_match_per_frame_engines("mld", n, k, monkeypatch)
+
+
+@pytest.mark.parametrize("n, k", _BASELINE_CODES)
+@pytest.mark.parametrize("algo", ["spa", "osd"])
+def test_spa_and_osd_points_match_per_frame_engines(algo, n, k, monkeypatch):
+    _assert_points_match_per_frame_engines(algo, n, k, monkeypatch)
+
+
+@pytest.mark.parametrize("algo, engine", [("osd", "osd_decode"),
+                                          ("spa", "spa_decode_batch")])
+def test_baseline_frame_makes_one_engine_call(algo, engine, monkeypatch):
+    """The closures reach the engines through the decoders module, so a
+    wrapper installed on either name sees every baseline frame."""
+    calls = []
+    real = getattr(ddcodes.decoders, engine)
+
+    def counting(M, L, *args):
+        calls.append(L.shape)
+        return real(M, L, *args)
+    monkeypatch.setattr(ddcodes.decoders, engine, counting)
+    decode = build_decoder(_base_config(algo=algo),
+                           code_from_generator(GF2m(4), 0x1D1))
+    decode(np.random.default_rng(241).normal(0.0, 2.0, size=16))
+    assert calls == [(1, 16)]
 
 
 def test_mld_enumerates_the_codebook_once(monkeypatch):
