@@ -8,13 +8,13 @@ with a CLI.  Everything public is re-exported here.
 from .gf2m import (GF2m, DEFAULT_PRIMITIVE_POLYS, InvalidSubfieldError,
                    NonPrimitivePolynomialError, coset_closure,
                    coset_representatives, cyclotomic_coset, field_for_length)
-from .gf2 import (nullspace, rank, row_space_contains, row_spaces_equal, rref,
-                  rref_stack)
-from .cyclic import (CodeSpec, DimensionTooLargeError, ExponentSet,
-                     NonBinaryResultError, NotADivisorError,
-                     NotClosedUnderDoublingError, anf_coefficients, bch_bound,
-                     code_from_exponents, code_from_generator, cyclic_shift,
-                     ebch_code, exponent_set_from_generator, extend_cyclic,
+from .gf2 import (DimensionTooLargeError, all_codewords, nullspace, rank,
+                  row_space_contains, row_spaces_equal, rref, rref_stack)
+from .cyclic import (CodeSpec, ExponentSet, NonBinaryResultError,
+                     NotADivisorError, NotClosedUnderDoublingError,
+                     anf_coefficients, bch_bound, code_from_exponents,
+                     code_from_generator, cyclic_shift, ebch_code,
+                     exponent_set_from_generator, extend_cyclic,
                      generator_from_exponent_set, is_member,
                      min_distance_exhaustive, ms_evaluate, ms_transform,
                      rm_exponent_set, rm_membership)
@@ -27,9 +27,9 @@ from .parity import (DualTooLargeError, EmptyParityMatrixError,
                      InvalidGeometryError, SparseParityMatrix,
                      dual_orbit_parity_matrix, eg_line_parity_matrix,
                      is_orthogonal_to, read_alist, write_alist)
-from .decoders import (LLR_CLIP, RankDeficientError, all_codewords,
-                       mld_batch_decoder, mld_exhaustive, osd_batch_decoder,
-                       osd_decode, spa_batch_decoder, spa_decode_batch)
+from .decoders import (LLR_CLIP, RankDeficientError, mld_batch_decoder,
+                       mld_exhaustive, osd_batch_decoder, osd_decode,
+                       spa_batch_decoder, spa_decode_batch)
 from .ddcodec import (DecodeReport, DirectionSet, boxplus, dd_decode_cyclic,
                       dd_decode_minimal, flop_account, pair_transversal)
 from .sim import (ChannelConfig, ConfigError, SimConfig, SimPoint, SimResult,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import nullspace
+from .gf2 import DimensionTooLargeError, all_codewords, nullspace
 from .gf2m import GF2m, coset_closure, coset_representatives, field_for_length
 
 __all__ = [
@@ -39,10 +39,6 @@ class NonBinaryResultError(ValueError):
 
 class NotADivisorError(ValueError):
     """Polynomial is not a divisor of x^n - 1."""
-
-
-class DimensionTooLargeError(ValueError):
-    pass
 
 
 class ExponentSet:
@@ -124,13 +120,18 @@ def _poly_divides_xn1(g: int, n: int) -> bool:
 
 
 def exponent_set_from_generator(gen_poly: int, field: GF2m) -> ExponentSet:
-    """S = {j : g(alpha^{-j}) != 0}.  Requires g | x^n - 1."""
+    """S = {j : g(alpha^{-j}) != 0}, the support of g's spectrum.
+
+    Requires g | x^n - 1.  The spectrum is ms_transform of g reduced mod
+    x^n - 1 (x^n folds into x^0), which changes no value at an n-th root
+    of unity and lets g = x^n - 1 itself give the zero code.
+    """
     n = field.n
     if gen_poly <= 0 or not _poly_divides_xn1(gen_poly, n):
         raise NotADivisorError(f"{gen_poly:#x} does not divide x^{n} - 1")
-    members = [j for j in range(n)
-               if field.poly_eval(gen_poly, field.alpha_pow(-j)) != 0]
-    S = ExponentSet(n, members)
+    g = [(gen_poly >> i) & 1 for i in range(n)]
+    g[0] ^= gen_poly >> n
+    S = ExponentSet(n, np.flatnonzero(ms_transform(g, field)))
     assert S.dimension == n - (gen_poly.bit_length() - 1)
     return S
 
@@ -160,12 +161,7 @@ def _build_generator_matrix(field: GF2m, gen_poly: int) -> np.ndarray:
     n = field.n
     k = n - (gen_poly.bit_length() - 1)
     gc = np.array([(gen_poly >> i) & 1 for i in range(n)], dtype=np.uint8)
-    G = np.zeros((k, field.size), dtype=np.uint8)
-    for r in range(k):
-        cyc = np.roll(gc, r)
-        G[r, 0] = cyc.sum() % 2
-        G[r, 1:] = cyc
-    return G
+    return extend_cyclic(gc[(np.arange(n) - np.arange(k)[:, None]) % n])
 
 
 def code_from_generator(field: GF2m, gen_poly: int) -> CodeSpec:
@@ -206,14 +202,11 @@ def ms_transform(cyclic_word, field: GF2m | None = None) -> list[int]:
         field = field_for_length(a.shape[0] + 1)
     if a.shape != (field.n,):
         raise ValueError(f"expected length {field.n} cyclic word")
-    support = np.nonzero(a)[0]
-    out = []
-    for j in range(field.n):
-        acc = 0
-        for i in support:
-            acc ^= int(field.antilog[(-j * i) % field.n])
-        out.append(acc)
-    return out
+    neg_j = -np.arange(field.n)
+    out = np.zeros(field.n, dtype=np.int64)
+    for i in np.flatnonzero(a):
+        out ^= field.antilog[neg_j * i % field.n]
+    return out.tolist()
 
 
 def ms_evaluate(spectrum, extended: bool = True, field: GF2m | None = None) -> np.ndarray:
@@ -246,9 +239,11 @@ def ms_evaluate(spectrum, extended: bool = True, field: GF2m | None = None) -> n
 
 
 def extend_cyclic(cyclic_word) -> np.ndarray:
-    """Prepend the overall parity (the MS coefficient A_0) to a cyclic word."""
+    """Prepend the overall parity (the MS coefficient A_0) to a cyclic word,
+    or to each row of a stack of them."""
     a = np.asarray(cyclic_word, dtype=np.uint8)
-    return np.concatenate(([a.sum() % 2], a))
+    return np.concatenate((np.bitwise_xor.reduce(a, axis=-1, keepdims=True), a),
+                          axis=-1)
 
 
 def cyclic_shift(word, b: int) -> np.ndarray:
@@ -305,33 +300,17 @@ def bch_bound(S: ExponentSet, extended: bool = True) -> int:
     return delta
 
 
-def min_distance_exhaustive(code, max_dim: int = 20) -> int:
-    """Exact minimum distance by walking all 2^k - 1 nonzero codewords.
+def min_distance_exhaustive(code) -> int:
+    """Exact minimum distance: the least nonzero weight in all_codewords(G).
 
-    Accepts a CodeSpec or any full-rank binary generator matrix.
+    Accepts a CodeSpec or any binary generator matrix with k <= 20 rows
+    (DimensionTooLargeError otherwise); zero words from dependent rows are
+    skipped, and a code with no nonzero word reports its length plus one.
+    The codebook takes 2^k * n bytes.
     """
     G = code.G if isinstance(code, CodeSpec) else np.asarray(code, dtype=np.uint8)
-    k, length = G.shape
-    if k > max_dim:
-        raise DimensionTooLargeError(f"k={k} exceeds exhaustive limit {max_dim}")
-    rows = []
-    for r in G:
-        x = 0
-        for i, bit in enumerate(r):
-            if bit:
-                x |= 1 << int(i)
-        rows.append(x)
-    best = length + 1
-    word = 0
-    prev = 0
-    for t in range(1, 1 << k):
-        gray = t ^ (t >> 1)
-        word ^= rows[(gray ^ prev).bit_length() - 1]
-        prev = gray
-        w = word.bit_count()
-        if 0 < w < best:
-            best = w
-    return best
+    weights = np.count_nonzero(all_codewords(G), axis=1)
+    return int(weights[weights > 0].min(initial=G.shape[1] + 1))
 
 
 def rm_exponent_set(r: int, m: int) -> ExponentSet:

@@ -12,9 +12,10 @@ Every decoder has one shape: `spa_batch_decoder`, `osd_batch_decoder` and
 call the two stack engines `spa_decode_batch` and `osd_decode` through this
 module's globals, so a wrapper installed on either name sees every call;
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
-(`gf2.rref_stack`) rather than one elimination per vector.
-`mld_exhaustive` decodes one vector over the whole codebook and stays as an
-independent reference for the ML closure.
+(`gf2.rref_stack`) rather than one elimination per vector.  The ML closure
+and `mld_exhaustive` score the codebook that `gf2.all_codewords` lists;
+`mld_exhaustive` decodes one vector and stays as an independent reference
+for the ML closure.
 """
 from __future__ import annotations
 
@@ -23,14 +24,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .cyclic import DimensionTooLargeError
-from .gf2 import rref_stack
+from .gf2 import all_codewords, rref_stack
 from .parity import SparseParityMatrix
 
 __all__ = [
     "LLR_CLIP", "RankDeficientError",
     "spa_decode_batch",
-    "osd_decode", "mld_exhaustive", "all_codewords",
+    "osd_decode", "mld_exhaustive",
     "spa_batch_decoder", "osd_batch_decoder", "mld_batch_decoder",
 ]
 
@@ -172,19 +172,6 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
         scores = (1.0 - 2.0 * cands[d]) @ L[d]
         bits[d] = cands[d, np.argmax(scores)]
     return bits
-
-
-def all_codewords(G: np.ndarray) -> np.ndarray:
-    """The full 2^k codebook; row index read as a bit mask selects G rows."""
-    G = np.asarray(G, dtype=np.uint8)
-    k, n = G.shape
-    if k > 20:
-        raise DimensionTooLargeError(f"k={k} too large to enumerate")
-    out = np.zeros((1 << k, n), dtype=np.uint8)
-    for i in range(k):
-        step = 1 << i
-        out[step:2 * step] = out[:step] ^ G[i]
-    return out
 
 
 def mld_exhaustive(G: np.ndarray, L) -> np.ndarray:

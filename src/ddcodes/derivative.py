@@ -100,10 +100,7 @@ def derivative_codeword(a, beta: int, field: GF2m | None = None) -> np.ndarray:
     w = np.asarray(a, dtype=np.uint8)
     if field is None:
         field = field_for_length(w.shape[0])
-    if beta == 0:
-        raise ZeroDirectionError("derivative direction must be nonzero")
-    perm = field.pair_permutation(beta)
-    return w[perm] ^ w
+    return derivative_rows(field, w[None], beta)[0]
 
 
 def derivative_rows(field: GF2m, G: np.ndarray, beta: int) -> np.ndarray:

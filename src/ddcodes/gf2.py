@@ -5,14 +5,21 @@ deterministic and two matrices span the same row space iff their reduced
 forms are identical arrays.  `rref_stack` is the one elimination routine:
 it reduces a matrix under a whole stack of column orders at once (the
 ordered-statistics decoder passes reliability orders), and `rref` is its
-natural-order case.
+natural-order case.  `all_codewords` is the one row-span enumerator: the
+exhaustive ML decoder, the minimum-distance search and the low-weight dual
+search all read the codebook it builds.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rref_stack", "rref", "rank", "nullspace", "row_space_contains",
-           "row_spaces_equal"]
+__all__ = ["DimensionTooLargeError", "rref_stack", "rref", "rank",
+           "nullspace", "row_space_contains", "row_spaces_equal",
+           "all_codewords"]
+
+
+class DimensionTooLargeError(ValueError):
+    """Row count exceeds the codebook enumeration limit."""
 
 
 def rref_stack(M: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -103,3 +110,20 @@ def row_spaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
     Ra, _ = rref(A)
     Rb, _ = rref(B)
     return Ra.shape == Rb.shape and np.array_equal(Ra, Rb)
+
+
+def all_codewords(G: np.ndarray) -> np.ndarray:
+    """The full 2^k row span of a k-row G, one word per row (k <= 20).
+
+    Row index read as a bit mask selects the G rows summed into that word,
+    so a rank-deficient G lists some words more than once.
+    """
+    G = np.asarray(G, dtype=np.uint8)
+    k, n = G.shape
+    if k > 20:
+        raise DimensionTooLargeError(f"k={k} too large to enumerate")
+    out = np.zeros((1 << k, n), dtype=np.uint8)
+    for i in range(k):
+        step = 1 << i
+        out[step:2 * step] = out[:step] ^ G[i]
+    return out

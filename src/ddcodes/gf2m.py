@@ -137,17 +137,6 @@ class GF2m:
             x = self.mul(x, x)
         return acc
 
-    def poly_eval(self, coeffs: int, point: int) -> int:
-        """Evaluate a GF(2)-coefficient polynomial (bitmask) at a field point."""
-        acc = 0
-        if point == 0:
-            return coeffs & 1
-        e = self.log[point]
-        for i in range(coeffs.bit_length()):
-            if (coeffs >> i) & 1:
-                acc ^= int(self.antilog[(e * i) % self.n])
-        return acc
-
     def pair_permutation(self, beta: int) -> np.ndarray:
         """Permutation p of extended positions with p[pos of x] = pos of x + beta.
 

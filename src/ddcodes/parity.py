@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cyclic import CodeSpec
+from .gf2 import all_codewords
 from .gf2m import GF2m
 
 __all__ = [
@@ -117,60 +118,39 @@ def eg_line_parity_matrix(mu_dims: int, subfield_bits: int) -> SparseParityMatri
     return SparseParityMatrix(field.size, rows, source="eg-lines")
 
 
-def _pack_rows(M: np.ndarray) -> np.ndarray:
-    n = M.shape[1]
-    lanes = (n + 63) // 64
-    packed = np.zeros((M.shape[0], lanes), dtype=np.uint64)
-    for j in range(n):
-        col = M[:, j].astype(np.uint64)
-        packed[:, j // 64] |= col << np.uint64(j % 64)
-    return packed
-
-
 def dual_orbit_parity_matrix(spec: CodeSpec, max_row_weight: int) -> SparseParityMatrix:
     """All dual codewords of weight <= max_row_weight, as parity checks.
 
-    Enumerates the full dual space with a meet-in-the-middle split of the
-    dual basis, so it stays practical up to dual dimension around 30.  The
-    result is closed under the extension-fixing cyclic shifts because the
-    dual of an extended cyclic code is invariant under them.
+    Enumerates the full dual space meet-in-the-middle: all_codewords lists
+    the spans of the first 15 and the remaining dual basis rows, packed to
+    uint64 lanes, and each word of the second half is added to every word
+    of the first.  That stays practical up to dual dimension 30
+    (DualTooLargeError above it).  The rows come out sorted, and the result
+    is closed under the extension-fixing cyclic shifts because the dual of
+    an extended cyclic code is invariant under them.
     """
     D = spec.check_matrix
-    r = D.shape[0]
+    r, n = D.shape
     if r > 30:
         raise DualTooLargeError(f"dual dimension {r} too large for exhaustive search")
-    r1 = min(r, 15)
-    packed = _pack_rows(D)
-    lanes = packed.shape[1]
 
-    def span_table(rows: np.ndarray) -> np.ndarray:
-        out = np.zeros((1, lanes), dtype=np.uint64)
-        for row in rows:
-            out = np.vstack([out, out ^ row])
-        return out
+    def lanes(rows: np.ndarray) -> np.ndarray:
+        # rows padded to whole lanes, so the flat bit stream packs row by row
+        words = all_codewords(np.pad(rows, ((0, 0), (0, -n % 64))))
+        return np.packbits(words).view(np.uint64).reshape(len(words), -1)
 
-    half_a = span_table(packed[:r1])
-    half_b = span_table(packed[r1:])
+    half_a, half_b = lanes(D[:15]), lanes(D[15:])
     hits = []
     for b in half_b:
         words = half_a ^ b
         weights = np.bitwise_count(words).sum(axis=1)
-        for idx in np.nonzero((weights > 0) & (weights <= max_row_weight))[0]:
-            hits.append(words[idx])
-    if not hits:
+        hits.append(words[(weights > 0) & (weights <= max_row_weight)])
+    hits = np.concatenate(hits)
+    if not len(hits):
         raise EmptyParityMatrixError(
             f"no dual codeword has weight <= {max_row_weight}")
-    rows = []
-    for word in hits:
-        positions = []
-        for lane in range(lanes):
-            v = int(word[lane])
-            while v:
-                low = v & -v
-                positions.append(64 * lane + low.bit_length() - 1)
-                v ^= low
-        rows.append(positions)
-    rows.sort()
+    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=n)
+    rows = sorted(np.flatnonzero(w).tolist() for w in bits)
     return SparseParityMatrix(spec.n, rows, source="dual-orbit")
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
                       flop_account)
-from .decoders import mld_batch_decoder, osd_batch_decoder, spa_batch_decoder
+from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
+                       spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
@@ -152,7 +153,8 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
                 cfg.inner_max_iter)
 
         def decode(L):
-            bits, its, conv = batch(np.asarray(L)[None])
+            # checked as a vector first, so a bad shape is named as passed
+            bits, its, conv = batch(_checked_llrs(L, spec.n, batch=False)[None])
             return bits[0], 1, int(its[0]), 1, bool(conv[0])
         return decode
 
@@ -239,19 +241,42 @@ def save_config(cfg: SimConfig, path) -> None:
         fh.write("\n")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# SimConfig annotation -> (what a JSON value must be, test for it)
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list[float]": ("a list of numbers",
+                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
 def load_config(path) -> SimConfig:
-    """JSON mirror of SimConfig; missing or unknown fields are named errors."""
+    """JSON mirror of SimConfig; missing, unknown and wrong-typed fields are
+    named errors."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: not valid JSON ({e})") from e
-    fields = {f.name for f in SimConfig.__dataclass_fields__.values()}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object of fields")
+    fields = SimConfig.__dataclass_fields__
     required = {"n", "gen_poly_hex", "algo"}
     for name in required:
         if name not in raw:
             raise ConfigError(f"{path}: missing required field {name!r}")
-    unknown = set(raw) - fields
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+    for name, value in raw.items():
+        what, fits = _JSON_TYPES[fields[name].type]
+        if not fits(value):
+            raise ConfigError(f"{path}: field {name!r} must be {what}, "
+                              f"got {json.dumps(value)}")
     return SimConfig(**raw)

@@ -90,7 +90,8 @@ def test_decode_length_mismatch(tmp_path, capsys):
         rc = main(["decode", "--code", "16:1d1", "--algo", algo,
                    "--llr-in", str(llr_path)])
         assert rc == 2, algo
-        assert "error: LLR input has shape" in capsys.readouterr().err, algo
+        err = capsys.readouterr().err
+        assert "error: LLR input has shape (10,), expected (16,)" in err, algo
 
 
 def test_simulate(tmp_path, capsys):
@@ -115,6 +116,18 @@ def test_simulate_bad_config(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "gen_poly_hex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("ebn0_db", 3.0),
+                                          ("max_frames", "10")])
+def test_simulate_wrong_typed_field(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 16, "gen_poly_hex": "1d1",
+                                    "algo": "mld", field: value}))
+    rc = main(["simulate", "--config", str(cfg_path),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"error: {cfg_path}: field '{field}' must be" in capsys.readouterr().err
 
 
 def test_hmatrix_eg_and_check(tmp_path, capsys):

@@ -236,6 +236,17 @@ def test_min_distance_accepts_matrices():
     assert min_distance_exhaustive(G) == 4
 
 
+def test_min_distance_skips_zero_words_of_dependent_rows(ex_code):
+    G = ex_code.G
+    repeated = np.vstack([G, G[3]])
+    zero_row = np.vstack([G[:2], np.zeros_like(G[:1]), G[2:]])
+    assert min_distance_exhaustive(repeated) == 6
+    assert min_distance_exhaustive(zero_row) == 6
+    assert min_distance_exhaustive(np.vstack([G[0], G[0]])) == G[0].sum()
+    # no nonzero word at all: reported as the length plus one
+    assert min_distance_exhaustive(np.zeros((2, 16), dtype=np.uint8)) == 17
+
+
 def test_ebch_construction(f16):
     spec = ebch_code(f16, 7)
     assert spec.gen_poly == EX_GEN

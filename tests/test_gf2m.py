@@ -149,19 +149,6 @@ def test_partial_conjugate_sums():
         field.trace_to_subfield(1, 4)  # 4 does not divide 6
 
 
-def test_poly_eval():
-    field = GF2m(4)
-    # g(x) = 1 + x^4 + x^6 + x^7 + x^8
-    g = 0x1D1
-    # brute force with pow
-    for point in range(16):
-        expected = 0
-        for i in range(9):
-            if (g >> i) & 1:
-                expected ^= field.pow(point, i)
-        assert field.poly_eval(g, point) == expected
-
-
 def test_pair_permutation_swaps_pairs():
     field = GF2m(4)
     rng = np.random.default_rng(5)

@@ -285,3 +285,26 @@ def test_config_schema_errors(tmp_path):
     path.write_text("not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+    path.write_text("5")
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("ebn0_db", "3.0", "a list of numbers"),
+    ("max_frames", '"10"', "an integer"),
+    ("seed", "true", "an integer"),
+])
+def test_config_rejects_wrong_typed_field(tmp_path, field, value, want):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n": 16, "gen_poly_hex": "1d1", "algo": "mld", "{field}": {value}}}')
+    with pytest.raises(ConfigError, match=f"field '{field}' must be {want}, got {value}"):
+        load_config(path)
+
+
+def test_config_accepts_integers_for_float_fields(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text('{"n": 16, "gen_poly_hex": "1d1", "algo": "mld", '
+                    '"ebn0_db": [1, 2.5], "omega": 3, "noiseless": true}')
+    cfg = load_config(path)
+    assert cfg.ebn0_db == [1, 2.5] and cfg.omega == 3 and cfg.noiseless is True
