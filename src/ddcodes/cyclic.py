@@ -221,21 +221,22 @@ def ms_evaluate(spectrum, extended: bool = True, field: GF2m | None = None) -> n
     n = field.n
     if len(spec) != n:
         raise ValueError(f"expected {n} spectral coefficients")
-    support = [(j, A) for j, A in enumerate(spec) if A]
-    vals = []
-    for i in range(n):
-        acc = 0
-        for j, A in support:
-            acc ^= field.mul(A, field.alpha_pow(i * j))
-        if acc > 1:
-            raise NonBinaryResultError(f"A(alpha^{i}) = {acc} is not in GF(2)")
-        vals.append(acc)
+    i = np.arange(n)
+    vals = np.zeros(n, dtype=np.int64)
+    for j, A in enumerate(spec):
+        if A:
+            vals ^= field.antilog[(field.log[A] + i * j) % n]
+    bad = np.flatnonzero(vals > 1)
+    if len(bad):
+        first = bad[0]
+        raise NonBinaryResultError(
+            f"A(alpha^{first}) = {vals[first]} is not in GF(2)")
     if not extended:
-        return np.array(vals, dtype=np.uint8)
+        return vals.astype(np.uint8)
     ext = spec[0]
     if ext > 1:
         raise NonBinaryResultError(f"A(0) = {ext} is not in GF(2)")
-    return np.array([ext] + vals, dtype=np.uint8)
+    return np.concatenate(([ext], vals)).astype(np.uint8)
 
 
 def extend_cyclic(cyclic_word) -> np.ndarray:

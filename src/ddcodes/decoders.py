@@ -12,7 +12,14 @@ Every decoder has one shape: `spa_batch_decoder`, `osd_batch_decoder` and
 call the two stack engines `spa_decode_batch` and `osd_decode` through this
 module's globals, so a wrapper installed on either name sees every call;
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
-(`gf2.rref_stack`) rather than one elimination per vector.  The ML closure
+(`gf2.rref_stack`) rather than one elimination per vector.  It then scores
+every reprocessing candidate without building it: the correlations come
+from exact sign products, extended one flip weight at a time by a batched
+matmul, and only each row's winner is built.  A row where another screened
+score lies within the rounding tolerance of the best is rescored exactly
+as direct scoring does, by dot products over its full candidate list, so
+the decoded words, and the rule that a tie goes to the earliest candidate,
+are those of direct scoring bit for bit.  The ML closure
 and `mld_exhaustive` score the codebook that `gf2.all_codewords` lists;
 `mld_exhaustive` decodes one vector and stays as an independent reference
 for the ML closure.
@@ -20,7 +27,6 @@ for the ML closure.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -129,15 +135,68 @@ def _reliability_bases(G: np.ndarray, L: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _flip_sets(k: int, order: int) -> tuple[np.ndarray, ...]:
-    """Index tables of the basis-flip patterns of weight 2..order, in
-    lexicographic order (weight 1 is the reduced generator itself)."""
+def _flip_tables(k: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(prefix, last) tables of the basis-flip sets of weight 1..min(order, k).
+
+    Weight w lists the w-subsets J of range(k) in lexicographic order; entry
+    i of that list is J = (weight w-1 set prefix[i]) + {last[i]}, where
+    last[i] exceeds every index of the prefix set (weight 0 is the empty set).
+    """
     tables = []
-    for w in range(2, min(order, k) + 1):
-        I = np.array(list(combinations(range(k), w)), dtype=np.int64)
-        I.setflags(write=False)
-        tables.append(I)
+    top = np.array([-1])                       # largest index of each set
+    for _ in range(min(order, k)):
+        prefix, last = np.nonzero(np.arange(k) > top[:, None])
+        for a in (prefix, last):
+            a.setflags(write=False)
+        tables.append((prefix, last))
+        top = last
     return tuple(tables)
+
+
+def _check_order(order) -> int:
+    """order as an int; ValueError unless it is an integer >= 0 (not a bool)."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
+            or order < 0:
+        raise ValueError(f"OSD order must be an integer >= 0, got {order!r}")
+    return int(order)
+
+
+def _candidates(M: np.ndarray, c0: np.ndarray, tables) -> np.ndarray:
+    """Every reprocessing candidate of each row, in generation order: the
+    hard-decision re-encoding c0, then c0 ^ XOR M[J] by weight, lexicographic
+    in J within a weight.  Shapes (F, k, n), (F, n) -> (F, N, n)."""
+    pats = [np.zeros((M.shape[0], 1, M.shape[2]), dtype=np.uint8)]
+    for prefix, last in tables:
+        pats.append(pats[-1][:, prefix] ^ M[:, last])
+    return np.concatenate(pats, axis=1) ^ c0[:, None, :]
+
+
+def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, tables):
+    """Correlations (1 - 2c) . L[d] of every candidate _candidates lists,
+    computed from sign products without building the candidates.
+
+    With s0 = (1 - 2 c0) L[d] and sigma = 1 - 2M, candidate J scores
+    sum_i s0_i prod_{j in J} sigma_ji.  One batched matmul per flip weight
+    scores every (weight w-1 set, next index) pair; the (prefix, last) table
+    picks the weight-w sets out of them, in order, and extends the products
+    to weight w.  Every product is exact, so each score, like the direct
+    dot product of that candidate, lies within (n-1) u sum|L[d]| of the true
+    correlation (u the unit roundoff).  Returns the (F, N) scores and the
+    per-row tolerance tol = 4 n eps sum|L[d]|, at least twice that bound
+    for both sums together.
+    """
+    F, k, n = M.shape
+    # +-1 in int8, then one cast: mixed uint8/float64 arithmetic is ~10x slower
+    sigma = (1 - 2 * M.view(np.int8)).astype(np.float64)
+    R = ((1.0 - 2.0 * c0) * L)[:, None, :]      # products of the weight-0 set
+    scores = [R.sum(axis=2)]
+    for w, (prefix, last) in enumerate(tables, start=1):
+        S = np.matmul(R, sigma.transpose(0, 2, 1))
+        scores.append(S.reshape(F, -1)[:, prefix * k + last])
+        if w < len(tables):
+            R = R[:, prefix] * sigma[:, last]
+    tol = 4 * n * np.finfo(np.float64).eps * np.abs(L).sum(axis=1)
+    return np.concatenate(scores, axis=1), tol
 
 
 def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
@@ -145,32 +204,55 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     an (F, n) LLR stack; returns the (F, n) uint8 decoded words.
 
     One rref_stack call systematizes G on every row's most reliable basis.
-    Row d then re-encodes its hard decision on that basis and every pattern
-    of at most `order` basis-bit flips, and keeps the candidate with the
-    highest correlation sum (1 - 2c) . L[d]; correlation ties resolve to the
-    earliest-generated candidate.  Raises ValueError unless L is a finite
-    (F, n) stack, and RankDeficientError if G's rank is below its row count.
+    Row d then considers its hard decision re-encoded on that basis, c0, and
+    every candidate c0 ^ XOR_{j in J} M_j for a set J of at most `order`
+    basis rows, and keeps the candidate with the highest correlation
+    (1 - 2c) . L[d]; correlation ties resolve to the earliest candidate,
+    with J ordered by size, then lexicographically.
+
+    Candidates are screened without being built (_screened_scores).  A row
+    whose screened maximum is the only score within tol of it has the same
+    unique maximum under the direct sums (1 - 2c) @ L[d], and only that
+    winner is built.  Any other row (a near or exact tie) builds its full
+    candidate list and scores it with (1 - 2c) @ L[d], the direct sum over
+    all candidates, so every word equals that of direct scoring bit for bit.
+
+    Raises ValueError unless L is a finite (F, n) stack and order an integer
+    >= 0, and RankDeficientError if G's rank is below its row count.
     """
+    order = _check_order(order)
     G = np.asarray(G, dtype=np.uint8)
     L = _checked_llrs(L, G.shape[1], batch=True)
     M, pivots = _reliability_bases(G, L)
-    F, k, n = M.shape
+    F = M.shape[0]
+    tables = _flip_tables(M.shape[1], order)
     hard = (L < 0).astype(np.uint8)
     flips = np.take_along_axis(hard, pivots, axis=1)
     c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
-    pats = [np.zeros((F, 1, n), dtype=np.uint8)]
-    if order >= 1:
-        pats.append(M)
-    for I in _flip_sets(k, order):
-        acc = M[:, I[:, 0]]
-        for col in range(1, I.shape[1]):
-            acc = acc ^ M[:, I[:, col]]
-        pats.append(acc)
-    cands = np.concatenate(pats, axis=1) ^ c0[:, None, :]
-    bits = np.empty((F, n), dtype=np.uint8)
-    for d in range(F):
-        scores = (1.0 - 2.0 * cands[d]) @ L[d]
-        bits[d] = cands[d, np.argmax(scores)]
+
+    scores, tol = _screened_scores(M, c0, L, tables)
+    f = np.arange(F)
+    best = np.argmax(scores, axis=1)
+    top = scores[f, best]
+    clear = np.isfinite(top) & ((scores >= (top - tol)[:, None]).sum(axis=1) == 1)
+
+    # walk each clear winner back through the tables, largest index of J first
+    sizes = [1] + [len(last) for _, last in tables]
+    starts = np.cumsum(sizes) - sizes
+    weight = np.searchsorted(starts, best, side="right") - 1
+    pos = best - starts[weight]
+    bits = c0.copy()
+    for w in range(len(tables), 0, -1):
+        rows = f[clear & (weight >= w)]
+        prefix, last = tables[w - 1]
+        bits[rows] ^= M[rows, last[pos[rows]]]
+        pos[rows] = prefix[pos[rows]]
+
+    rows = np.flatnonzero(~clear)
+    if len(rows):
+        cands = _candidates(M[rows], c0[rows], tables)
+        for cands_d, d in zip(cands, rows):
+            bits[d] = cands_d[np.argmax((1.0 - 2.0 * cands_d) @ L[d])]
     return bits
 
 
@@ -199,8 +281,10 @@ def osd_batch_decoder(G: np.ndarray, order: int):
     """Batch-decoder closure over a fixed generator matrix.
 
     Each call is one osd_decode(G, Ld, order) on the whole (F, n) stack,
-    reported as converged in one iteration.
+    reported as converged in one iteration.  Raises ValueError unless order
+    is an integer >= 0.
     """
+    order = _check_order(order)
     G = np.asarray(G, dtype=np.uint8)
 
     def decode(Ld: np.ndarray):

@@ -94,6 +94,16 @@ def test_decode_length_mismatch(tmp_path, capsys):
         assert "error: LLR input has shape (10,), expected (16,)" in err, algo
 
 
+@pytest.mark.parametrize("algo", ["osd", "dd-osd"])
+def test_decode_negative_osd_order(tmp_path, capsys, algo):
+    llr_path = tmp_path / "llrs.txt"
+    np.savetxt(llr_path, np.ones(16))
+    rc = main(["decode", "--code", "16:1d1", "--algo", algo, "--order", "-1",
+               "--llr-in", str(llr_path)])
+    assert rc == 2
+    assert "error: OSD order must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
 def test_simulate(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

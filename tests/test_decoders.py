@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,11 @@ from ddcodes.ddcodec import boxplus
 from ddcodes.decoders import (
     LLR_CLIP,
     RankDeficientError,
+    _candidates,
+    _checked_llrs,
+    _flip_tables,
     _reliability_bases,
+    _screened_scores,
     all_codewords,
     mld_batch_decoder,
     mld_exhaustive,
@@ -356,6 +361,147 @@ def test_osd_batch_eliminates_once_per_stack(monkeypatch):
     decode = osd_batch_decoder(_SPEC16.G, 2)
     decode(np.random.default_rng(229).normal(0.0, 2.0, size=(32, 16)))
     assert calls == [(32, 16)]
+
+
+@lru_cache(maxsize=None)
+def _flip_sets(k: int, order: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the basis-flip patterns of weight 2..order, in
+    lexicographic order (weight 1 is the reduced generator itself)."""
+    tables = []
+    for w in range(2, min(order, k) + 1):
+        I = np.array(list(combinations(range(k), w)), dtype=np.int64)
+        I.setflags(write=False)
+        tables.append(I)
+    return tuple(tables)
+
+
+def _osd_decode_direct(G: np.ndarray, L, order: int) -> np.ndarray:
+    """Reference: osd_decode as it was before screening, building every
+    candidate and scoring each row with (1 - 2 * cands[d]) @ L[d]."""
+    G = np.asarray(G, dtype=np.uint8)
+    L = _checked_llrs(L, G.shape[1], batch=True)
+    M, pivots = _reliability_bases(G, L)
+    F, k, n = M.shape
+    hard = (L < 0).astype(np.uint8)
+    flips = np.take_along_axis(hard, pivots, axis=1)
+    c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
+    pats = [np.zeros((F, 1, n), dtype=np.uint8)]
+    if order >= 1:
+        pats.append(M)
+    for I in _flip_sets(k, order):
+        acc = M[:, I[:, 0]]
+        for col in range(1, I.shape[1]):
+            acc = acc ^ M[:, I[:, col]]
+        pats.append(acc)
+    cands = np.concatenate(pats, axis=1) ^ c0[:, None, :]
+    bits = np.empty((F, n), dtype=np.uint8)
+    for d in range(F):
+        scores = (1.0 - 2.0 * cands[d]) @ L[d]
+        bits[d] = cands[d, np.argmax(scores)]
+    return bits
+
+
+@st.composite
+def _osd_llrs(draw, rows):
+    """(rows, 16) stacks: tied (both kinds of _tied_llrs), Gaussian, or
+    ties between magnitudes that binary floats cannot hold exactly, so
+    equal correlations can round apart in different summation orders."""
+    kind = draw(st.sampled_from(["tied", "gaussian", "decimal"]))
+    if kind == "tied":
+        return draw(_tied_llrs(rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        return rng.normal(0.0, 2.0, size=(rows, 16))
+    return rng.choice([0.1, 0.2, 0.3, 0.7], size=(rows, 16)) \
+        * rng.choice([-1.0, 1.0], size=(rows, 16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS)), st.sampled_from([1, 32]),
+       st.integers(0, 4), st.data())
+def test_osd_screening_matches_direct_scoring(name, F, order, data):
+    G = _GENERATORS[name]
+    L = data.draw(_osd_llrs(F))
+    bits = osd_decode(G, L, order)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, _osd_decode_direct(G, L, order))
+
+
+def _osd3_128_frames(count, seed):
+    """Gaussian frames of the (128,36) eBCH code of the order-3 OSD
+    benchmark, at 1 dB rather than its 4 dB: with seed 241, 22 of 50 frames
+    are won by a candidate of flip weight 2 or 3, against none at 4 dB."""
+    spec = code_from_generator(GF2m(7), 0xCCC3CDB5487A24FA5F3A3DD)
+    rng = np.random.default_rng(seed)
+    sigma2 = 1.0 / (2.0 * spec.k / spec.n * 10.0 ** 0.1)
+    L = np.empty((count, spec.n))
+    for f in range(count):
+        word = rng.integers(0, 2, size=spec.k).astype(np.uint8) @ spec.G % 2
+        y = 1.0 - 2.0 * word + np.sqrt(sigma2) * rng.standard_normal(spec.n)
+        L[f] = 2.0 * y / sigma2
+    return spec.G, L
+
+
+def test_osd3_on_128_matches_direct_scoring():
+    G, L = _osd3_128_frames(50, 241)
+    for d in range(len(L)):
+        assert np.array_equal(osd_decode(G, L[d:d + 1], 3),
+                              _osd_decode_direct(G, L[d:d + 1], 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS)), st.integers(0, 4),
+       _osd_llrs(8))
+def test_screened_scores_lie_within_tolerance_of_direct_scores(name, order, L):
+    M, pivots = _reliability_bases(_GENERATORS[name], L)
+    flips = np.take_along_axis((L < 0).astype(np.uint8), pivots, axis=1)
+    c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
+    tables = _flip_tables(M.shape[1], order)
+    scores, tol = _screened_scores(M, c0, L, tables)
+    assert np.array_equal(tol, 4 * 16 * np.finfo(float).eps * np.abs(L).sum(axis=1))
+    cands = _candidates(M, c0, tables)
+    assert scores.shape == cands.shape[:2]
+    for d in range(len(L)):
+        direct = (1.0 - 2.0 * cands[d]) @ L[d]
+        assert (np.abs(scores[d] - direct) <= tol[d]).all()
+
+
+def test_osd_fallback_runs_only_on_near_ties(monkeypatch):
+    rows = []
+    real = ddcodes.decoders._candidates
+
+    def counting(M, c0, tables):
+        rows.append(len(M))
+        return real(M, c0, tables)
+    monkeypatch.setattr(ddcodes.decoders, "_candidates", counting)
+    G, L = _osd3_128_frames(50, 241)
+    for d in range(len(L)):
+        osd_decode(G, L[d:d + 1], 3)
+    assert rows == []
+    # +-1 LLRs with half of a minimum-weight word's support negative: that
+    # word and the zero word tie exactly at correlation n - d
+    spec = _SPEC16
+    word = next(w for w in all_codewords(spec.G) if w.sum() == 6)
+    L = np.ones(16)
+    L[np.flatnonzero(word)[:3]] = -1.0
+    got = osd_decode(spec.G, L[None], 2)
+    assert sum(rows) >= 1
+    assert np.array_equal(got, _osd_decode_direct(spec.G, L[None], 2))
+    assert float((1.0 - 2.0 * got[0]) @ L) == 16 - 6
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, "3", None, True])
+def test_osd_rejects_invalid_orders(order):
+    with pytest.raises(ValueError, match="OSD order"):
+        osd_decode(_SPEC16.G, np.ones((1, 16)), order)
+    with pytest.raises(ValueError, match="OSD order"):
+        osd_batch_decoder(_SPEC16.G, order)
+
+
+def test_osd_accepts_numpy_integer_orders():
+    L = np.random.default_rng(251).normal(0.0, 2.0, size=(4, 16))
+    assert np.array_equal(osd_decode(_SPEC16.G, L, np.int64(2)),
+                          osd_decode(_SPEC16.G, L, 2))
 
 
 _BAD_LLRS = {

@@ -8,14 +8,17 @@ over Python-int words, term-by-term polynomial evaluation at each
 alpha^{-j}, a packed-lane span table decoded bit by bit, and one np.roll
 per generator row.  Every extended cyclic code of lengths 8 and 16 is
 compared, plus a fixed sample of length-32 codes with n - k <= 20.
+`ms_evaluate` is compared with its original per-(position, term) loop on
+the same codes and on a few length-64 codes.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ddcodes.cyclic import (code_from_exponents, exponent_set_from_generator,
-                            min_distance_exhaustive)
+from ddcodes.cyclic import (NonBinaryResultError, code_from_exponents,
+                            exponent_set_from_generator,
+                            min_distance_exhaustive, ms_evaluate, ms_transform)
 from ddcodes.gf2m import GF2m, coset_closure, coset_representatives
 from ddcodes.parity import EmptyParityMatrixError, dual_orbit_parity_matrix
 
@@ -91,6 +94,34 @@ def _ref_dual_orbit_rows(spec, max_row_weight: int):
     return sorted(rows) or None
 
 
+def _ref_ms_evaluate(spectrum, extended, field: GF2m) -> np.ndarray:
+    """The original evaluation: one field.mul and alpha_pow per term."""
+    spec = list(spectrum)
+    n = field.n
+    support = [(j, A) for j, A in enumerate(spec) if A]
+    vals = []
+    for i in range(n):
+        acc = 0
+        for j, A in support:
+            acc ^= field.mul(A, field.alpha_pow(i * j))
+        if acc > 1:
+            raise NonBinaryResultError(f"A(alpha^{i}) = {acc} is not in GF(2)")
+        vals.append(acc)
+    if not extended:
+        return np.array(vals, dtype=np.uint8)
+    ext = spec[0]
+    if ext > 1:
+        raise NonBinaryResultError(f"A(0) = {ext} is not in GF(2)")
+    return np.array([ext] + vals, dtype=np.uint8)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tolist()
+    except NonBinaryResultError as e:
+        return str(e)
+
+
 def _every_code(field: GF2m):
     """One CodeSpec per union of cyclotomic cosets, in mask order."""
     reps = sorted(coset_representatives(range(field.n), field.n))
@@ -129,3 +160,28 @@ def test_spectrum_and_codebook_routines_match_references(spec):
                 dual_orbit_parity_matrix(spec, limit)
         else:
             assert dual_orbit_parity_matrix(spec, limit).rows == want
+
+
+def _length64_sample():
+    codes = _every_code(GF2m(6))
+    return [next(codes) for _ in range(40)][9::10]
+
+
+@pytest.mark.parametrize("spec", CODES + _length64_sample(), ids=repr)
+def test_ms_evaluate_matches_reference_loop(spec):
+    """Spectra of codewords evaluate to the same words; spectra with A_0 or
+    one other coefficient replaced by a non-binary element raise the same
+    NonBinaryResultError message, naming the same first position."""
+    field = spec.field
+    rng = np.random.default_rng(spec.n + spec.k)
+    msgs = rng.integers(0, 2, size=(4, spec.k), dtype=np.uint8)
+    spectra = [ms_transform(w[1:], field) for w in msgs @ spec.G % 2]
+    for A in list(spectra):
+        for j in (0, int(rng.integers(1, field.n))):
+            bad = list(A)
+            bad[j] = int(rng.integers(2, field.size))
+            spectra.append(bad)
+    for A in spectra:
+        for extended in (True, False):
+            assert (_outcome(ms_evaluate, A, extended, field)
+                    == _outcome(_ref_ms_evaluate, A, extended, field))

@@ -166,6 +166,13 @@ def test_unknown_algo_rejected():
         build_decoder(_base_config(algo="turbo"), spec)
 
 
+@pytest.mark.parametrize("algo", ["osd", "dd-osd"])
+@pytest.mark.parametrize("order", [-1, 2.5])
+def test_invalid_osd_order_rejected(algo, order):
+    with pytest.raises(ValueError, match="OSD order"):
+        run_monte_carlo(_base_config(algo=algo, order=order, max_frames=1))
+
+
 def test_mld_dimension_guard():
     spec = code_from_generator(GF2m(6), 0x782CF)  # k = 45
     with pytest.raises(ConfigError):
