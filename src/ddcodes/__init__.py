@@ -5,9 +5,9 @@ decoding engines (sum-product, ordered statistics, exact ML), the
 derivative-decoding loops built on them, and a Monte-Carlo AWGN harness
 with a CLI.  Everything public is re-exported here.
 """
-from .gf2m import (GF2m, DEFAULT_PRIMITIVE_POLYS, InvalidSubfieldError,
-                   NonPrimitivePolynomialError, coset_closure,
-                   coset_representatives, cyclotomic_coset, field_for_length)
+from .gf2m import (GF2m, DEFAULT_PRIMITIVE_POLYS, NonPrimitivePolynomialError,
+                   coset_closure, coset_representatives, cyclotomic_coset,
+                   field_for_length)
 from .gf2 import (DimensionTooLargeError, all_codewords, nullspace, rank,
                   row_space_contains, row_spaces_equal, rref, rref_stack)
 from .cyclic import (CodeSpec, ExponentSet, NonBinaryResultError,

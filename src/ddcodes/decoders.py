@@ -61,35 +61,45 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     with no checks returns the hard decision, converged at iteration 1.
 
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
-    (batch,).  Raises ValueError unless L is a finite (batch, n) stack.
+    (batch,).  Raises ValueError unless L is a finite (batch, n) stack and
+    max_iter an integer >= 0.
     """
+    max_iter = _nonnegative_int(max_iter, "SPA iteration cap")
     idx, mask, n = H.idx, H.mask, H.n
     L = _checked_llrs(L, n, batch=True)
     B = L.shape[0]
     Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
-    q = Lc[:, idx]                                       # (B, R, deg)
     out = np.empty((B, n), dtype=np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
     conv = np.zeros(B, dtype=bool)
     flat = idx[None, :, :] + (np.arange(B) * n)[:, None, None]
+    pad = ~mask
+    # One (B, R, deg) work block per call, updated in place: with fresh
+    # temporaries every iteration, the time per call depended on how far
+    # earlier frees had raised the C allocator's heap trim threshold.  q holds
+    # the variable-to-check messages, then tanh(q/2); left and right the
+    # leave-one-out prefix and suffix products (edge entries stay 1); r the
+    # check-to-variable messages.
+    q, left, right, r = np.empty((4, B) + idx.shape)
+    np.take(Lc, idx, axis=1, out=q)
+    left[..., :1] = right[..., -1:] = 1.0
     post = Lc
     for it in range(1, max_iter + 1):
-        t = np.tanh(q / 2)
-        t = np.where(mask, t, 1.0)
-        c = np.cumprod(t, axis=-1)
-        left = np.ones_like(t)
-        left[..., 1:] = c[..., :-1]
-        rs = np.cumprod(t[..., ::-1], axis=-1)[..., ::-1]
-        right = np.ones_like(t)
-        right[..., :-1] = rs[..., 1:]
-        r = 2 * np.arctanh(np.clip(left * right, -_ATANH_LIM, _ATANH_LIM))
-        r = np.where(mask, r, 0.0)
+        t = np.tanh(np.multiply(q, 0.5, out=q), out=q)
+        np.copyto(t, 1.0, where=pad)
+        np.cumprod(t[..., :-1], axis=-1, out=left[..., 1:])
+        np.cumprod(t[..., :0:-1], axis=-1, out=right[..., -2::-1])
+        np.multiply(left, right, out=r)
+        np.arctanh(np.clip(r, -_ATANH_LIM, _ATANH_LIM, out=r), out=r)
+        r *= 2
+        np.copyto(r, 0.0, where=pad)
         tot = np.bincount(flat.ravel(), weights=r.ravel(),
                           minlength=B * n).reshape(B, n)
         post = Lc + tot
-        q = np.clip(post[:, idx] - r, -LLR_CLIP, LLR_CLIP)
+        np.take(post, idx, axis=1, out=q)
+        np.clip(np.subtract(q, r, out=q), -LLR_CLIP, LLR_CLIP, out=q)
         hard = (post < 0).astype(np.uint8)
-        synd = np.where(mask, hard[:, idx], 0).sum(axis=-1) % 2
+        synd = np.bitwise_xor.reduce(hard[:, idx] & mask, axis=-1)
         ok = ~synd.any(axis=-1)
         newly = ok & ~conv
         out[newly] = hard[newly]
@@ -153,12 +163,13 @@ def _flip_tables(k: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
     return tuple(tables)
 
 
-def _check_order(order) -> int:
-    """order as an int; ValueError unless it is an integer >= 0 (not a bool)."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
-            or order < 0:
-        raise ValueError(f"OSD order must be an integer >= 0, got {order!r}")
-    return int(order)
+def _nonnegative_int(value, what: str) -> int:
+    """value as an int; ValueError naming `what` unless it is an integer
+    >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 def _candidates(M: np.ndarray, c0: np.ndarray, tables) -> np.ndarray:
@@ -220,7 +231,7 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     Raises ValueError unless L is a finite (F, n) stack and order an integer
     >= 0, and RankDeficientError if G's rank is below its row count.
     """
-    order = _check_order(order)
+    order = _nonnegative_int(order, "OSD order")
     G = np.asarray(G, dtype=np.uint8)
     L = _checked_llrs(L, G.shape[1], batch=True)
     M, pivots = _reliability_bases(G, L)
@@ -271,7 +282,10 @@ def mld_exhaustive(G: np.ndarray, L) -> np.ndarray:
 
 def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
     """Batch-decoder closure over a fixed parity-check matrix: each call is
-    spa_decode_batch(H, Ld, max_iter)."""
+    spa_decode_batch(H, Ld, max_iter).  Raises ValueError unless max_iter
+    is an integer >= 0."""
+    max_iter = _nonnegative_int(max_iter, "SPA iteration cap")
+
     def decode(Ld: np.ndarray):
         return spa_decode_batch(H, Ld, max_iter)
     return decode
@@ -284,7 +298,7 @@ def osd_batch_decoder(G: np.ndarray, order: int):
     reported as converged in one iteration.  Raises ValueError unless order
     is an integer >= 0.
     """
-    order = _check_order(order)
+    order = _nonnegative_int(order, "OSD order")
     G = np.asarray(G, dtype=np.uint8)
 
     def decode(Ld: np.ndarray):

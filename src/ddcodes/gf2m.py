@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "GF2m",
     "NonPrimitivePolynomialError",
-    "InvalidSubfieldError",
     "DEFAULT_PRIMITIVE_POLYS",
     "field_for_length",
     "cyclotomic_coset",
@@ -44,10 +43,6 @@ DEFAULT_PRIMITIVE_POLYS = {
 
 class NonPrimitivePolynomialError(ValueError):
     """The given polynomial does not generate the full multiplicative group."""
-
-
-class InvalidSubfieldError(ValueError):
-    """Trace target GF(2^s) is not a subfield of GF(2^m)."""
 
 
 class GF2m:
@@ -118,24 +113,6 @@ class GF2m:
     def alpha_pow(self, e: int) -> int:
         """alpha^e (e taken mod n)."""
         return int(self.antilog[e % self.n])
-
-    def trace_to_subfield(self, a: int, sub_m: int) -> int:
-        """Raw conjugate sum a^(2^0) + a^(2^1) + ... + a^(2^(sub_m-1)).
-
-        sub_m must divide m.  For sub_m = m this is the absolute trace,
-        with values in GF(2); for smaller divisors it is the plain sum of
-        the first sub_m Frobenius conjugates (the building block of
-        minimal cyclic codewords), which need not land in a subfield.
-        """
-        if self.m % sub_m != 0:
-            raise InvalidSubfieldError(
-                f"GF(2^{sub_m}) is not a subfield of GF(2^{self.m})")
-        acc = 0
-        x = a
-        for _ in range(sub_m):
-            acc ^= x
-            x = self.mul(x, x)
-        return acc
 
     def pair_permutation(self, beta: int) -> np.ndarray:
         """Permutation p of extended positions with p[pos of x] = pos of x + beta.

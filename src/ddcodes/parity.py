@@ -5,9 +5,14 @@ decoders.  Viewing GF(2^(c*t)) as a t-dimensional space over GF(2^c), every
 line {a + s*b : s in the subfield} yields a weight-2^c check; the incidence
 matrix of all distinct lines is regular in both directions.  For codes
 without that geometric structure, low-weight dual codewords found by a
-meet-in-the-middle search serve the same purpose.
+meet-in-the-middle search serve the same purpose.  A matrix is stored only
+as one read-only padded table, built with array operations and read as is
+by the sum-product decoder: row i of `idx` holds check i's positions in
+increasing order, and `mask` marks the real entries.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -36,28 +41,32 @@ class EmptyParityMatrixError(ValueError):
 
 
 class SparseParityMatrix:
-    """A binary parity-check matrix stored as per-check position lists.
+    """A binary parity-check matrix of length n, stored as the (checks, max
+    row weight) table `idx`, `mask` of the module docstring, built from one
+    position list per check.  A position outside 0..n-1 or repeated in a
+    check raises ValueError."""
 
-    `source` records how the matrix was built ("eg-lines", "dual-orbit",
-    "file", or empty for ad hoc construction).  The same checks are also
-    kept as a padded table, built once and read-only: row i of the
-    (checks, max row weight) arrays `idx` and `mask` holds check i's
-    positions, and `mask` marks the entries that are real, not padding.
-    A check that lists a position twice raises ValueError.
-    """
+    def __init__(self, n: int, rows):
+        rows = list(rows)
+        self._store(n, np.fromiter(map(len, rows), np.int64, len(rows)),
+                    np.fromiter(chain.from_iterable(rows), np.int64))
 
-    def __init__(self, n: int, rows, source: str = ""):
+    @classmethod
+    def _from_lists(cls, n: int, weights: np.ndarray, positions: np.ndarray):
+        """The matrix whose check i takes the next weights[i] positions."""
+        H = cls.__new__(cls)
+        H._store(n, weights, positions)
+        return H
+
+    def _store(self, n: int, weights: np.ndarray, positions: np.ndarray) -> None:
+        if ((positions < 0) | (positions >= n)).any():
+            raise ValueError("check position out of range")
         self.n = n
-        self.source = source
-        self.rows = [sorted(int(i) for i in r) for r in rows]
-        for r in self.rows:
-            if r and not 0 <= r[0] <= r[-1] < n:
-                raise ValueError("check position out of range")
-        deg = max(map(len, self.rows), default=0)
-        self.idx = np.zeros((len(self.rows), deg), dtype=np.int64)
-        self.mask = np.arange(deg) < np.array([len(r) for r in self.rows],
-                                              dtype=np.int64)[:, None]
-        self.idx[self.mask] = [i for r in self.rows for i in r]
+        self.mask = np.arange(weights.max(initial=0)) < weights[:, None]
+        self.idx = np.full(self.mask.shape, n, dtype=np.int64)
+        self.idx[self.mask] = positions
+        self.idx.sort(axis=1)  # padding n sorts last
+        self.idx[~self.mask] = 0
         repeats = (np.diff(self.idx, axis=1) == 0) & self.mask[:, 1:]
         if repeats.any():
             i, j = np.argwhere(repeats)[0]
@@ -67,23 +76,24 @@ class SparseParityMatrix:
 
     @property
     def num_checks(self) -> int:
-        return len(self.rows)
+        return len(self.idx)
 
     def row_weights(self) -> np.ndarray:
         return self.mask.sum(axis=1, dtype=int)
 
     def col_weights(self) -> np.ndarray:
-        return self.to_dense().sum(axis=0, dtype=int)
+        return np.bincount(self.idx[self.mask], minlength=self.n)
 
     def to_dense(self) -> np.ndarray:
-        H = np.zeros((len(self.rows), self.n), dtype=np.uint8)
+        H = np.zeros((self.num_checks, self.n), dtype=np.uint8)
         H[np.nonzero(self.mask)[0], self.idx[self.mask]] = 1
         return H
 
     @classmethod
     def from_dense(cls, H) -> "SparseParityMatrix":
         H = np.asarray(H)
-        return cls(H.shape[1], [list(np.nonzero(r)[0]) for r in H])
+        rows, cols = np.nonzero(H)
+        return cls._from_lists(H.shape[1], np.bincount(rows, minlength=len(H)), cols)
 
     def __repr__(self):
         return f"SparseParityMatrix({self.num_checks}x{self.n})"
@@ -96,26 +106,24 @@ def eg_line_parity_matrix(mu_dims: int, subfield_bits: int) -> SparseParityMatri
     extended-coordinate order (position 0 is the zero element).  For mu >= 2
     there are q^(mu-1) * (q^mu - 1) / (q - 1) lines of q points each, and
     each point lies on (q^mu - 1)/(q - 1) lines; the one-dimensional
-    geometry has the single line containing every point.
+    geometry has the single line containing every point.  Checks come in
+    lexicographic order.
     """
     if mu_dims < 1 or subfield_bits < 1:
         raise InvalidGeometryError(
             f"EG({mu_dims}, 2^{subfield_bits}) is not a geometry")
-    m = mu_dims * subfield_bits
-    field = GF2m(m)
-    if mu_dims == 1:
-        return SparseParityMatrix(field.size, [range(field.size)], source="eg-lines")
+    field = GF2m(mu_dims * subfield_bits)
     q = 1 << subfield_bits
+    # alpha^step generates the subfield's units, so the line through 0 in
+    # direction alpha^j is {0, alpha^(j + i*step)}; j < step meets each once
     step = field.n // (q - 1)
-    subfield = [0] + [int(field.antilog[(i * step) % field.n]) for i in range(q - 1)]
-    lines = set()
-    for b_exp in range(field.n):
-        b = int(field.antilog[b_exp])
-        through_zero = frozenset(field.mul(s, b) for s in subfield)
-        for a in range(field.size):
-            lines.add(frozenset(a ^ p for p in through_zero))
-    rows = sorted(sorted(field.pos_of_elem[e] for e in line) for line in lines)
-    return SparseParityMatrix(field.size, rows, source="eg-lines")
+    through_zero = np.pad(field.antilog[np.arange(step)[:, None]
+                                        + step * np.arange(q - 1)], ((0, 0), (1, 0)))
+    on_lines = np.arange(field.size)[:, None, None] ^ through_zero  # elements
+    lines = np.unique(np.sort(field.pos_of_elem[on_lines], axis=-1).reshape(-1, q),
+                      axis=0)
+    return SparseParityMatrix._from_lists(field.size, np.full(len(lines), q),
+                                          lines.ravel())
 
 
 def dual_orbit_parity_matrix(spec: CodeSpec, max_row_weight: int) -> SparseParityMatrix:
@@ -149,58 +157,59 @@ def dual_orbit_parity_matrix(spec: CodeSpec, max_row_weight: int) -> SparseParit
     if not len(hits):
         raise EmptyParityMatrixError(
             f"no dual codeword has weight <= {max_row_weight}")
-    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=n)
-    rows = sorted(np.flatnonzero(w).tolist() for w in bits)
-    return SparseParityMatrix(spec.n, rows, source="dual-orbit")
+    H = SparseParityMatrix.from_dense(
+        np.unpackbits(hits.view(np.uint8), axis=1, count=n))
+    # sorted as lists: padding below every position puts a list first
+    key = np.unique(np.where(H.mask, H.idx, -1), axis=0)
+    return SparseParityMatrix._from_lists(n, (key >= 0).sum(axis=1), key[key >= 0])
 
 
 def is_orthogonal_to(H: SparseParityMatrix, G) -> bool:
-    """True iff every check annihilates every generator row."""
-    G = np.asarray(G, dtype=np.uint8)
-    return not ((H.to_dense().astype(int) @ G.T.astype(int)) % 2).any()
+    """True iff every check annihilates every generator row (ValueError
+    unless G's rows have length H.n)."""
+    G = np.atleast_2d(np.asarray(G, dtype=np.uint8))
+    if G.shape[-1] != H.n:
+        raise ValueError(f"generator rows have length {G.shape[-1]}, "
+                         f"parity checks have length {H.n}")
+    return not np.bitwise_xor.reduce(G[..., H.idx] & H.mask, axis=-1).any()
 
 
 def write_alist(path, H: SparseParityMatrix) -> None:
     """Write a parity-check matrix in the standard alist text format."""
-    cols = [[] for _ in range(H.n)]
-    for i, r in enumerate(H.rows):
-        for j in r:
-            cols[j].append(i)
-    col_w = [len(cn) for cn in cols]
-    row_w = [len(r) for r in H.rows]
-    max_c, max_r = max(col_w, default=0), max(row_w, default=0)
-    lines = [
-        f"{H.n} {H.num_checks}",
-        f"{max_c} {max_r}",
-        " ".join(map(str, col_w)),
-        " ".join(map(str, row_w)),
-    ]
-    for cn in cols:
-        ids = [i + 1 for i in cn] + [0] * (max_c - len(cn))
-        lines.append(" ".join(map(str, ids)))
-    for r in H.rows:
-        ids = [j + 1 for j in r] + [0] * (max_r - len(r))
-        lines.append(" ".join(map(str, ids)))
+    T = SparseParityMatrix.from_dense(H.to_dense().T)  # each column's checks
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for section in ([[H.n, H.num_checks]], [[T.idx.shape[1], H.idx.shape[1]]],
+                        [T.row_weights()], [H.row_weights()],
+                        np.where(T.mask, T.idx + 1, 0),
+                        np.where(H.mask, H.idx + 1, 0)):
+            np.savetxt(fh, section, fmt="%d")
 
 
 def read_alist(path) -> SparseParityMatrix:
-    """Read a parity-check matrix from an alist file."""
+    """Read a parity-check matrix from an alist file; ValueError names the
+    file and the section of a truncated or self-contradictory file."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
-    n, m = int(next(it)), int(next(it))
-    max_c, max_r = int(next(it)), int(next(it))
-    col_w = [int(next(it)) for _ in range(n)]
-    row_w = [int(next(it)) for _ in range(m)]
-    del col_w
-    for _ in range(n * max_c):
-        next(it)
-    rows = []
-    for w in row_w:
-        ids = [int(next(it)) for _ in range(max_r)]
-        rows.append([j - 1 for j in ids if j > 0])
-        if len(rows[-1]) != w:
-            raise ValueError("row weight disagrees with its index list")
-    return SparseParityMatrix(n, rows, source="file")
+        tokens = np.array(fh.read().split(), dtype=np.int64)
+    if len(tokens) < 4 or tokens[:4].min() < 0:
+        raise ValueError(f"{path}: alist header section is truncated or negative")
+    n, m, max_c, max_r = map(int, tokens[:4])
+    sections, at = [], 4
+    for name, size in (("column weight", n), ("row weight", m),
+                       ("column list", n * max_c), ("row list", m * max_r)):
+        if at + size > len(tokens):
+            raise ValueError(f"{path}: alist {name} section is truncated")
+        sections.append(tokens[at:at + size])
+        at += size
+    col_w, row_w, cols, rows = sections
+    rows, cols = rows.reshape(m, max_r), cols.reshape(n, max_c)
+    if not np.array_equal(row_w, (rows != 0).sum(axis=1)):
+        raise ValueError(f"{path}: alist row weight section disagrees with the "
+                         f"row lists")
+    H = SparseParityMatrix._from_lists(n, row_w, rows[rows != 0] - 1)
+    # each (check, position) pair as one key, from either section
+    listed = np.sort((cols[cols != 0] - 1) * n + np.nonzero(cols)[0])
+    stored = np.sort(np.nonzero(H.mask)[0] * n + H.idx[H.mask])
+    if not (np.array_equal(col_w, H.col_weights())
+            and np.array_equal(listed, stored)):
+        raise ValueError(f"{path}: alist column section contradicts the row lists")
+    return H

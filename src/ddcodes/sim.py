@@ -1,9 +1,8 @@
 """AWGN/BPSK channel, Monte-Carlo block-error-rate harness, config and CSV I/O.
 
-Frames are dealt round-robin to `SimConfig.workers` random-number
-substreams spawned from one seed and decoded one after another in frame
-order, in one process: a result depends only on (seed, workers), and the
-substream count does no parallel work.
+Every frame is drawn from one random-number substream spawned from the
+seed, and frames are decoded one after another in one process, so a result
+depends only on the seed.
 """
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ import numpy as np
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
                       flop_account)
-from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
-                       spa_batch_decoder)
+from .decoders import (_checked_llrs, _nonnegative_int, mld_batch_decoder,
+                       osd_batch_decoder, spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
 from .gf2m import GF2m, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
@@ -60,8 +59,10 @@ def transmit(a, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
 class SimConfig:
     """One simulation campaign: code, decoder, SNR sweep, stopping rules.
 
-    `workers` is the number of random-number substreams the frames are
-    dealt to; frames are still decoded one at a time in one process.
+    `workers` was removed; it only dealt frames to random substreams.  The
+    field stays so that configs passing workers=1 still load: values <= 1
+    all draw from the one substream, and run_monte_carlo raises
+    ConfigError for more.
     """
     n: int                      # extended block length 2^m
     gen_poly_hex: str           # generator polynomial, bit i = coeff of x^i
@@ -74,7 +75,7 @@ class SimConfig:
     max_frames: int = 1000
     max_frame_errors: int = 100
     seed: int = 1
-    workers: int = 1            # RNG substreams, no parallel work; < 1 means 1
+    workers: int = 1            # removed; only values <= 1 are accepted
     all_zero: bool = False      # transmit the zero codeword instead of random
     noiseless: bool = False     # saturated correct-sign LLRs (sanity runs)
     omega: float = 0.0          # assumed per-call inner-decoder flops
@@ -135,11 +136,14 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     for the outer code and decode each frame as a one-row stack; the `dd-*`
     algorithms run a derivative loop around a closure for the descendant.
     Every algorithm raises ValueError("LLR input ...") unless L is a finite
-    vector of length n.
+    vector of length n.  Building raises ValueError unless inner_max_iter
+    and n_max are integers >= 0.
     """
     field = spec.field
     if cfg.algo not in ALGOS:
         raise ConfigError(f"unknown algo {cfg.algo!r}")
+    _nonnegative_int(cfg.inner_max_iter, "inner_max_iter")
+    _nonnegative_int(cfg.n_max, "n_max")
     if cfg.algo in ("mld", "osd", "spa"):
         if cfg.algo == "mld":
             if spec.k > 20:
@@ -176,24 +180,27 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
 
 
 def run_monte_carlo(cfg: SimConfig) -> SimResult:
-    """Simulate every SNR point until max_frames or max_frame_errors."""
+    """Simulate every SNR point until max_frames or max_frame_errors.
+
+    Raises ConfigError if `workers` is above 1.
+    """
+    if cfg.workers > 1:
+        raise ConfigError(f"field 'workers' was removed (frames come from one "
+                          f"random stream); got workers={cfg.workers}")
     field = field_for_length(cfg.n)
     spec = code_from_generator(field, int(cfg.gen_poly_hex, 16))
     decode = build_decoder(cfg, spec)
-    workers = max(1, cfg.workers)
     num_dirs = 0
     if cfg.algo.startswith("dd-"):
         num_dirs = len(_parse_directions(cfg.directions, field))
     points = []
     for ebn0 in cfg.ebn0_db:
         chan = ChannelConfig(ebn0, spec.k / spec.n)
-        rngs = [np.random.default_rng(s)
-                for s in np.random.SeedSequence(cfg.seed).spawn(workers)]
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         frames = frame_errors = bit_errors = 0
         dd_iters_sum = 0
         inner_sum = inner_calls = 0
         while frames < cfg.max_frames and frame_errors < cfg.max_frame_errors:
-            rng = rngs[frames % workers]
             if cfg.all_zero:
                 msg = np.zeros(spec.k, dtype=np.uint8)
             else:

@@ -159,6 +159,60 @@ def test_hmatrix_eg_and_check(tmp_path, capsys):
     assert "NOT orthogonal" in out
 
 
+def _eg16_text(tmp_path):
+    alist = tmp_path / "eg16.alist"
+    assert main(["hmatrix", "eg", "--mu", "2", "--subfield-bits", "2",
+                 "--alist", str(alist)]) == 0
+    return alist.read_text()
+
+
+def test_hmatrix_check_eg16(tmp_path, capsys):
+    """The (16, 7) code 0x1D1 is the geometry code of EG(2, 4)'s lines."""
+    _eg16_text(tmp_path)
+    assert main(["hmatrix", "check", "--alist", str(tmp_path / "eg16.alist"),
+                 "--code", "16:1d1"]) == 0
+    assert "20x16, row weight 4..4, column weight 5..5" in capsys.readouterr().out
+
+
+_BAD_CHECKS = {
+    "empty file": (lambda text: "", "16:1d1",
+                   "alist header section is truncated"),
+    "truncated file": (lambda text: text[:len(text) // 2], "16:1d1",
+                       "alist column list section is truncated"),
+    "column lists contradict rows": (
+        # columns 0 and 1 swap their check lists; the rows stay
+        lambda text: "\n".join(
+            (lines := text.split("\n"))[:4] + [lines[5], lines[4]] + lines[6:]),
+        "16:1d1", "alist column section contradicts the row lists"),
+    "code of another length": (lambda text: text, "32:0x3b",
+                               "generator rows have length 32, "
+                               "parity checks have length 16"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CHECKS))
+def test_hmatrix_check_names_bad_input(name, tmp_path, capsys):
+    edit, code, message = _BAD_CHECKS[name]
+    bad = tmp_path / "bad.alist"
+    bad.write_text(edit(_eg16_text(tmp_path)))
+    capsys.readouterr()
+    rc = main(["hmatrix", "check", "--alist", str(bad), "--code", code])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_decode_negative_spa_iteration_cap(tmp_path, capsys):
+    """The cap used to run zero iterations and print a word."""
+    llr_path = tmp_path / "llrs.txt"
+    np.savetxt(llr_path, np.ones(16))
+    rc = main(["decode", "--code", "16:1d1", "--algo", "spa", "--max-iter",
+               "-3", "--llr-in", str(llr_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: inner_max_iter must be an integer >= 0, got -3" in captured.err
+
+
 def test_hmatrix_dual_orbit(tmp_path, capsys):
     alist = tmp_path / "d.alist"
     assert main(["hmatrix", "dual-orbit", "--code", "16:1d1",

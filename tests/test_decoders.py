@@ -498,6 +498,26 @@ def test_osd_rejects_invalid_orders(order):
         osd_batch_decoder(_SPEC16.G, order)
 
 
+@pytest.mark.parametrize("cap", [-2, -1, 2.5, "3", None, True])
+def test_spa_rejects_invalid_iteration_caps(cap):
+    """spa_decode_batch(H, L, -2) used to report iterations [-2, -2]."""
+    with pytest.raises(ValueError, match="SPA iteration cap must be an "
+                                         "integer >= 0, got"):
+        spa_decode_batch(_H16, np.ones((2, 16)), cap)
+    with pytest.raises(ValueError, match="SPA iteration cap"):
+        spa_batch_decoder(_H16, cap)
+
+
+def test_spa_accepts_numpy_integer_and_zero_caps():
+    L = np.random.default_rng(253).normal(0.0, 2.0, size=(4, 16))
+    for got, want in zip(spa_decode_batch(_H16, L, np.int64(3)),
+                         spa_decode_batch(_H16, L, 3)):
+        assert np.array_equal(got, want)
+    bits, iters, conv = spa_batch_decoder(_H16, 0)(L)
+    assert np.array_equal(bits, (L < 0).astype(np.uint8))
+    assert iters.tolist() == [0] * 4 and not conv.any()
+
+
 def test_osd_accepts_numpy_integer_orders():
     L = np.random.default_rng(251).normal(0.0, 2.0, size=(4, 16))
     assert np.array_equal(osd_decode(_SPEC16.G, L, np.int64(2)),
@@ -594,8 +614,9 @@ def test_spa_without_checks_returns_the_hard_decision():
 
 def _spa_decode_batch_reference(H, L, max_iter=20):
     """spa_decode_batch as it was before the check table moved onto
-    SparseParityMatrix: the table is rebuilt from H.rows on every call."""
-    rows = H.rows
+    SparseParityMatrix: the table is rebuilt from per-check position lists
+    on every call."""
+    rows = [r[m].tolist() for r, m in zip(H.idx, H.mask)]
     n = H.n
     L = np.atleast_2d(np.asarray(L, dtype=np.float64))
     B = L.shape[0]
@@ -652,6 +673,7 @@ _SPA_MATRICES = {
     "RM(2,4) dual orbit": dual_orbit_parity_matrix(
         code_from_exponents(_FIELD16, rm_exponent_set(2, 4).members), 8),
     "irregular": SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]]),
+    "weight-one and empty checks": SparseParityMatrix(6, [[2], [], [0, 5]]),
 }
 # repeated magnitudes, erasures and saturated values, as derivative words have
 _SPA_LLRS = st.one_of(

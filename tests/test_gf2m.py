@@ -8,7 +8,6 @@ import pytest
 from ddcodes.gf2m import (
     DEFAULT_PRIMITIVE_POLYS,
     GF2m,
-    InvalidSubfieldError,
     NonPrimitivePolynomialError,
     coset_closure,
     coset_representatives,
@@ -120,33 +119,6 @@ def test_position_maps():
         assert field.elem_at_pos[1 + e] == field.alpha_pow(e)
     for pos in range(field.size):
         assert field.pos_of_elem[field.elem_at_pos[pos]] == pos
-
-
-def test_absolute_trace():
-    field = GF2m(4)
-    traces = [field.trace_to_subfield(a, 4) for a in range(16)]
-    assert set(traces) == {0, 1}
-    assert traces.count(0) == 8  # balanced
-    # additivity and Frobenius invariance
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        a = int(rng.integers(0, 16))
-        b = int(rng.integers(0, 16))
-        ta = field.trace_to_subfield(a, 4)
-        assert field.trace_to_subfield(a ^ b, 4) == ta ^ field.trace_to_subfield(b, 4)
-        assert field.trace_to_subfield(field.mul(a, a), 4) == ta
-
-
-def test_partial_conjugate_sums():
-    field = GF2m(6)
-    # a single term is the identity map
-    for a in range(field.size):
-        assert field.trace_to_subfield(a, 1) == a
-    # two terms: x + x^2 by hand
-    for a in range(field.size):
-        assert field.trace_to_subfield(a, 2) == a ^ field.mul(a, a)
-    with pytest.raises(InvalidSubfieldError):
-        field.trace_to_subfield(1, 4)  # 4 does not divide 6
 
 
 def test_pair_permutation_swaps_pairs():

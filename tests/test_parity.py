@@ -23,6 +23,11 @@ from ddcodes.parity import (
 )
 
 
+def _rows(H):
+    """Each check's positions as a list, read from the check table."""
+    return [r[m].tolist() for r, m in zip(H.idx, H.mask)]
+
+
 def _line_counts(mu, q):
     """Points and lines of the affine geometry of dimension mu over GF(q)."""
     points = q ** mu
@@ -31,7 +36,7 @@ def _line_counts(mu, q):
 
 
 def test_sparse_matrix_basics():
-    H = SparseParityMatrix(5, [[0, 1], [2, 3, 4]], source="test")
+    H = SparseParityMatrix(5, [[0, 1], [4, 3, 2]])
     assert H.n == 5
     assert H.num_checks == 2
     assert H.row_weights().tolist() == [2, 3]
@@ -47,7 +52,6 @@ def test_eg_line_matrix_shapes():
         q = 1 << s
         points, lines = _line_counts(mu, q)
         H = eg_line_parity_matrix(mu, s)
-        assert H.source == "eg-lines"
         assert (H.n, H.num_checks) == (points, lines)
         assert set(H.row_weights().tolist()) == {q}
         assert set(H.col_weights().tolist()) == {(q ** mu - 1) // (q - 1)}
@@ -55,7 +59,7 @@ def test_eg_line_matrix_shapes():
 
 def test_eg_lines_are_distinct_and_consistent():
     H = eg_line_parity_matrix(2, 3)
-    rows = {frozenset(r) for r in H.rows}
+    rows = {frozenset(r) for r in _rows(H)}
     assert len(rows) == H.num_checks
     # two distinct points determine exactly one line
     dense = H.to_dense()
@@ -112,7 +116,6 @@ def test_dual_orbit_rows_are_low_weight_dual_words():
     f16 = GF2m(4)
     spec = code_from_exponents(f16, rm_exponent_set(2, 4).members)  # (16, 11)
     H = dual_orbit_parity_matrix(spec, 8)
-    assert H.source == "dual-orbit"
     assert H.num_checks == 30
     assert set(H.row_weights().tolist()) == {8}
     assert is_orthogonal_to(H, spec.G)
@@ -153,7 +156,7 @@ def test_dual_orbit_finds_geometry_rows():
     spec = code_from_exponents(f16, members)
     assert spec.k == 7
     H = dual_orbit_parity_matrix(spec, 4)
-    assert {frozenset(r) for r in H.rows} == {frozenset(r) for r in H_eg.rows}
+    assert {frozenset(r) for r in _rows(H)} == {frozenset(r) for r in _rows(H_eg)}
 
 
 def test_alist_roundtrip(tmp_path):
@@ -161,7 +164,6 @@ def test_alist_roundtrip(tmp_path):
     path = tmp_path / "eg.alist"
     write_alist(path, H)
     back = read_alist(path)
-    assert back.source == "file"
     assert back.n == H.n
     assert back.num_checks == H.num_checks
     assert back.to_dense().tolist() == H.to_dense().tolist()
@@ -173,6 +175,8 @@ def test_alist_roundtrip(tmp_path):
 @pytest.mark.parametrize("rows, message", [
     ([[0, 0, 1]], "check 0 repeats position 0"),
     ([[1, 2], [2, 0, 2]], "check 1 repeats position 2"),
+    ([[1, 3]], "check position out of range"),
+    ([[0], [-1, 2]], "check position out of range"),
 ])
 def test_repeated_position_is_rejected(rows, message):
     with pytest.raises(ValueError, match=message):
@@ -188,6 +192,87 @@ def test_alist_with_repeated_position_is_rejected(tmp_path):
         read_alist(path)
 
 
+def _alist(tmp_path, text):
+    path = tmp_path / "h.alist"
+    path.write_text(text)
+    return path
+
+
+_GOOD_ALIST = "4 3\n2 2\n1 2 1 2\n2 2 2\n1 0\n1 2\n3 0\n2 3\n1 2\n2 4\n3 4\n"
+
+
+def test_hand_written_alist_reads(tmp_path):
+    H = read_alist(_alist(tmp_path, _GOOD_ALIST))
+    assert H.to_dense().tolist() == [[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
+
+
+_BAD_ALISTS = {
+    "empty": ("", "alist header section is truncated or negative"),
+    "header only": ("4 3\n", "alist header section is truncated or negative"),
+    "no column weights": ("4 3\n2 2\n1 2\n",
+                          "alist column weight section is truncated"),
+    "no row weights": ("4 3\n2 2\n1 2 1 2\n2 2\n",
+                       "alist row weight section is truncated"),
+    "short column lists": (_GOOD_ALIST.split("\n3 0")[0],
+                           "alist column list section is truncated"),
+    "short row lists": (_GOOD_ALIST[:-4],
+                        "alist row list section is truncated"),
+    "negative size": ("4 -3\n2 2\n", "alist header section is truncated or negative"),
+    "row weight": (_GOOD_ALIST.replace("\n2 2 2\n", "\n2 1 2\n"),
+                   "alist row weight section disagrees with the row lists"),
+    "column moved": (_GOOD_ALIST.replace("\n3 0\n2 3\n", "\n2 0\n3 3\n"),
+                     "alist column section contradicts the row lists"),
+    "column out of range": (_GOOD_ALIST.replace("\n3 0\n", "\n4 0\n"),
+                            "alist column section contradicts the row lists"),
+    "column weight": (_GOOD_ALIST.replace("\n1 2 1 2\n", "\n2 1 1 2\n"),
+                      "alist column section contradicts the row lists"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_ALISTS))
+def test_bad_alist_is_named(name, tmp_path):
+    """Each fault raises ValueError naming the file and the section; the
+    reader used to raise a bare StopIteration on a short file and ignore
+    the column section."""
+    text, message = _BAD_ALISTS[name]
+    path = _alist(tmp_path, text)
+    with pytest.raises(ValueError) as err:
+        read_alist(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_GOOD_ALIST.replace("\n2 4\n", "\n2 5\n"), "check position out of range"),
+    (_GOOD_ALIST.replace("\n2 4\n", "\n2 2\n"), "check 1 repeats position 1"),
+    ("4 3\n2 x\n", "invalid literal for int()"),
+])
+def test_alist_with_bad_row_lists_is_rejected(text, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        read_alist(_alist(tmp_path, text))
+
+
+def test_orthogonality_needs_equal_lengths():
+    H = eg_line_parity_matrix(2, 2)
+    with pytest.raises(ValueError, match="generator rows have length 15, "
+                                         "parity checks have length 16"):
+        is_orthogonal_to(H, np.zeros((3, 15), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("H", [eg_line_parity_matrix(2, 2),
+                               SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]])],
+                         ids=["EG(2,4) lines", "irregular"])
+def test_orthogonality_agrees_with_the_dense_product(H):
+    """Single words count as one-row generator matrices; padding entries
+    never count as positions."""
+    words = np.random.default_rng(17).integers(0, 2, size=(200, H.n),
+                                               dtype=np.uint8)
+    dense = H.to_dense().astype(int)
+    for w in words:
+        assert is_orthogonal_to(H, w) == (not (dense @ w % 2).any())
+        assert is_orthogonal_to(H, [w, w]) == is_orthogonal_to(H, w)
+    assert is_orthogonal_to(SparseParityMatrix(H.n, []), words)
+
+
 def test_alist_irregular_roundtrip(tmp_path):
     H = SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]])
     path = tmp_path / "h.alist"
@@ -198,8 +283,8 @@ def test_alist_irregular_roundtrip(tmp_path):
 
 def _to_dense_loop(H):
     """The row loop to_dense used to run, kept as reference."""
-    D = np.zeros((len(H.rows), H.n), dtype=np.uint8)
-    for i, r in enumerate(H.rows):
+    D = np.zeros((H.num_checks, H.n), dtype=np.uint8)
+    for i, r in enumerate(_rows(H)):
         D[i, r] = 1
     return D
 
@@ -207,7 +292,7 @@ def _to_dense_loop(H):
 def _col_weights_loop(H):
     """The row loop col_weights used to run, kept as reference."""
     w = np.zeros(H.n, dtype=int)
-    for r in H.rows:
+    for r in _rows(H):
         w[r] += 1
     return w
 
@@ -231,14 +316,16 @@ _TABLE_MATRICES = {
 
 @pytest.mark.parametrize("name", sorted(_TABLE_MATRICES))
 def test_check_table_reproduces_rows(name, tmp_path):
-    """idx/mask hold every check's positions in order, padded to the
-    largest row weight, and cannot be written."""
+    """idx/mask hold every check's positions in increasing order, real
+    entries first, padding 0, width the largest row weight; neither array
+    can be written."""
     H = _TABLE_MATRICES[name](tmp_path)
-    deg = max(map(len, H.rows), default=0)
-    assert H.idx.shape == H.mask.shape == (H.num_checks, deg)
-    assert [H.idx[i][H.mask[i]].tolist() for i in range(H.num_checks)] == H.rows
-    assert [H.mask[i].tolist() for i in range(H.num_checks)] == \
-        [[j < len(r) for j in range(deg)] for r in H.rows]
+    weights = H.mask.sum(axis=1)
+    assert H.idx.shape == H.mask.shape == (H.num_checks, weights.max(initial=0))
+    assert H.idx.dtype == np.int64 and H.mask.dtype == bool
+    assert np.array_equal(H.mask, np.arange(H.mask.shape[1]) < weights[:, None])
+    assert not H.idx[~H.mask].any()
+    assert ((np.diff(H.idx, axis=1) > 0) | ~H.mask[:, 1:]).all()
     for a in (H.idx, H.mask):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -251,5 +338,5 @@ def test_dense_and_weights_match_row_loops(name, tmp_path):
     dense = H.to_dense()
     assert dense.dtype == np.uint8
     assert np.array_equal(dense, _to_dense_loop(H))
-    assert H.row_weights().tolist() == [len(r) for r in H.rows]
+    assert H.row_weights().tolist() == [len(r) for r in _rows(H)]
     assert H.col_weights().tolist() == _col_weights_loop(H).tolist()

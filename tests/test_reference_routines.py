@@ -10,6 +10,12 @@ per generator row.  Every extended cyclic code of lengths 8 and 16 is
 compared, plus a fixed sample of length-32 codes with n - k <= 20.
 `ms_evaluate` is compared with its original per-(position, term) loop on
 the same codes and on a few length-64 codes.
+
+The parity-check producers build their padded check tables with array
+operations.  The list-based `SparseParityMatrix` constructor, `from_dense`,
+the frozenset line builder and the per-check alist writer they replaced
+are kept below; the tables must be identical, row order included, and the
+alist text byte-identical.
 """
 from __future__ import annotations
 
@@ -20,7 +26,9 @@ from ddcodes.cyclic import (NonBinaryResultError, code_from_exponents,
                             exponent_set_from_generator,
                             min_distance_exhaustive, ms_evaluate, ms_transform)
 from ddcodes.gf2m import GF2m, coset_closure, coset_representatives
-from ddcodes.parity import EmptyParityMatrixError, dual_orbit_parity_matrix
+from ddcodes.parity import (EmptyParityMatrixError, SparseParityMatrix,
+                            dual_orbit_parity_matrix, eg_line_parity_matrix,
+                            read_alist, write_alist)
 
 
 def _ref_min_distance(G) -> int:
@@ -94,6 +102,91 @@ def _ref_dual_orbit_rows(spec, max_row_weight: int):
     return sorted(rows) or None
 
 
+class _RefSparseParityMatrix:
+    """The list-based constructor: per-check sorted lists, then the table."""
+
+    def __init__(self, n: int, rows):
+        self.n = n
+        self.rows = [sorted(int(i) for i in r) for r in rows]
+        for r in self.rows:
+            if r and not 0 <= r[0] <= r[-1] < n:
+                raise ValueError("check position out of range")
+        deg = max(map(len, self.rows), default=0)
+        self.idx = np.zeros((len(self.rows), deg), dtype=np.int64)
+        self.mask = np.arange(deg) < np.array([len(r) for r in self.rows],
+                                              dtype=np.int64)[:, None]
+        self.idx[self.mask] = [i for r in self.rows for i in r]
+        repeats = (np.diff(self.idx, axis=1) == 0) & self.mask[:, 1:]
+        if repeats.any():
+            i, j = np.argwhere(repeats)[0]
+            raise ValueError(f"check {i} repeats position {self.idx[i, j]}")
+
+    @classmethod
+    def from_dense(cls, H):
+        H = np.asarray(H)
+        return cls(H.shape[1], [list(np.nonzero(r)[0]) for r in H])
+
+
+def _ref_eg_line_parity_matrix(mu_dims: int, subfield_bits: int):
+    """One frozenset per (direction, point), with its own mu = 1 branch."""
+    m = mu_dims * subfield_bits
+    field = GF2m(m)
+    if mu_dims == 1:
+        return _RefSparseParityMatrix(field.size, [range(field.size)])
+    q = 1 << subfield_bits
+    step = field.n // (q - 1)
+    subfield = [0] + [int(field.antilog[(i * step) % field.n]) for i in range(q - 1)]
+    lines = set()
+    for b_exp in range(field.n):
+        b = int(field.antilog[b_exp])
+        through_zero = frozenset(field.mul(s, b) for s in subfield)
+        for a in range(field.size):
+            lines.add(frozenset(a ^ p for p in through_zero))
+    rows = sorted(sorted(field.pos_of_elem[e] for e in line) for line in lines)
+    return _RefSparseParityMatrix(field.size, rows)
+
+
+def _ref_write_alist(path, H) -> None:
+    """The per-check alist writer."""
+    cols = [[] for _ in range(H.n)]
+    for i, r in enumerate(H.rows):
+        for j in r:
+            cols[j].append(i)
+    col_w = [len(cn) for cn in cols]
+    row_w = [len(r) for r in H.rows]
+    max_c, max_r = max(col_w, default=0), max(row_w, default=0)
+    lines = [
+        f"{H.n} {len(H.rows)}",
+        f"{max_c} {max_r}",
+        " ".join(map(str, col_w)),
+        " ".join(map(str, row_w)),
+    ]
+    for cn in cols:
+        ids = [i + 1 for i in cn] + [0] * (max_c - len(cn))
+        lines.append(" ".join(map(str, ids)))
+    for r in H.rows:
+        ids = [j + 1 for j in r] + [0] * (max_r - len(r))
+        lines.append(" ".join(map(str, ids)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _assert_same_checks(H, ref, tmp_path):
+    """Identical tables, byte-identical alist text, and the reference's
+    file reads back as the reference's table."""
+    assert H.n == ref.n
+    for got, want in ((H.idx, ref.idx), (H.mask, ref.mask)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    write_alist(tmp_path / "new.alist", H)
+    _ref_write_alist(tmp_path / "ref.alist", ref)
+    assert ((tmp_path / "new.alist").read_bytes()
+            == (tmp_path / "ref.alist").read_bytes())
+    back = read_alist(tmp_path / "ref.alist")
+    assert back.n == ref.n
+    assert np.array_equal(back.idx, ref.idx) and np.array_equal(back.mask, ref.mask)
+
+
 def _ref_ms_evaluate(spectrum, extended, field: GF2m) -> np.ndarray:
     """The original evaluation: one field.mul and alpha_pow per term."""
     spec = list(spectrum)
@@ -146,7 +239,7 @@ def test_code_list_covers_lengths_8_16_and_a_length_32_sample():
 
 
 @pytest.mark.parametrize("spec", CODES, ids=repr)
-def test_spectrum_and_codebook_routines_match_references(spec):
+def test_spectrum_and_codebook_routines_match_references(spec, tmp_path):
     field = spec.field
     assert (exponent_set_from_generator(spec.gen_poly, field).members
             == _ref_exponent_set(spec.gen_poly, field) == spec.exponents.members)
@@ -159,7 +252,52 @@ def test_spectrum_and_codebook_routines_match_references(spec):
             with pytest.raises(EmptyParityMatrixError):
                 dual_orbit_parity_matrix(spec, limit)
         else:
-            assert dual_orbit_parity_matrix(spec, limit).rows == want
+            _assert_same_checks(dual_orbit_parity_matrix(spec, limit),
+                                _RefSparseParityMatrix(spec.n, want), tmp_path)
+
+
+@pytest.mark.parametrize("spec", CODES, ids=repr)
+def test_from_dense_matches_reference(spec, tmp_path):
+    _assert_same_checks(SparseParityMatrix.from_dense(spec.check_matrix),
+                        _RefSparseParityMatrix.from_dense(spec.check_matrix),
+                        tmp_path)
+
+
+_GEOMETRIES = [(mu, s) for mu in range(1, 9) for s in range(1, 9)
+               if mu * s <= 8]
+
+
+def test_geometry_list_covers_every_product_up_to_8():
+    assert len(_GEOMETRIES) == 20
+    assert {mu * s for mu, s in _GEOMETRIES} == set(range(1, 9))
+
+
+@pytest.mark.parametrize("mu, s", _GEOMETRIES)
+def test_eg_lines_match_reference(mu, s, tmp_path):
+    """EG(1, 2) has m = 1, which no field supports; both builders say so."""
+    if mu * s == 1:
+        for build in (eg_line_parity_matrix, _ref_eg_line_parity_matrix):
+            with pytest.raises(ValueError, match="m=1 out of supported range"):
+                build(mu, s)
+        return
+    _assert_same_checks(eg_line_parity_matrix(mu, s),
+                        _ref_eg_line_parity_matrix(mu, s), tmp_path)
+
+
+_LITERALS = {
+    "unsorted checks": (6, [[2, 0, 1], [4, 3], [5, 0]]),
+    "sets and ranges": (8, [{7, 1, 4}, range(3), (6, 5)]),
+    "a check without positions": (5, [[0, 4], [], [3]]),
+    "every check empty": (4, [[], []]),
+    "no checks": (16, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LITERALS))
+def test_list_constructor_matches_reference(name, tmp_path):
+    n, rows = _LITERALS[name]
+    _assert_same_checks(SparseParityMatrix(n, rows),
+                        _RefSparseParityMatrix(n, rows), tmp_path)
 
 
 def _length64_sample():

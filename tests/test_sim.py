@@ -84,11 +84,12 @@ def test_runs_are_reproducible():
     assert [vars(a) for a in p1] != [vars(c) for c in p3]
 
 
-def test_worker_split_is_reproducible():
-    cfg = _base_config(workers=3, ebn0_db=[1.0])
-    p1 = run_monte_carlo(cfg).points[0]
-    p2 = run_monte_carlo(cfg).points[0]
-    assert vars(p1) == vars(p2)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_above_one_are_a_named_error(workers):
+    """The field only split the random stream; it no longer does anything."""
+    with pytest.raises(ConfigError, match=f"field 'workers' was removed .*"
+                                          f"got workers={workers}"):
+        run_monte_carlo(_base_config(workers=workers, ebn0_db=[1.0]))
 
 
 def test_workers_below_one_mean_one_substream():
@@ -171,6 +172,25 @@ def test_unknown_algo_rejected():
 def test_invalid_osd_order_rejected(algo, order):
     with pytest.raises(ValueError, match="OSD order"):
         run_monte_carlo(_base_config(algo=algo, order=order, max_frames=1))
+
+
+@pytest.mark.parametrize("algo", ["spa", "dd-spa", "mld"])
+@pytest.mark.parametrize("field, value", [("inner_max_iter", -1),
+                                          ("n_max", -3), ("n_max", 1.5)])
+def test_invalid_iteration_caps_rejected(algo, field, value):
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 0, "
+                                         f"got {value}"):
+        build_decoder(_base_config(algo=algo, **{field: value}), spec)
+
+
+@pytest.mark.parametrize("algo", ["spa", "dd-spa"])
+def test_zero_iteration_caps_return_the_hard_decision(algo):
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    decode = build_decoder(_base_config(algo=algo, inner_max_iter=0, n_max=0),
+                           spec)
+    L = np.random.default_rng(29).normal(0.0, 2.0, size=16)
+    assert np.array_equal(decode(L)[0], (L < 0).astype(np.uint8))
 
 
 def test_mld_dimension_guard():
