@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddcodes.cyclic import code_from_generator
-from ddcodes.ddcodec import dd_decode_minimal, pair_transversal
+from ddcodes.ddcodec import dd_decode_minimal
 from ddcodes.decoders import osd_batch_decoder
 from ddcodes.derivative import minimal_dd_basis
 from ddcodes.gf2m import field_for_length
@@ -27,7 +27,7 @@ def main() -> None:
     for row in mb.basis:
         print("  " + "".join(map(str, row)))
 
-    transversal, slot = pair_transversal(field)
+    transversal, _ = field.pair_transversal(1)
     print(f"one coordinate per pair: positions {transversal.tolist()}")
 
     inner = osd_batch_decoder(mb.basis, order=1)

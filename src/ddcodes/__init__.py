@@ -18,7 +18,7 @@ from .cyclic import (CodeSpec, ExponentSet, NonBinaryResultError,
                      generator_from_exponent_set, is_member,
                      min_distance_exhaustive, ms_evaluate, ms_transform,
                      rm_exponent_set, rm_membership)
-from .derivative import (CoveredSet, MinimalDdBasis, ZeroDirectionError,
+from .derivative import (MinimalDdBasis, ZeroDirectionError,
                          check_equivalence_shift, covered_set, cyclic_da,
                          cyclic_dd, da_code, dd_code, derivative_codeword,
                          derivative_rows, minimal_dd_basis, rm_projection,
@@ -31,7 +31,7 @@ from .decoders import (LLR_CLIP, RankDeficientError, mld_batch_decoder,
                        mld_exhaustive, osd_batch_decoder, osd_decode,
                        spa_batch_decoder, spa_decode_batch)
 from .ddcodec import (DecodeReport, DirectionSet, boxplus, dd_decode_cyclic,
-                      dd_decode_minimal, flop_account, pair_transversal)
+                      dd_decode_minimal, flop_account)
 from .sim import (ChannelConfig, ConfigError, SimConfig, SimPoint, SimResult,
                   build_decoder, load_config, run_monte_carlo,
                   save_config, transmit, write_results)

@@ -97,10 +97,12 @@ def _cmd_hmatrix(args) -> int:
     H = read_alist(args.alist)
     spec = _parse_code(args.code)
     ok = is_orthogonal_to(H, spec.G)
-    rw = H.row_weights()
-    cw = H.col_weights()
-    print(f"{H.num_checks}x{H.n}, row weight {rw.min()}..{rw.max()}, "
-          f"column weight {cw.min()}..{cw.max()}")
+    if H.num_checks:
+        rw, cw = H.row_weights(), H.col_weights()
+        print(f"{H.num_checks}x{H.n}, row weight {rw.min()}..{rw.max()}, "
+              f"column weight {cw.min()}..{cw.max()}")
+    else:
+        print(f"0x{H.n}, no checks")
     print("orthogonal to code" if ok else "NOT orthogonal to code")
     return 0 if ok else 1
 

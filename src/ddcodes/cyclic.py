@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf2 import DimensionTooLargeError, all_codewords, nullspace
-from .gf2m import GF2m, coset_closure, coset_representatives, field_for_length
+from .gf2m import GF2m, coset_closure, coset_representatives
 
 __all__ = [
     "ExponentSet", "CodeSpec",
@@ -191,15 +191,9 @@ def ebch_code(field: GF2m, k: int) -> CodeSpec:
     return code_from_exponents(field, S)
 
 
-def ms_transform(cyclic_word, field: GF2m | None = None) -> list[int]:
-    """Spectrum [A_j] of a length-n binary word, A_j = a(alpha^{-j}).
-
-    The field defaults to GF(2^m) with the conventional primitive polynomial
-    for n = len(word) = 2^m - 1.
-    """
+def ms_transform(cyclic_word, field: GF2m) -> list[int]:
+    """Spectrum [A_j] of a length-n binary word, A_j = a(alpha^{-j})."""
     a = np.asarray(cyclic_word, dtype=np.uint8)
-    if field is None:
-        field = field_for_length(a.shape[0] + 1)
     if a.shape != (field.n,):
         raise ValueError(f"expected length {field.n} cyclic word")
     neg_j = -np.arange(field.n)
@@ -209,15 +203,13 @@ def ms_transform(cyclic_word, field: GF2m | None = None) -> list[int]:
     return out.tolist()
 
 
-def ms_evaluate(spectrum, extended: bool = True, field: GF2m | None = None) -> np.ndarray:
+def ms_evaluate(spectrum, field: GF2m, extended: bool = True) -> np.ndarray:
     """Evaluate a spectrum back to a codeword: a_i = A(alpha^i), extension = A(0).
 
     Raises NonBinaryResultError if any evaluation leaves {0, 1}, which happens
     exactly when the spectrum violates A_{2j} = A_j^2.
     """
     spec = list(spectrum)
-    if field is None:
-        field = field_for_length(len(spec) + 1)
     n = field.n
     if len(spec) != n:
         raise ValueError(f"expected {n} spectral coefficients")

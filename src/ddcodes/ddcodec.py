@@ -26,14 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclic import CodeSpec
-from .decoders import LLR_CLIP, _ATANH_LIM, _checked_llrs
+from .decoders import LLR_CLIP, _ATANH_LIM, _checked_llrs, _nonnegative_int
 from .derivative import ZeroDirectionError
 from .gf2m import GF2m
 
 __all__ = [
     "DirectionSet", "DecodeReport", "boxplus",
-    "dd_decode_cyclic", "dd_decode_minimal", "pair_transversal",
-    "flop_account",
+    "dd_decode_cyclic", "dd_decode_minimal", "flop_account",
 ]
 
 
@@ -144,6 +143,7 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     """
     field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
+    N_max = _nonnegative_int(N_max, "N_max")
     if B is None:
         B = DirectionSet.all_of(field)
     H = spec.check_matrix
@@ -178,7 +178,7 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     vector is decoded in every direction, the soft votes are averaged into
     the new LLR vector, and the loop exits early once the hard decision
     passes every check of `spec.check_matrix`.  Raises ValueError unless L
-    is a finite vector of length 2^m.
+    is a finite vector of length 2^m and N_max an integer >= 0.
 
     With an exact inner decoder, any hard decision that lies in the
     derivative ascendant A(D(C)) is a fixed point of the loop: its
@@ -188,22 +188,6 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     outside C and exit at N_max unconverged.
     """
     return _derivative_loop(L, spec, dd_decoder, B, N_max, "cyclic")
-
-
-def pair_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
-    """Transversal of the direction-1 pairs {x, x + 1} and the slot map.
-
-    Returns (T, slot): T lists one position per pair (the even field
-    elements, ascending), and slot[p] is the index in T of p's pair, so
-    expanding a transversal word w to full length is w[slot].
-    """
-    T = np.array([field.pos_of_elem[e] for e in range(0, field.size, 2)],
-                 dtype=np.int64)
-    slot = np.zeros(field.size, dtype=np.int64)
-    for i, p in enumerate(T):
-        slot[p] = i
-        slot[field.pos_of_elem[field.elem_at_pos[p] ^ 1]] = i
-    return T, slot
 
 
 def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = None,
@@ -216,7 +200,8 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     back aligns the votes with the original word.  All directions in B are
     processed each iteration in one batch, and the loop exits early once
     the hard decision passes every check of `spec.check_matrix`.  Raises
-    ValueError unless L is a finite vector of length 2^m.
+    ValueError unless L is a finite vector of length 2^m and N_max an
+    integer >= 0.
     """
     return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .cyclic import CodeSpec, ExponentSet, code_from_exponents, cyclic_shift
 from .gf2 import rank, rref
-from .gf2m import GF2m, coset_closure, field_for_length
+from .gf2m import GF2m, coset_closure
 
 __all__ = [
-    "CoveredSet", "MinimalDdBasis", "ZeroDirectionError",
+    "MinimalDdBasis", "ZeroDirectionError",
     "covered_set", "cyclic_dd", "cyclic_da", "dd_code", "da_code",
     "derivative_codeword", "derivative_rows", "minimal_dd_basis",
     "stacked_derivative_rank", "check_equivalence_shift", "rm_projection",
@@ -29,22 +29,6 @@ __all__ = [
 
 class ZeroDirectionError(ValueError):
     """Derivatives require a nonzero direction element."""
-
-
-@dataclass(frozen=True)
-class CoveredSet:
-    """P(s): every integer whose binary expansion is a proper subset of s's."""
-    s: int
-    members: frozenset[int]
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, u):
-        return u in self.members
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,21 +42,24 @@ class MinimalDdBasis:
         return self.basis.shape[0]
 
 
-def covered_set(s: int) -> CoveredSet:
-    """All proper submasks of s; empty for s = 0, size 2^wt(s) - 1 otherwise."""
+def covered_set(s: int) -> frozenset[int]:
+    """P(s): every integer whose binary expansion is a proper subset of s's.
+
+    Empty for s = 0, of size 2^wt(s) - 1 otherwise.
+    """
     subs = set()
     u = s
     while u:
         u = (u - 1) & s
         subs.add(u)
-    return CoveredSet(s, frozenset(subs))
+    return frozenset(subs)
 
 
 def cyclic_dd(S: ExponentSet) -> ExponentSet:
     """Exponent set of the derivative descendant: union of closures of P(s)."""
     members: set[int] = set()
     for s in S.representatives():
-        members |= coset_closure(covered_set(s).members, S.n)
+        members |= coset_closure(covered_set(s), S.n)
     return ExponentSet(S.n, members)
 
 
@@ -80,7 +67,7 @@ def cyclic_da(S: ExponentSet) -> ExponentSet:
     """Exponent set of the derivative ascendant: {s : cc(P(s)) subset of S}."""
     n = S.n
     members = [s for s in range(n)
-               if coset_closure(covered_set(s).members, n) <= S.members]
+               if coset_closure(covered_set(s), n) <= S.members]
     return ExponentSet(n, members)
 
 
@@ -92,22 +79,25 @@ def da_code(spec: CodeSpec) -> CodeSpec:
     return code_from_exponents(spec.field, cyclic_da(spec.exponents))
 
 
-def derivative_codeword(a, beta: int, field: GF2m | None = None) -> np.ndarray:
-    """(D_beta a)_x = a_{x + beta} + a_x on extended coordinates.
-
-    The field defaults to the conventional one for len(a) = 2^m.
-    """
-    w = np.asarray(a, dtype=np.uint8)
-    if field is None:
-        field = field_for_length(w.shape[0])
-    return derivative_rows(field, w[None], beta)[0]
+def derivative_codeword(a, beta: int, field: GF2m) -> np.ndarray:
+    """(D_beta a)_x = a_{x + beta} + a_x on the field's extended coordinates."""
+    return derivative_rows(field, np.asarray(a, dtype=np.uint8)[None], beta)[0]
 
 
 def derivative_rows(field: GF2m, G: np.ndarray, beta: int) -> np.ndarray:
-    """Row-wise derivative of a generator matrix."""
+    """Row-wise derivative of a generator matrix.
+
+    Raises ValueError unless G is a matrix whose rows have the field's 2^m
+    positions.
+    """
     if beta == 0:
         raise ZeroDirectionError("derivative direction must be nonzero")
     G = np.asarray(G, dtype=np.uint8)
+    if G.ndim != 2:
+        raise ValueError(f"expected a matrix of words, got shape {G.shape}")
+    if G.shape[1] != field.size:
+        raise ValueError(f"words of length {G.shape[1]} do not fit the "
+                         f"{field.size} positions of {field}")
     perm = field.pair_permutation(beta)
     return G[:, perm] ^ G
 
@@ -132,7 +122,7 @@ def stacked_derivative_rank(spec: CodeSpec, betas=None) -> int:
     return rank(stacked)
 
 
-def check_equivalence_shift(a, b: int, field: GF2m | None = None) -> bool:
+def check_equivalence_shift(a, b: int, field: GF2m) -> bool:
     """Shift/derivative interchange: shifting direction alpha^b into alpha^0.
 
     Checks that the b-fold cyclic shift of (D_{alpha^b} a) equals
@@ -141,35 +131,21 @@ def check_equivalence_shift(a, b: int, field: GF2m | None = None) -> bool:
     all directions.
     """
     w = np.asarray(a, dtype=np.uint8)
-    if field is None:
-        field = field_for_length(w.shape[0])
     d_dir = derivative_codeword(w, field.alpha_pow(b), field)
     lhs = cyclic_shift(d_dir, b)
     rhs = derivative_codeword(cyclic_shift(w, b), field.alpha_pow(0), field)
     return bool(np.array_equal(lhs, rhs))
 
 
-def rm_projection(a, beta: int, field: GF2m | None = None) -> np.ndarray:
+def rm_projection(a, beta: int, field: GF2m) -> np.ndarray:
     """Derivative in direction beta read on the transversal beta * H.
 
     H is the span of alpha^1 .. alpha^(m-1) (a hyperplane missing alpha^0),
-    so beta*H meets every pair {x, x + beta} exactly once.  The result is a
-    2^(m-1) truth table indexed by coordinates over that basis; for a word
-    in the length-2^m Reed-Muller code of order r it is a Boolean polynomial
-    of degree at most r - 1 (checkable with rm_membership).
+    so beta*H meets every pair {x, x + beta} exactly once; its positions
+    are `field.pair_transversal(beta)`.  The result is a 2^(m-1) truth
+    table indexed by coordinates over that basis; for a word in the
+    length-2^m Reed-Muller code of order r it is a Boolean polynomial of
+    degree at most r - 1 (checkable with rm_membership).
     """
-    w = np.asarray(a, dtype=np.uint8)
-    if field is None:
-        field = field_for_length(w.shape[0])
-    if beta == 0:
-        raise ZeroDirectionError("derivative direction must be nonzero")
-    d = derivative_codeword(w, beta, field)
-    t = field.m - 1
-    out = np.zeros(1 << t, dtype=np.uint8)
-    for idx in range(1 << t):
-        h = 0
-        for i in range(t):
-            if (idx >> i) & 1:
-                h ^= field.alpha_pow(i + 1)
-        out[idx] = d[field.pos_of_elem[field.mul(beta, h)]]
-    return out
+    d = derivative_codeword(a, beta, field)
+    return d[field.pair_transversal(beta)[0]]

@@ -123,6 +123,24 @@ class GF2m:
             raise ValueError(f"beta={beta} is not a nonzero field element")
         return self.pos_of_elem[self.elem_at_pos ^ beta]
 
+    def pair_transversal(self, beta: int) -> tuple[np.ndarray, np.ndarray]:
+        """One position per pair {x, x + beta}, and each position's slot.
+
+        Returns (T, slot): T[i] is the position of beta * 2i.  The even
+        elements 2i span alpha^1 .. alpha^(m-1), a hyperplane missing 1, so
+        their beta-multiples meet every pair exactly once; for beta = 1, T
+        lists the even elements in ascending order.  slot[p] is the index in
+        T of p's pair, so expanding a transversal word w to full length is
+        w[slot].  Raises pair_permutation's ValueError for a bad beta.
+        """
+        partner = self.pair_permutation(beta)
+        h = np.arange(0, self.size, 2)
+        logs = (self.log[beta] + self.log[h]) % self.n   # log[0] = -1: masked
+        T = self.pos_of_elem[np.where(h > 0, self.antilog[logs], 0)]
+        slot = np.empty(self.size, dtype=np.int64)
+        slot[T] = slot[partner[T]] = np.arange(len(T))
+        return T, slot
+
     def shift_index(self, b: int) -> np.ndarray:
         """Index array s with out = word[s] the b-fold left cyclic shift.
 

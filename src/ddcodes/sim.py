@@ -104,7 +104,12 @@ def _parse_directions(spec_str: str, field: GF2m) -> DirectionSet:
         return DirectionSet.all_of(field)
     parts = spec_str.split(":")
     if len(parts) == 3 and parts[0] == "k":
-        return DirectionSet.random_subset(field, int(parts[1]), int(parts[2]))
+        try:
+            k, seed = int(parts[1]), int(parts[2])
+        except ValueError:
+            pass
+        else:
+            return DirectionSet.random_subset(field, k, seed)
     raise ConfigError(f"cannot parse directions {spec_str!r} (use all | k:<n>:<seed>)")
 
 
@@ -113,11 +118,13 @@ def _dd_parity_matrix(spec: CodeSpec) -> SparseParityMatrix:
 
     Tries every factorization of m as mu * s with mu >= 2; a line matrix is
     used only if it verifies orthogonal to the descendant's generator.
-    Falls back to the dense dual basis.
+    Falls back to the dense dual basis.  The s = 1 lines are all point
+    pairs, whose weight-2 checks admit only codes inside the repetition
+    code, so they are tried only for a descendant of dimension <= 1.
     """
     descendant = dd_code(spec)
     m = spec.field.m
-    for s in range(1, m):
+    for s in range(1 if descendant.k <= 1 else 2, m):
         if m % s:
             continue
         mu = m // s

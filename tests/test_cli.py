@@ -174,6 +174,17 @@ def test_hmatrix_check_eg16(tmp_path, capsys):
     assert "20x16, row weight 4..4, column weight 5..5" in capsys.readouterr().out
 
 
+def test_hmatrix_check_without_checks(tmp_path, capsys):
+    """No checks are vacuously orthogonal to every code; the summary used to
+    fail on the minimum of the empty row weights."""
+    alist = tmp_path / "empty.alist"
+    alist.write_text("16 0\n0 0\n" + " ".join(["0"] * 16) + "\n")
+    assert main(["hmatrix", "check", "--alist", str(alist),
+                 "--code", "16:1d1"]) == 0
+    out = capsys.readouterr().out
+    assert out == "0x16, no checks\northogonal to code\n"
+
+
 _BAD_CHECKS = {
     "empty file": (lambda text: "", "16:1d1",
                    "alist header section is truncated"),

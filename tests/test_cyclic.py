@@ -131,7 +131,7 @@ def test_ms_inversion_roundtrip():
         field = GF2m(m)
         for _ in range(50):
             word = rng.integers(0, 2, size=field.n).astype(np.uint8)
-            back = ms_evaluate(ms_transform(word, field), extended=True, field=field)
+            back = ms_evaluate(ms_transform(word, field), field, extended=True)
             assert np.array_equal(back[1:], word)
             assert back[0] == word.sum() % 2  # extension bit is A_0
 
@@ -141,13 +141,19 @@ def test_ms_evaluate_rejects_non_binary_spectra(f16):
     spectrum = [0] * 15
     spectrum[1] = f16.alpha_pow(1)
     with pytest.raises(NonBinaryResultError):
-        ms_evaluate(spectrum, field=f16)
+        ms_evaluate(spectrum, f16)
 
 
-def test_ms_default_field_inference():
+def test_ms_transform_follows_the_given_field():
+    """The spectrum depends on the primitive polynomial, so the field is
+    always passed: over x^4 + x^3 + 1 it differs from the default field's."""
     rng = np.random.default_rng(59)
+    other = GF2m(4, 0b11001)
     word = rng.integers(0, 2, size=15).astype(np.uint8)
-    assert ms_transform(word) == ms_transform(word, GF2m(4))
+    A = ms_transform(word, other)
+    assert A == _spectrum_oracle(word, other)
+    assert A != ms_transform(word, GF2m(4))
+    assert np.array_equal(ms_evaluate(A, other)[1:], word)
 
 
 def test_ms_shift_theorem(f16):

@@ -18,7 +18,6 @@ from ddcodes.ddcodec import (
     dd_decode_cyclic,
     dd_decode_minimal,
     flop_account,
-    pair_transversal,
 )
 from ddcodes.decoders import mld_batch_decoder, mld_exhaustive, osd_batch_decoder
 from ddcodes.derivative import (
@@ -330,27 +329,11 @@ def test_minimal_loop_shift_identity(n, data):
     assert np.array_equal(lhs, boxplus(Ls, Ls[field.pair_permutation(1)]))
 
 
-def test_pair_transversal_structure(f16):
-    T, slot = pair_transversal(f16)
-    assert len(T) == 8
-    elems = [f16.elem_at_pos[p] for p in T]
-    assert elems == [0, 2, 4, 6, 8, 10, 12, 14]
-    for i, p in enumerate(T):
-        assert slot[p] == i
-        partner = f16.pos_of_elem[f16.elem_at_pos[p] ^ 1]
-        assert slot[partner] == i
-    # expanding a transversal word puts each value at both pair positions
-    w = np.arange(8)
-    full = w[slot]
-    perm = f16.pair_permutation(1)
-    assert np.array_equal(full, full[perm])
-
-
 def test_minimal_loop_transversal_equivalence(ex_code, f16):
     """Half-length decoding through the transversal changes nothing."""
     rng = np.random.default_rng(277)
     basis = minimal_dd_basis(ex_code, 1).basis
-    T, slot = pair_transversal(f16)
+    T, slot = f16.pair_transversal(1)
     full_dec = mld_batch_decoder(basis)
     half_dec = mld_batch_decoder(basis[:, T])
 
@@ -547,6 +530,18 @@ def test_loops_reject_bad_llrs(kind, case, ex_code, inner_mld,
     inner = inner_mld if kind == "cyclic" else inner_minimal_mld
     with pytest.raises(ValueError, match="LLR input"):
         _LOOPS[kind][0](_BAD_LLRS[case], ex_code, inner)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+@pytest.mark.parametrize("N_max", [-1, 2.5, True, "3"])
+def test_loops_reject_bad_iteration_caps(kind, N_max, ex_code, inner_mld,
+                                         inner_minimal_mld):
+    """-1 used to return the channel hard decision at iteration 0, 2.5 a
+    bare TypeError, and True counted as one iteration."""
+    inner = inner_mld if kind == "cyclic" else inner_minimal_mld
+    with pytest.raises(ValueError, match=f"N_max must be an integer >= 0, "
+                                         f"got {N_max!r}"):
+        _LOOPS[kind][0](np.ones(16), ex_code, inner, N_max=N_max)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddcodes.cyclic import (
+    CodeSpec,
     ExponentSet,
     code_from_exponents,
     code_from_generator,
@@ -16,7 +17,6 @@ from ddcodes.cyclic import (
     rm_membership,
 )
 from ddcodes.derivative import (
-    CoveredSet,
     ZeroDirectionError,
     check_equivalence_shift,
     covered_set,
@@ -108,12 +108,10 @@ def _derivative_oracle(word, beta, field):
 
 def test_covered_set_values():
     cs = covered_set(13)
-    assert sorted(cs.members) == [0, 1, 4, 5, 8, 9, 12]
-    assert len(cs) == 7
-    assert 5 in cs
+    assert cs == frozenset({0, 1, 4, 5, 8, 9, 12})
+    assert isinstance(cs, frozenset)
     assert 13 not in cs  # proper covering excludes s itself
-    assert covered_set(0).members == frozenset()
-    assert isinstance(cs, CoveredSet)
+    assert covered_set(0) == frozenset()
 
 
 def test_covered_set_sizes():
@@ -224,6 +222,34 @@ def test_derivative_rows(ex_code, f16):
     assert rows.shape == ex_code.G.shape
     for r, row in enumerate(ex_code.G):
         assert np.array_equal(rows[r], derivative_codeword(row, 3, f16))
+
+
+@pytest.mark.parametrize("length", [8, 15, 17, 32])
+def test_wrong_length_words_are_named(length, f16):
+    """Shorter words used to raise a bare IndexError and longer ones a numpy
+    broadcast error."""
+    message = f"words of length {length} do not fit the 16 positions of"
+    word = np.zeros(length, dtype=np.uint8)
+    calls = [lambda: derivative_rows(f16, np.zeros((3, length)), 3),
+             lambda: derivative_codeword(word, 3, f16),
+             lambda: rm_projection(word, 3, f16),
+             lambda: check_equivalence_shift(word, 2, f16)]
+    if length in (8, 32):
+        # a CodeSpec whose generator rows come from another field
+        other = code_from_exponents(GF2m(length.bit_length() - 1), [0])
+        spec = CodeSpec(f16, other.exponents, other.gen_poly, other.G)
+        calls += [lambda: minimal_dd_basis(spec, 1),
+                  lambda: stacked_derivative_rank(spec)]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_derivative_rows_rejects_a_single_word(f16):
+    """A vector used to raise a bare IndexError."""
+    with pytest.raises(ValueError, match=r"expected a matrix of words, "
+                                         r"got shape \(16,\)"):
+        derivative_rows(f16, np.zeros(16), 3)
 
 
 def test_minimal_basis_spans_all_derivatives(ex_code, f16):

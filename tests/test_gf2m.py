@@ -139,6 +139,32 @@ def test_pair_permutation_swaps_pairs():
         field.pair_permutation(16)
 
 
+@pytest.mark.parametrize("field", [GF2m(4), GF2m(4, 0b11001), GF2m(5)],
+                         ids=repr)
+def test_pair_transversal_structure(field):
+    half = field.size // 2
+    for beta in range(1, field.size):
+        T, slot = field.pair_transversal(beta)
+        perm = field.pair_permutation(beta)
+        assert T.shape == (half,) and slot.shape == (field.size,)
+        # T[i] holds beta * 2i, one position of each pair
+        assert all(field.elem_at_pos[p] == field.mul(beta, 2 * i)
+                   for i, p in enumerate(T))
+        assert np.array_equal(np.sort(np.concatenate((T, perm[T]))),
+                              np.arange(field.size))
+        assert np.array_equal(slot[T], np.arange(half))
+        assert np.array_equal(slot[perm], slot)
+        # expanding a transversal word puts each value at both pair positions
+        full = np.arange(half)[slot]
+        assert np.array_equal(full, full[perm])
+    T, _ = field.pair_transversal(1)
+    assert field.elem_at_pos[T].tolist() == list(range(0, field.size, 2))
+    for beta in (0, field.size):
+        with pytest.raises(ValueError, match=f"beta={beta} is not a nonzero "
+                                             f"field element"):
+            field.pair_transversal(beta)
+
+
 def test_shift_index_rolls_cyclic_part():
     field = GF2m(3)
     word = np.array([9, 0, 1, 2, 3, 4, 5, 6])

@@ -16,6 +16,15 @@ operations.  The list-based `SparseParityMatrix` constructor, `from_dense`,
 the frozenset line builder and the per-check alist writer they replaced
 are kept below; the tables must be identical, row order included, and the
 alist text byte-identical.
+
+The β-pair transversal comes from `GF2m.pair_transversal`, built with array
+operations.  The per-element loops it replaced are kept below: the
+direction-1 transversal and slot map, and `rm_projection`'s walk over β·H
+with one `field.mul` per point.  Positions, slots and projections must be
+identical for every direction of every field with m = 2..9 and of a field
+with a non-default primitive polynomial.  `sim._dd_parity_matrix` is
+compared with its earlier version, which tried the pair geometry for every
+code, on every eBCH and Reed-Muller code with m = 4..7.
 """
 from __future__ import annotations
 
@@ -23,12 +32,15 @@ import numpy as np
 import pytest
 
 from ddcodes.cyclic import (NonBinaryResultError, code_from_exponents,
-                            exponent_set_from_generator,
-                            min_distance_exhaustive, ms_evaluate, ms_transform)
+                            ebch_code, exponent_set_from_generator,
+                            min_distance_exhaustive, ms_evaluate, ms_transform,
+                            rm_exponent_set)
+from ddcodes.derivative import dd_code, rm_projection
 from ddcodes.gf2m import GF2m, coset_closure, coset_representatives
 from ddcodes.parity import (EmptyParityMatrixError, SparseParityMatrix,
                             dual_orbit_parity_matrix, eg_line_parity_matrix,
-                            read_alist, write_alist)
+                            is_orthogonal_to, read_alist, write_alist)
+from ddcodes.sim import _dd_parity_matrix
 
 
 def _ref_min_distance(G) -> int:
@@ -321,5 +333,94 @@ def test_ms_evaluate_matches_reference_loop(spec):
             spectra.append(bad)
     for A in spectra:
         for extended in (True, False):
-            assert (_outcome(ms_evaluate, A, extended, field)
+            assert (_outcome(ms_evaluate, A, field, extended)
                     == _outcome(_ref_ms_evaluate, A, extended, field))
+
+
+def _ref_pair_transversal(field: GF2m):
+    """The direction-1 transversal and slot map, one element at a time."""
+    T = np.array([field.pos_of_elem[e] for e in range(0, field.size, 2)],
+                 dtype=np.int64)
+    slot = np.zeros(field.size, dtype=np.int64)
+    for i, p in enumerate(T):
+        slot[p] = i
+        slot[field.pos_of_elem[field.elem_at_pos[p] ^ 1]] = i
+    return T, slot
+
+
+def _ref_projection_walk(field: GF2m, beta: int) -> list[int]:
+    """rm_projection's walk over beta*H: point idx is beta times the sum of
+    alpha^(i+1) over the bits i of idx, one field.mul per point."""
+    t = field.m - 1
+    out = []
+    for idx in range(1 << t):
+        h = 0
+        for i in range(t):
+            if (idx >> i) & 1:
+                h ^= field.alpha_pow(i + 1)
+        out.append(int(field.pos_of_elem[field.mul(beta, h)]))
+    return out
+
+
+_TRANSVERSAL_FIELDS = [GF2m(m) for m in range(2, 10)] + [GF2m(4, 0b11001)]
+
+
+@pytest.mark.parametrize("field", _TRANSVERSAL_FIELDS, ids=repr)
+def test_pair_transversal_matches_reference_loops(field):
+    for got, want in zip(field.pair_transversal(1), _ref_pair_transversal(field)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    rng = np.random.default_rng(field.size + field.prim_poly)
+    for beta in range(1, field.size):
+        T, slot = field.pair_transversal(beta)
+        walk = _ref_projection_walk(field, beta)
+        assert T.tolist() == walk
+        # the direction-1 slot loop, run on beta's pairs
+        ref_slot = np.zeros(field.size, dtype=np.int64)
+        for i, p in enumerate(walk):
+            ref_slot[p] = i
+            ref_slot[field.pos_of_elem[field.elem_at_pos[p] ^ beta]] = i
+        assert slot.dtype == ref_slot.dtype and np.array_equal(slot, ref_slot)
+        # the projection: a pointwise derivative read along the walk
+        word = rng.integers(0, 2, size=field.size, dtype=np.uint8)
+        d = [word[p] ^ word[field.pos_of_elem[field.elem_at_pos[p] ^ beta]]
+             for p in range(field.size)]
+        got = rm_projection(word, beta, field)
+        assert got.dtype == np.uint8 and got.tolist() == [d[p] for p in walk]
+
+
+def _ref_dd_parity_matrix(spec) -> SparseParityMatrix:
+    """The descendant's checks, trying the pair geometry for every code."""
+    descendant = dd_code(spec)
+    m = spec.field.m
+    for s in range(1, m):
+        if m % s:
+            continue
+        mu = m // s
+        if mu < 2:
+            continue
+        H = eg_line_parity_matrix(mu, s)
+        if is_orthogonal_to(H, descendant.G):
+            return H
+    return SparseParityMatrix.from_dense(descendant.check_matrix)
+
+
+def _ebch_and_rm_codes():
+    """Every eBCH and RM(r, m) code for m = 4..7, each code once."""
+    codes = {}
+    for m in range(4, 8):
+        field = GF2m(m)
+        n = field.n
+        dims = {n - len(coset_closure(range(1, d), n)) for d in range(2, n + 1)}
+        for spec in ([ebch_code(field, k) for k in sorted(dims)]
+                     + [code_from_exponents(field, rm_exponent_set(r, m))
+                        for r in range(m)]):
+            codes.setdefault((m, spec.exponents.members), spec)
+    return list(codes.values())
+
+
+@pytest.mark.parametrize("spec", _ebch_and_rm_codes(), ids=repr)
+def test_dd_parity_matrix_matches_reference(spec):
+    got, want = _dd_parity_matrix(spec), _ref_dd_parity_matrix(spec)
+    assert got.n == want.n
+    for a, b in ((got.idx, want.idx), (got.mask, want.mask)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

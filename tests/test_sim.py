@@ -150,6 +150,15 @@ def test_dd_direction_subset():
                                      max_frames=5))
 
 
+@pytest.mark.parametrize("directions", ["k:abc:1", "k:4:", "k:4:7:1",
+                                        "k:2.5:7"])
+def test_unparsable_directions_are_named(directions):
+    """Non-integer counts and seeds used to raise int()'s own message."""
+    with pytest.raises(ConfigError, match=f"cannot parse directions "
+                                          f"'{directions}'"):
+        ddcodes.sim._parse_directions(directions, GF2m(4))
+
+
 def test_decoder_contracts():
     spec = code_from_generator(GF2m(4), 0x1D1)
     word = np.zeros(16)
