@@ -67,8 +67,10 @@ class DirectionSet:
 
     @classmethod
     def random_subset(cls, field: GF2m, k: int, seed: int) -> "DirectionSet":
-        """k distinct directions drawn once from a seeded generator."""
-        if not 1 <= k <= field.n:
+        """k distinct directions drawn once from a seeded generator; k is an
+        int or numpy integer (a bool is not one)."""
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+                or not 1 <= k <= field.n:
             raise ValueError(f"cannot draw {k} of {field.n} directions")
         rng = np.random.default_rng(seed)
         exps = np.sort(rng.choice(field.n, size=k, replace=False))

@@ -10,8 +10,13 @@ Every decoder has one shape: `spa_batch_decoder`, `osd_batch_decoder` and
 `(bits, iterations, converged)` with shapes (F, n), (F,), (F,), and raises
 `ValueError("LLR input ...")` for any other input.  The SPA and OSD closures
 call the two stack engines `spa_decode_batch` and `osd_decode` through this
-module's globals, so a wrapper installed on either name sees every call;
-`osd_decode` systematizes the whole stack in a single GF(2) elimination
+module's globals, so a wrapper installed on either name sees every call.
+`spa_decode_batch` updates one work block per call: a row whose hard
+decision satisfies every check leaves the block, so later iterations touch
+only the rows still live, and the leave-one-out check products are a loop
+over the check positions in the multiplication order of a cumulative
+product, so every row decodes exactly as it would alone.  `osd_decode`
+systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`) rather than one elimination per vector.  It then scores
 every reprocessing candidate without building it: the correlations come
 from exact sign products, extended one flip weight at a time by a batched
@@ -52,13 +57,15 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     """Flooding sum-product decoding of a (batch, n) stack of LLR vectors.
 
     Check updates use the exact tanh rule; the per-check leave-one-out
-    products come from prefix/suffix cumulative products so zero messages
-    need no special casing.  A frame stops contributing once its hard
-    decision satisfies every check; its iteration count is the first
-    iteration where that held.  Non-converged frames report max_iter and the
-    final-posterior hard decision (the channel hard decision if max_iter is
-    0).  The check table is H's padded `idx`/`mask`, built with H; a matrix
-    with no checks returns the hard decision, converged at iteration 1.
+    products are prefix and suffix products formed by a loop over the check
+    positions, in the multiplication order of a cumulative product, so zero
+    messages need no special casing.  A frame stops contributing once its
+    hard decision satisfies every check: its row leaves the work block, and
+    its iteration count is the first iteration where that held.
+    Non-converged frames report max_iter and the final-posterior hard
+    decision (the channel hard decision if max_iter is 0).  The check table
+    is H's padded `idx`/`mask`, built with H; a matrix with no checks
+    returns the hard decision, converged at iteration 1.
 
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
     (batch,).  Raises ValueError unless L is a finite (batch, n) stack and
@@ -67,7 +74,7 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     max_iter = _nonnegative_int(max_iter, "SPA iteration cap")
     idx, mask, n = H.idx, H.mask, H.n
     L = _checked_llrs(L, n, batch=True)
-    B = L.shape[0]
+    B, deg = L.shape[0], idx.shape[1]
     Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
     out = np.empty((B, n), dtype=np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
@@ -76,38 +83,55 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     pad = ~mask
     # One (B, R, deg) work block per call, updated in place: with fresh
     # temporaries every iteration, the time per call depended on how far
-    # earlier frees had raised the C allocator's heap trim threshold.  q holds
-    # the variable-to-check messages, then tanh(q/2); left and right the
-    # leave-one-out prefix and suffix products (edge entries stay 1); r the
-    # check-to-variable messages.
-    q, left, right, r = np.empty((4, B) + idx.shape)
-    np.take(Lc, idx, axis=1, out=q)
-    left[..., :1] = right[..., -1:] = 1.0
-    post = Lc
-    for it in range(1, max_iter + 1):
-        t = np.tanh(np.multiply(q, 0.5, out=q), out=q)
+    # earlier frees had raised the C allocator's heap trim threshold.  t holds
+    # tanh of half the variable-to-check messages; left and right the
+    # leave-one-out prefix and suffix products; r the check-to-variable
+    # messages.  The a rows still live sit at the front, `rows` maps them to
+    # their frames, and each iteration works on the [:a] views.  Every row
+    # keeps its own slot's bincount offsets and summation order, so dropping
+    # the others changes none of its bits.  mode="clip" keeps np.take from
+    # buffering `out`; every index is in range.
+    t, left, right, r = np.empty((4, B) + idx.shape)
+    if max_iter:
+        np.take(np.tanh(Lc * 0.5), idx, axis=1, out=t, mode="clip")
         np.copyto(t, 1.0, where=pad)
-        np.cumprod(t[..., :-1], axis=-1, out=left[..., 1:])
-        np.cumprod(t[..., :0:-1], axis=-1, out=right[..., -2::-1])
-        np.multiply(left, right, out=r)
-        np.arctanh(np.clip(r, -_ATANH_LIM, _ATANH_LIM, out=r), out=r)
-        r *= 2
-        np.copyto(r, 0.0, where=pad)
-        tot = np.bincount(flat.ravel(), weights=r.ravel(),
-                          minlength=B * n).reshape(B, n)
+    rows, post = np.arange(B), Lc
+    for it in range(1, max_iter + 1):
+        a = len(rows)
+        ta, la, ra, rr = t[:a], left[:a], right[:a], r[:a]
+        la[..., :1] = ra[..., -1:] = 1.0
+        for j in range(1, deg):
+            np.multiply(la[..., j - 1], ta[..., j - 1], out=la[..., j])
+            np.multiply(ra[..., -j], ta[..., -j], out=ra[..., -j - 1])
+        np.multiply(la, ra, out=rr)
+        np.arctanh(np.clip(rr, -_ATANH_LIM, _ATANH_LIM, out=rr), out=rr)
+        rr *= 2
+        np.copyto(rr, 0.0, where=pad)
+        tot = np.bincount(flat[:a].ravel(), weights=rr.ravel(),
+                          minlength=a * n).reshape(a, n)
         post = Lc + tot
-        np.take(post, idx, axis=1, out=q)
-        np.clip(np.subtract(q, r, out=q), -LLR_CLIP, LLR_CLIP, out=q)
         hard = (post < 0).astype(np.uint8)
         synd = np.bitwise_xor.reduce(hard[:, idx] & mask, axis=-1)
-        ok = ~synd.any(axis=-1)
-        newly = ok & ~conv
-        out[newly] = hard[newly]
-        iters[newly] = it
-        conv |= newly
-        if conv.all():
+        live = synd.any(axis=-1)
+        done = rows[~live]
+        out[done] = hard[~live]
+        iters[done] = it
+        conv[done] = True
+        rows, Lc, post = rows[live], Lc[live], post[live]
+        if not len(rows) or it == max_iter:
             break
-    out[~conv] = post[~conv] < 0
+        # The next messages, for live rows only: r moves into the free left
+        # block (whose edge entries the next iteration resets), and t takes
+        # post - r at each edge.
+        a = len(rows)
+        ta, r_live = t[:a], left[:a]
+        np.take(r[:len(live)], np.flatnonzero(live), axis=0, out=r_live,
+                mode="clip")
+        np.take(post, idx, axis=1, out=ta, mode="clip")
+        np.clip(np.subtract(ta, r_live, out=ta), -LLR_CLIP, LLR_CLIP, out=ta)
+        np.tanh(np.multiply(ta, 0.5, out=ta), out=ta)
+        np.copyto(ta, 1.0, where=pad)
+    out[rows] = post < 0
     return out, iters, conv
 
 

@@ -117,9 +117,11 @@ class GF2m:
     def pair_permutation(self, beta: int) -> np.ndarray:
         """Permutation p of extended positions with p[pos of x] = pos of x + beta.
 
-        An involution: the positions of x and x + beta swap.
+        An involution: the positions of x and x + beta swap.  beta must be
+        an int or numpy integer (a bool is not one).
         """
-        if not 0 < beta < self.size:
+        if isinstance(beta, bool) or not isinstance(beta, (int, np.integer)) \
+                or not 0 < beta < self.size:
             raise ValueError(f"beta={beta} is not a nonzero field element")
         return self.pos_of_elem[self.elem_at_pos ^ beta]
 

@@ -181,6 +181,17 @@ def test_direction_sets(f16):
         DirectionSet((0, 1), "zero")
 
 
+@pytest.mark.parametrize("k", [True, 6.0, 2.5, "6", None, np.float64(6.0)])
+def test_random_subset_rejects_a_k_that_is_not_an_integer(f16, k):
+    with pytest.raises(ValueError, match="cannot draw .* of 15 directions"):
+        DirectionSet.random_subset(f16, k, seed=9)
+
+
+def test_random_subset_accepts_numpy_integers(f16):
+    assert DirectionSet.random_subset(f16, np.int64(6), seed=9).elements \
+        == DirectionSet.random_subset(f16, 6, seed=9).elements
+
+
 def test_flop_account_values():
     assert flop_account(1.03, 256, 32, 13912.0) == 500728
     assert flop_account(1.02, 256, 255, 13912.0) == 3951439

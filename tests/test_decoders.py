@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,10 +31,11 @@ from ddcodes.decoders import (
     spa_decode_batch,
 )
 from ddcodes.derivative import minimal_dd_basis
-from ddcodes.gf2 import rank
-from ddcodes.gf2m import GF2m
+from ddcodes.gf2 import nullspace, rank
+from ddcodes.gf2m import GF2m, field_for_length
 from ddcodes.parity import (SparseParityMatrix, dual_orbit_parity_matrix,
                             eg_line_parity_matrix)
+from ddcodes.sim import ChannelConfig, SimConfig, build_decoder, transmit
 
 
 @pytest.fixture(scope="module")
@@ -695,6 +696,97 @@ def test_spa_batch_matches_per_call_table_reference(name, data):
     assert np.array_equal(bits, ref_bits)
     assert np.array_equal(iters, ref_iters)
     assert np.array_equal(conv, ref_conv)
+
+
+_SPA_NULLSPACES = {name: nullspace(H.to_dense())
+                   for name, H in _SPA_MATRICES.items()}
+
+
+@st.composite
+def _spa_mixed_stacks(draw, name):
+    """A shuffled (F, n) stack for _SPA_MATRICES[name] whose rows converge
+    at different iterations or never: one strong codeword (iteration 1),
+    codewords under drawn noise (later or never), and arbitrary LLR rows
+    (mostly never)."""
+    N = _SPA_NULLSPACES[name]
+    n = N.shape[1]
+
+    def signs():
+        msg = draw(arrays(np.uint8, len(N), elements=st.integers(0, 1)))
+        return 1.0 - 2.0 * (msg @ N % 2)
+    rows = [8.0 * signs()]
+    for _ in range(draw(st.integers(0, 4))):
+        scale = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+        noise = draw(arrays(np.float64, n, elements=st.floats(-6.0, 6.0)))
+        rows.append(scale * signs() + noise)
+    for _ in range(draw(st.integers(1, 3))):
+        rows.append(draw(arrays(np.float64, n, elements=_SPA_LLRS)))
+    return np.array(draw(st.permutations(rows)))
+
+
+def _spa_rows_checked(H, L, max_iter):
+    """spa_decode_batch(H, L, max_iter), after asserting that it equals the
+    cumprod reference and, row by row, the one-row calls."""
+    res = spa_decode_batch(H, L, max_iter)
+    for got, want in zip(res, _spa_decode_batch_reference(H, L, max_iter)):
+        assert np.array_equal(got, want)
+    for d in range(len(L)):
+        for got, want in zip(spa_decode_batch(H, L[d:d + 1], max_iter), res):
+            assert np.array_equal(got[0], want[d])
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_SPA_MATRICES)),
+       max_iter=st.integers(0, 20), data=st.data())
+def test_spa_rows_do_not_depend_on_the_rest_of_the_stack(name, max_iter, data):
+    """Rows leave the work block as they converge; no row's bits, iteration
+    count or flag may depend on which other rows share its stack."""
+    _, iters, conv = _spa_rows_checked(_SPA_MATRICES[name],
+                                       data.draw(_spa_mixed_stacks(name)),
+                                       max_iter)
+    event(f"iterations of converged rows: {sorted(set(iters[conv].tolist()))}")
+    event(f"rows never converged: {int((~conv).sum()) > 0}")
+
+
+@pytest.fixture(scope="module")
+def ebch64_spa_stacks():
+    """The first inner SPA stack (63 derivative rows) of four dd-spa frames
+    of eBCH(64, 45) `0x782cf` at 5 dB, drawn as criterion 12 draws them
+    (seed 12).  Frames 0, 3, 15 and 56 reach per-call maxima of 1, 2 and 5
+    iterations and the 20-iteration cap."""
+    spec = code_from_generator(field_for_length(64), 0x782CF)
+    decode = build_decoder(SimConfig(n=64, gen_poly_hex="0x782cf",
+                                     algo="dd-spa"), spec)
+    ch = ChannelConfig(5.0, spec.k / spec.n)
+    rng = np.random.default_rng(12)
+    calls = []
+    real = ddcodes.decoders.spa_decode_batch
+
+    def recording(H, L, max_iter=20):
+        calls.append((H, L.copy()))
+        return real(H, L, max_iter)
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddcodes.decoders, "spa_decode_batch", recording)
+        for f in range(57):
+            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+            L = transmit(msg @ spec.G % 2, ch, rng)
+            if f in (0, 3, 15, 56):
+                calls.clear()
+                decode(L)
+                stacks.append(calls[0])
+    return stacks
+
+
+def test_spa_rows_match_reference_on_recorded_ebch64_stacks(ebch64_spa_stacks):
+    maxima = []
+    for H, L in ebch64_spa_stacks:
+        assert L.shape == (63, 64)
+        _, iters, conv = _spa_rows_checked(H, L, 20)
+        maxima.append((int(iters.max()), bool(conv.all())))
+    assert maxima[:3] == [(1, True), (2, True), (5, True)]
+    assert maxima[3] == (20, False)
 
 
 _SPA_CODES = {

@@ -165,6 +165,27 @@ def test_pair_transversal_structure(field):
             field.pair_transversal(beta)
 
 
+@pytest.mark.parametrize("beta", [True, False, 2.0, 1.5, "3", None,
+                                  np.float64(2.0), np.bool_(True)])
+def test_pair_maps_reject_a_beta_that_is_not_an_integer(beta):
+    """True used to act as beta = 1, and 2.0 failed inside numpy's
+    bitwise_xor instead of naming the bad element."""
+    field = GF2m(4)
+    for method in (field.pair_permutation, field.pair_transversal):
+        with pytest.raises(ValueError, match="is not a nonzero field element"):
+            method(beta)
+
+
+def test_pair_maps_accept_numpy_integers():
+    field = GF2m(4)
+    for beta in (np.int64(5), np.uint8(5), np.int32(5)):
+        assert np.array_equal(field.pair_permutation(beta),
+                              field.pair_permutation(5))
+        for got, want in zip(field.pair_transversal(beta),
+                             field.pair_transversal(5)):
+            assert np.array_equal(got, want)
+
+
 def test_shift_index_rolls_cyclic_part():
     field = GF2m(3)
     word = np.array([9, 0, 1, 2, 3, 4, 5, 6])
