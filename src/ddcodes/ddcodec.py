@@ -28,7 +28,7 @@ import numpy as np
 from .cyclic import CodeSpec
 from .decoders import LLR_CLIP, _ATANH_LIM, _checked_llrs, _nonnegative_int
 from .derivative import ZeroDirectionError
-from .gf2m import GF2m
+from .gf2m import GF2m, _is_int
 
 __all__ = [
     "DirectionSet", "DecodeReport", "boxplus",
@@ -69,8 +69,7 @@ class DirectionSet:
     def random_subset(cls, field: GF2m, k: int, seed: int) -> "DirectionSet":
         """k distinct directions drawn once from a seeded generator; k is an
         int or numpy integer (a bool is not one)."""
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
-                or not 1 <= k <= field.n:
+        if not _is_int(k) or not 1 <= k <= field.n:
             raise ValueError(f"cannot draw {k} of {field.n} directions")
         rng = np.random.default_rng(seed)
         exps = np.sort(rng.choice(field.n, size=k, replace=False))

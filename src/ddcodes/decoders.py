@@ -13,10 +13,8 @@ call the two stack engines `spa_decode_batch` and `osd_decode` through this
 module's globals, so a wrapper installed on either name sees every call.
 `spa_decode_batch` updates one work block per call: a row whose hard
 decision satisfies every check leaves the block, so later iterations touch
-only the rows still live, and the leave-one-out check products are a loop
-over the check positions in the multiplication order of a cumulative
-product, so every row decodes exactly as it would alone.  `osd_decode`
-systematizes the whole stack in a single GF(2) elimination
+only the rows still live, and every row decodes exactly as it would alone.
+`osd_decode` systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`) rather than one elimination per vector.  It then scores
 every reprocessing candidate without building it: the correlations come
 from exact sign products, extended one flip weight at a time by a batched
@@ -36,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf2 import all_codewords, rref_stack
+from .gf2m import _is_int
 from .parity import SparseParityMatrix
 
 __all__ = [
@@ -57,15 +56,14 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     """Flooding sum-product decoding of a (batch, n) stack of LLR vectors.
 
     Check updates use the exact tanh rule; the per-check leave-one-out
-    products are prefix and suffix products formed by a loop over the check
-    positions, in the multiplication order of a cumulative product, so zero
-    messages need no special casing.  A frame stops contributing once its
-    hard decision satisfies every check: its row leaves the work block, and
-    its iteration count is the first iteration where that held.
-    Non-converged frames report max_iter and the final-posterior hard
-    decision (the channel hard decision if max_iter is 0).  The check table
-    is H's padded `idx`/`mask`, built with H; a matrix with no checks
-    returns the hard decision, converged at iteration 1.
+    products come from prefix/suffix cumulative products over the live
+    rows, so zero messages need no special casing.  A frame stops
+    contributing once its hard decision satisfies every check: its row
+    leaves the work block, and its iteration count is the first iteration
+    where that held.  Non-converged frames report max_iter and the
+    final-posterior hard decision (the channel hard decision if max_iter is
+    0).  The check table is H's padded `idx`/`mask`, built with H; a matrix
+    with no checks returns the hard decision, converged at iteration 1.
 
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
     (batch,).  Raises ValueError unless L is a finite (batch, n) stack and
@@ -74,7 +72,7 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     max_iter = _nonnegative_int(max_iter, "SPA iteration cap")
     idx, mask, n = H.idx, H.mask, H.n
     L = _checked_llrs(L, n, batch=True)
-    B, deg = L.shape[0], idx.shape[1]
+    B = L.shape[0]
     Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
     out = np.empty((B, n), dtype=np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
@@ -95,14 +93,12 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     if max_iter:
         np.take(np.tanh(Lc * 0.5), idx, axis=1, out=t, mode="clip")
         np.copyto(t, 1.0, where=pad)
-    rows, post = np.arange(B), Lc
+    rows, post, a = np.arange(B), Lc, B
     for it in range(1, max_iter + 1):
-        a = len(rows)
         ta, la, ra, rr = t[:a], left[:a], right[:a], r[:a]
         la[..., :1] = ra[..., -1:] = 1.0
-        for j in range(1, deg):
-            np.multiply(la[..., j - 1], ta[..., j - 1], out=la[..., j])
-            np.multiply(ra[..., -j], ta[..., -j], out=ra[..., -j - 1])
+        np.cumprod(ta[..., :-1], axis=-1, out=la[..., 1:])
+        np.cumprod(ta[..., :0:-1], axis=-1, out=ra[..., -2::-1])
         np.multiply(la, ra, out=rr)
         np.arctanh(np.clip(rr, -_ATANH_LIM, _ATANH_LIM, out=rr), out=rr)
         rr *= 2
@@ -113,22 +109,24 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
         hard = (post < 0).astype(np.uint8)
         synd = np.bitwise_xor.reduce(hard[:, idx] & mask, axis=-1)
         live = synd.any(axis=-1)
-        done = rows[~live]
-        out[done] = hard[~live]
-        iters[done] = it
-        conv[done] = True
-        rows, Lc, post = rows[live], Lc[live], post[live]
-        if not len(rows) or it == max_iter:
+        a = np.count_nonzero(live)
+        if a < len(rows):
+            # Converged rows leave the block; the live rows' r moves to the
+            # front of the free left block, whose edge entries the next
+            # iteration resets.
+            done = rows[~live]
+            out[done] = hard[~live]
+            iters[done] = it
+            conv[done] = True
+            rows, Lc, post = rows[live], Lc[live], post[live]
+            rr = np.take(rr, np.flatnonzero(live), axis=0, out=left[:a],
+                         mode="clip")
+        if not a or it == max_iter:
             break
-        # The next messages, for live rows only: r moves into the free left
-        # block (whose edge entries the next iteration resets), and t takes
-        # post - r at each edge.
-        a = len(rows)
-        ta, r_live = t[:a], left[:a]
-        np.take(r[:len(live)], np.flatnonzero(live), axis=0, out=r_live,
-                mode="clip")
+        # The next messages, for live rows only: t takes post - r at each edge.
+        ta = t[:a]
         np.take(post, idx, axis=1, out=ta, mode="clip")
-        np.clip(np.subtract(ta, r_live, out=ta), -LLR_CLIP, LLR_CLIP, out=ta)
+        np.clip(np.subtract(ta, rr, out=ta), -LLR_CLIP, LLR_CLIP, out=ta)
         np.tanh(np.multiply(ta, 0.5, out=ta), out=ta)
         np.copyto(ta, 1.0, where=pad)
     out[rows] = post < 0
@@ -190,8 +188,7 @@ def _flip_tables(k: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
 def _nonnegative_int(value, what: str) -> int:
     """value as an int; ValueError naming `what` unless it is an integer
     >= 0 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 0:
+    if not _is_int(value) or value < 0:
         raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
     return int(value)
 

@@ -41,6 +41,11 @@ DEFAULT_PRIMITIVE_POLYS = {
 }
 
 
+def _is_int(v) -> bool:
+    """True for an int or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 class NonPrimitivePolynomialError(ValueError):
     """The given polynomial does not generate the full multiplicative group."""
 
@@ -120,8 +125,7 @@ class GF2m:
         An involution: the positions of x and x + beta swap.  beta must be
         an int or numpy integer (a bool is not one).
         """
-        if isinstance(beta, bool) or not isinstance(beta, (int, np.integer)) \
-                or not 0 < beta < self.size:
+        if not _is_int(beta) or not 0 < beta < self.size:
             raise ValueError(f"beta={beta} is not a nonzero field element")
         return self.pos_of_elem[self.elem_at_pos ^ beta]
 
