@@ -4,7 +4,10 @@ The derivatives of a code in one fixed direction span a small exact
 subspace.  Its basis is computed once; every direction then reuses it
 after a cyclic shift, because all the per-direction subspaces are shift
 equivalent.  Derivatives are constant on pairs {x, x + beta}, so one
-coordinate per pair (a pair transversal) carries a whole derivative word.
+coordinate per pair (a pair transversal) carries a whole derivative word:
+the inner OSD decoder works on the basis punctured to the n/2 positions
+`minimal_transversal` lists, and its bits expand back to both positions of
+each pair.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ddcodes.cyclic import code_from_generator
-from ddcodes.ddcodec import dd_decode_minimal
+from ddcodes.ddcodec import dd_decode_minimal, minimal_transversal
 from ddcodes.decoders import osd_batch_decoder
 from ddcodes.derivative import minimal_dd_basis
 from ddcodes.gf2m import field_for_length
@@ -27,10 +30,12 @@ def main() -> None:
     for row in mb.basis:
         print("  " + "".join(map(str, row)))
 
-    transversal, _ = field.pair_transversal(1)
+    transversal, _ = minimal_transversal(field)
     print(f"one coordinate per pair: positions {transversal.tolist()}")
+    for row in mb.basis[:, transversal]:
+        print("  " + "".join(map(str, row)))
 
-    inner = osd_batch_decoder(mb.basis, order=1)
+    inner = osd_batch_decoder(mb.basis[:, transversal], order=1)
     rng = np.random.default_rng(9)
     channel = ChannelConfig(ebn0_db=3.0, rate=spec.k / spec.n)
     frames = 200

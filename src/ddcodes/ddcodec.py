@@ -16,7 +16,10 @@ back, built once per (field, B).  `dd_decode_cyclic` decodes every
 direction in the common cyclic descendant, so its maps are the identity.
 `dd_decode_minimal` reuses one decoder for the direction-1 minimal
 descendant: its maps cyclically shift each direction's problem into
-direction 1 and shift the bits back.
+direction 1 and shift the bits back.  A direction-1 derivative is constant
+on every pair {x, x + 1}, so the minimal loop forms it only on one position
+per pair (`minimal_transversal`), and its inner decoder works on the
+descendant punctured to those 2^(m-1) positions.
 """
 from __future__ import annotations
 
@@ -32,7 +35,8 @@ from .gf2m import GF2m, _is_int
 
 __all__ = [
     "DirectionSet", "DecodeReport", "boxplus",
-    "dd_decode_cyclic", "dd_decode_minimal", "flop_account",
+    "dd_decode_cyclic", "dd_decode_minimal", "minimal_transversal",
+    "flop_account",
 ]
 
 
@@ -105,27 +109,59 @@ class DecodeReport:
     inner_iterations: np.ndarray   # (iterations, |B|) inner-decoder tallies
 
 
+def minimal_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
+    """Where the minimal loop decodes: one position per pair {x, x + 1}.
+
+    Returns (T, slot): T lists the smaller position of each pair in
+    ascending order, 2^(m-1) of them, and slot[p] is the index in T of p's
+    pair, so a word w on T expands to full length as w[slot].  The inner
+    decoder of `dd_decode_minimal` works on the direction-1 minimal
+    descendant punctured to T, `minimal_dd_basis(spec, 1).basis[:, T]`.
+    Ascending order keeps the stable reliability sort of a punctured word in
+    the order the full-length sort gives its pairs, ties included.  (This is
+    not `field.pair_transversal(1)`, which lists the pairs in field-element
+    order.)
+    """
+    partner = field.pair_permutation(1)
+    positions = np.arange(field.size)
+    T = np.flatnonzero(positions < partner)
+    return T, np.searchsorted(T, np.minimum(positions, partner))
+
+
 @lru_cache(maxsize=32)
 def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
-    """Read-only (|B|, 2^m) index maps of the derivative loop for one
-    (field, direction set, kind), built on first use.
+    """Read-only index maps of the derivative loop for one (field, direction
+    set, kind), built on first use.
 
     partner[d] is the pair permutation of direction B[d] on the original
-    positions.  to_inner and from_inner hold flat indices into a raveled
-    (|B|, 2^m) stack, row offsets included: np.take(Ld, to_inner) carries
-    the derivative LLRs into the inner decoder's domain, and
-    np.take(bits, from_inner) brings its bits back.  Both are the identity
-    for the "cyclic" kind.  For the "minimal" kind row d is the shift by
-    the discrete log b of B[d] and its inverse: the b-shifted derivative in
-    direction alpha^b is the direction-1 derivative of the b-shifted word.
+    positions, shape (|B|, 2^m).  The inner decoder sees an (|B|, h) stack:
+    its entry (d, i) is the derivative LLR boxplus(L[at], L[at_partner]) of
+    the pair {at[d, i], at_partner[d, i]} of direction B[d].  from_inner
+    holds flat indices into the raveled (|B|, h) inner bits, row offsets
+    included, so np.take(bits, from_inner) is the (|B|, 2^m) stack of
+    decoded derivative bits on the original positions.
+
+    For the "cyclic" kind h = 2^m and every map but partner is the
+    identity.  For the "minimal" kind row d is the shift by the discrete log
+    b of B[d]: the b-shifted derivative in direction alpha^b is the
+    direction-1 derivative of the b-shifted word, which is constant on the
+    pairs {y, y + 1}.  So h = 2^(m-1): with (T, slot) =
+    minimal_transversal(field), slot i of row d sits at the b-shifted
+    position of T[i], and position x takes the bit of its b-shifted
+    position's pair.
     """
     partner = np.stack([field.pair_permutation(b) for b in B.elements])
+    positions = np.arange(field.size)
     if kind == "cyclic":
-        shifts = np.broadcast_to(np.arange(field.size), partner.shape)
+        shifts = np.broadcast_to(positions, partner.shape)
+        T = slot = positions
     else:
         shifts = np.stack([field.shift_index(e) for e in B.exponents(field)])
-    rows = field.size * np.arange(len(B))[:, None]
-    maps = (partner, shifts + rows, np.argsort(shifts, axis=1) + rows)
+        T, slot = minimal_transversal(field)
+    at = shifts[:, T]
+    at_partner = np.take_along_axis(partner, at, axis=1)
+    from_inner = slot[np.argsort(shifts, axis=1)] + len(T) * np.arange(len(B))[:, None]
+    maps = (partner, at, at_partner, from_inner)
     for a in maps:
         a.setflags(write=False)
     return maps
@@ -137,10 +173,11 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
 
     Per iteration, for each direction beta in B and position x with
     partner p = x + beta, on the running LLR vector L: the derivative LLR
-    at x is boxplus(L[x], L[p]), so both positions of a pair hold the same
-    value; and the decoded derivative bit a_hat[x] votes
-    (1 - 2 * a_hat[x]) * L[p] on x, since a correct derivative bit says
-    whether x agrees with its partner.  The next L is the mean vote over B.
+    at x is boxplus(L[x], L[p]), the same for both positions of the pair;
+    and the decoded derivative bit a_hat[x] votes (1 - 2 * a_hat[x]) * L[p]
+    on x, since a correct derivative bit says whether x agrees with its
+    partner.  The next L is the mean vote over B.  Raises ValueError if the
+    decoder's bits do not have the shape of the stack it was handed.
     """
     field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
@@ -148,18 +185,21 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     if B is None:
         B = DirectionSet.all_of(field)
     H = spec.check_matrix
-    partner, to_inner, from_inner = _direction_maps(field, B, kind)
+    partner, at, at_partner, from_inner = _direction_maps(field, B, kind)
     Lcur = L
     hard = (Lcur < 0).astype(np.uint8)
     inner_tallies = []
     converged = False
     it = 0
     for it in range(1, N_max + 1):
-        Lp = Lcur[partner]
-        Ld = boxplus(Lcur[None, :], Lp)
-        bits, inner_its, _ = decoder(np.take(Ld, to_inner))
+        Ld = boxplus(Lcur[at], Lcur[at_partner])
+        bits, inner_its, _ = decoder(Ld)
+        if np.shape(bits) != Ld.shape:
+            raise ValueError(f"inner decoder returned bits of shape "
+                             f"{np.shape(bits)} for a stack of shape {Ld.shape}")
         inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
-        votes = (1.0 - 2.0 * np.take(bits, from_inner).astype(np.float64)) * Lp
+        bits = np.take(bits, from_inner)        # (|B|, 2^m), original positions
+        votes = (1.0 - 2.0 * bits.astype(np.float64)) * Lcur[partner]
         Lcur = votes.mean(axis=0)
         hard = (Lcur < 0).astype(np.uint8)
         if not (H @ hard % 2).any():    # uint8 wraps mod 256: parity exact
@@ -198,11 +238,20 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     For a direction alpha^b, shifting the problem b places turns it into a
     direction-alpha^0 problem: the derivative of the b-shifted LLR vector in
     direction 1 is decoded by mdd_decoder, and shifting its bits b places
-    back aligns the votes with the original word.  All directions in B are
-    processed each iteration in one batch, and the loop exits early once
-    the hard decision passes every check of `spec.check_matrix`.  Raises
-    ValueError unless L is a finite vector of length 2^m and N_max an
-    integer >= 0.
+    back aligns the votes with the original word.  That derivative is
+    constant on the pairs {y, y + 1}, so it is formed and decoded only on
+    the positions T = minimal_transversal(spec.field)[0], one per pair:
+    mdd_decoder is a batch decoder for the direction-1 minimal descendant
+    punctured to T, for example
+    osd_batch_decoder(minimal_dd_basis(spec, 1).basis[:, T], 1).  It maps
+    an (|B|, 2^(m-1)) stack of derivative LLR vectors to (bits, iterations,
+    converged), and each decoded bit is expanded back to both positions of
+    its pair.  All directions in B are processed each iteration in one
+    batch, and the loop exits early once the hard decision passes every
+    check of `spec.check_matrix`.  Raises ValueError unless L is a finite
+    vector of length 2^m and N_max an integer >= 0, and if mdd_decoder's
+    bits do not have the shape of its input stack (a decoder for the
+    full-length descendant, say).
     """
     return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 

@@ -77,7 +77,7 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     out = np.empty((B, n), dtype=np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
     conv = np.zeros(B, dtype=bool)
-    flat = idx[None, :, :] + (np.arange(B) * n)[:, None, None]
+    flat = _bincount_offsets(H, B)
     pad = ~mask
     # One (B, R, deg) work block per call, updated in place: with fresh
     # temporaries every iteration, the time per call depended on how far
@@ -131,6 +131,16 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
         np.copyto(ta, 1.0, where=pad)
     out[rows] = post < 0
     return out, iters, conv
+
+
+@lru_cache(maxsize=8)
+def _bincount_offsets(H: SparseParityMatrix, B: int) -> np.ndarray:
+    """Read-only (B, R, deg) flat bincount indices of spa_decode_batch for a
+    B-row stack: slot j's check table shifted by j * n.  Built once per
+    (H, B); the live rows of an iteration use the [:a] view."""
+    flat = H.idx[None, :, :] + (np.arange(B) * H.n)[:, None, None]
+    flat.setflags(write=False)
+    return flat
 
 
 def _checked_llrs(L, n: int, batch: bool) -> np.ndarray:

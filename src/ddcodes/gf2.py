@@ -49,9 +49,10 @@ def rref_stack(M: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
     F = orders.shape[0]
     A = np.repeat(A0[None], F, axis=0)
     f = np.arange(F)
+    visit = orders + (f * cols)[:, None]     # flat indices into an (F, n) array
     steps = []
     for r in range(min(rows, cols)):
-        live = A[:, r:, :].any(axis=1)[f[:, None], orders]   # in visiting order
+        live = A[:, r:, :].any(axis=1).ravel()[visit]   # in visiting order
         i = live.argmax(axis=1)
         if not live[0, i[0]]:
             break

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
-                      flop_account)
+                      flop_account, minimal_transversal)
 from .decoders import (_checked_llrs, _nonnegative_int, mld_batch_decoder,
                        osd_batch_decoder, spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
@@ -174,8 +174,10 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     if cyclic:
         inner = spa_batch_decoder(_dd_parity_matrix(spec), cfg.inner_max_iter)
     else:
-        # dd-osd: one OSD engine on the direction-1 minimal descendant
-        inner = osd_batch_decoder(minimal_dd_basis(spec, 1).basis, cfg.order)
+        # dd-osd: one OSD engine on the direction-1 minimal descendant,
+        # punctured to the positions where the minimal loop decodes
+        T, _ = minimal_transversal(field)
+        inner = osd_batch_decoder(minimal_dd_basis(spec, 1).basis[:, T], cfg.order)
 
     def decode(L):
         # looked up per call, so a wrapper installed after set-up is seen

@@ -18,8 +18,10 @@ from ddcodes.ddcodec import (
     dd_decode_cyclic,
     dd_decode_minimal,
     flop_account,
+    minimal_transversal,
 )
-from ddcodes.decoders import mld_batch_decoder, mld_exhaustive, osd_batch_decoder
+from ddcodes.decoders import (_reliability_bases, mld_batch_decoder,
+                              mld_exhaustive, osd_batch_decoder)
 from ddcodes.derivative import (
     ZeroDirectionError,
     check_equivalence_shift,
@@ -30,6 +32,7 @@ from ddcodes.derivative import (
 )
 from ddcodes.gf2 import nullspace
 from ddcodes.gf2m import GF2m
+from ddcodes.sim import ChannelConfig, transmit
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +207,9 @@ def inner_mld(ex_code):
 
 
 @pytest.fixture(scope="module")
-def inner_minimal_mld(ex_code):
-    return mld_batch_decoder(minimal_dd_basis(ex_code, 1).basis)
+def inner_minimal_mld(ex_code, f16):
+    T, _ = minimal_transversal(f16)
+    return mld_batch_decoder(minimal_dd_basis(ex_code, 1).basis[:, T])
 
 
 def test_cyclic_loop_noiseless(ex_code, inner_mld):
@@ -301,7 +305,8 @@ def test_minimal_loop_matches_per_direction_decoding(ex_code, f16):
     minimal descendant directly (one outer iteration, no early exit)."""
     rng = np.random.default_rng(269)
     bases = {b: minimal_dd_basis(ex_code, b).basis for b in range(1, 16)}
-    decoder = mld_batch_decoder(bases[f16.alpha_pow(0)])
+    T, _ = minimal_transversal(f16)
+    decoder = mld_batch_decoder(bases[f16.alpha_pow(0)][:, T])
     agree = 0
     for _ in range(50):
         word = _random_codeword(rng, ex_code)
@@ -340,25 +345,106 @@ def test_minimal_loop_shift_identity(n, data):
     assert np.array_equal(lhs, boxplus(Ls, Ls[field.pair_permutation(1)]))
 
 
-def test_minimal_loop_transversal_equivalence(ex_code, f16):
-    """Half-length decoding through the transversal changes nothing."""
-    rng = np.random.default_rng(277)
-    basis = minimal_dd_basis(ex_code, 1).basis
-    T, slot = f16.pair_transversal(1)
-    full_dec = mld_batch_decoder(basis)
-    half_dec = mld_batch_decoder(basis[:, T])
+@pytest.mark.parametrize("field", [GF2m(4), GF2m(5), GF2m(7)],
+                         ids=lambda f: f"m={f.m}")
+def test_minimal_transversal_is_one_position_per_pair(field):
+    """T holds the smaller position of each pair {x, x + 1} in ascending
+    order, and slot names every position's pair."""
+    T, slot = minimal_transversal(field)
+    partner = field.pair_permutation(1)
+    assert len(T) == field.size // 2
+    assert (np.diff(T) > 0).all() and (T < partner[T]).all()
+    assert np.array_equal(np.sort(np.concatenate([T, partner[T]])),
+                          np.arange(field.size))
+    assert np.array_equal(slot[T], np.arange(len(T)))
+    assert np.array_equal(slot[partner], slot)
 
-    def through_transversal(Ld):
-        bits, its, conv = half_dec(Ld[:, T])
-        return bits[:, slot], its, conv
-    for _ in range(40):
-        word = _random_codeword(rng, ex_code)
-        L = _noisy_llrs(rng, word, sigma2=0.9)
-        rf = dd_decode_minimal(L, ex_code, full_dec, N_max=2)
-        rh = dd_decode_minimal(L, ex_code, through_transversal, N_max=2)
-        assert np.array_equal(rf.bits, rh.bits)
-        assert rf.iterations == rh.iterations
-        assert rf.converged == rh.converged
+
+def _ebch128():
+    return code_from_generator(GF2m(7), 0xCCC3CDB5487A24FA5F3A3DD)
+
+
+_PUNCTURE_CODES = {
+    "(16,7)": lambda: code_from_generator(GF2m(4), 0x1D1),
+    "RM(2,5)": lambda: code_from_exponents(GF2m(5),
+                                           rm_exponent_set(2, 5).members),
+    "eBCH(128,36)": _ebch128,
+}
+
+
+def _pair_constant_stacks(field, rng):
+    """Half-length LLR stacks with many repeated magnitudes (and two where
+    every |L| is equal), for the punctured and the full-length sort."""
+    h = field.size // 2
+    few = rng.choice([0.5, 1.25, 2.0], size=(12, h)) * rng.choice([-1, 1], (12, h))
+    equal = 1.5 * rng.choice([-1.0, 1.0], size=(2, h))
+    return np.concatenate([few, equal, np.zeros((1, h)),
+                           np.round(rng.normal(0.0, 2.0, size=(8, h)), 1)])
+
+
+@pytest.mark.parametrize("name", sorted(_PUNCTURE_CODES))
+def test_punctured_reliability_bases_pick_the_same_pairs(name):
+    """On a pair-constant stack, the most reliable basis of the punctured
+    minimal basis is the full basis's, pair for pair, ties included: the
+    full-length stable sort visits each pair's smaller position first, and
+    the other one is a repeated column."""
+    spec = _PUNCTURE_CODES[name]()
+    T, slot = minimal_transversal(spec.field)
+    basis = minimal_dd_basis(spec, 1).basis
+    Lh = _pair_constant_stacks(spec.field, np.random.default_rng(307))
+    M_full, piv_full = _reliability_bases(basis, Lh[:, slot])
+    M_half, piv_half = _reliability_bases(basis[:, T], Lh)
+    assert np.array_equal(T[piv_half], piv_full)
+    assert np.array_equal(M_half, M_full[:, :, T])
+
+
+def _recorded_frames(spec, seed, frames=12):
+    """Seeded BPSK/AWGN frames of random codewords, half at 4 dB, half at 2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for f in range(frames):
+        ch = ChannelConfig(4.0 if f < frames // 2 else 2.0, spec.k / spec.n)
+        out.append(transmit(_random_codeword(rng, spec), ch, rng))
+    return out
+
+
+@pytest.mark.parametrize("inner", ["ml", "osd1"])
+@pytest.mark.parametrize("name", sorted(_PUNCTURE_CODES))
+def test_half_length_minimal_loop_matches_full_length_reference(name, inner):
+    """dd_decode_minimal with an inner decoder on the punctured basis gives
+    the bits, iteration counts and flags of the full-length reference loop
+    with the same kind of decoder on the whole minimal basis."""
+    spec = _PUNCTURE_CODES[name]()
+    T, _ = minimal_transversal(spec.field)
+    basis = minimal_dd_basis(spec, 1).basis
+    make = mld_batch_decoder if inner == "ml" else (
+        lambda G: osd_batch_decoder(G, 1))
+    half, full = make(basis[:, T]), make(basis)
+    B = (DirectionSet.all_of(spec.field) if spec.n < 128
+         else DirectionSet.random_subset(spec.field, 32, 2024))
+    for L in _recorded_frames(spec, 311):
+        rep = dd_decode_minimal(L, spec, half, B, N_max=4)
+        bits, it, converged, tallies = _reference_minimal(L, spec, full, B, 4)
+        assert np.array_equal(rep.bits, bits)
+        assert (rep.iterations, rep.converged) == (it, converged)
+        assert np.array_equal(rep.inner_iterations, tallies)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "minimal"])
+def test_loops_reject_inner_bits_of_the_wrong_shape(kind, ex_code, f16):
+    """A minimal loop handed a full-length decoder, or a cyclic loop handed
+    a half-length one, used to vote with misread bits."""
+    size = 16 if kind == "minimal" else 8
+
+    def wrong(Ld):
+        ones = np.ones(len(Ld), dtype=np.int64)
+        return np.zeros((len(Ld), size), dtype=np.uint8), ones, ones > 0
+    loop = dd_decode_minimal if kind == "minimal" else dd_decode_cyclic
+    want = 8 if kind == "minimal" else 16
+    with pytest.raises(ValueError, match=rf"inner decoder returned bits of "
+                                         rf"shape \(15, {size}\) for a stack "
+                                         rf"of shape \(15, {want}\)"):
+        loop(np.ones(16), ex_code, wrong)
 
 
 def test_loops_match_exhaustive_decoding_at_high_snr(ex_code, inner_mld,
@@ -435,23 +521,36 @@ def _reference_minimal(L, spec, mdd_decoder, B, N_max):
 
 
 def _loop_cases():
-    """(spec, kind, inner name) -> batch decoder, for two fields."""
+    """(spec, kind, inner name) -> batch decoder, for two fields; the
+    minimal kind's decoders work on the punctured minimal basis."""
     specs = {"(16,7)": code_from_generator(GF2m(4), 0x1D1),
              "RM(2,5)": code_from_exponents(GF2m(5),
                                             rm_exponent_set(2, 5).members)}
     cases = {}
     for name, spec in specs.items():
+        T, _ = minimal_transversal(spec.field)
         inner_codes = {"cyclic": dd_code(spec).G,
-                       "minimal": minimal_dd_basis(spec, 1).basis}
+                       "minimal": minimal_dd_basis(spec, 1).basis[:, T]}
         for kind, G in inner_codes.items():
             cases[name, kind, "ml"] = (spec, mld_batch_decoder(G))
             cases[name, kind, "osd1"] = (spec, osd_batch_decoder(G, 1))
     return cases
 
 
+def _reference_minimal_punctured(L, spec, mdd_decoder, B, N_max):
+    """_reference_minimal with a decoder for the punctured minimal basis:
+    each full-length stack is cut to T, and the bits expand through slot."""
+    T, slot = minimal_transversal(spec.field)
+
+    def full_length(Ld):
+        bits, its, conv = mdd_decoder(Ld[:, T])
+        return bits[:, slot], its, conv
+    return _reference_minimal(L, spec, full_length, B, N_max)
+
+
 _LOOP_CASES = _loop_cases()
 _LOOPS = {"cyclic": (dd_decode_cyclic, _reference_cyclic),
-          "minimal": (dd_decode_minimal, _reference_minimal)}
+          "minimal": (dd_decode_minimal, _reference_minimal_punctured)}
 # repeated magnitudes, erasures and saturated values, as derivative words have
 _LLR_VALUES = st.one_of(
     st.sampled_from([0.0, 0.5, -0.5, 1.25, -1.25, 30.0, -30.0]),
@@ -497,8 +596,9 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
     cached maps cannot be written."""
     field = GF2m(4)
     spec = code_from_generator(field, 0x1D1)
+    T, _ = minimal_transversal(field)
     inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
-                              else minimal_dd_basis(spec, 1).basis)
+                              else minimal_dd_basis(spec, 1).basis[:, T])
     calls = []
     for attr in ("pair_permutation", "shift_index"):
         real = getattr(GF2m, attr)
@@ -512,7 +612,8 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
     B = DirectionSet.random_subset(field, 6, seed=4)
     L = _noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
     loop(L, spec, inner, B)
-    assert len(calls) == (6 if kind == "cyclic" else 12)
+    # minimal: a shift per direction, and minimal_transversal's direction 1
+    assert len(calls) == (6 if kind == "cyclic" else 13)
     calls.clear()
     loop(L, spec, inner, DirectionSet.random_subset(field, 6, seed=4))
     loop(_noisy_llrs(rng, _random_codeword(rng, spec), 0.8), spec, inner, B)

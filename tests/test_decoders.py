@@ -135,6 +135,23 @@ def test_spa_batch_matches_single(rm24):
         assert si[0] == iters[b]
 
 
+def test_spa_offsets_are_built_once_per_matrix_and_height(rm24):
+    """The bincount offsets depend only on H and the stack height: repeat
+    calls reuse one read-only table, and a new height gets its own."""
+    spec, H = rm24
+    offsets = ddcodes.decoders._bincount_offsets
+    L = np.random.default_rng(193).normal(0.0, 3.0, size=(6, 16))
+    first = spa_decode_batch(H, L, max_iter=10)
+    table = offsets(H, 6)
+    again = spa_decode_batch(H, L, max_iter=10)
+    assert offsets(H, 6) is table and not table.flags.writeable
+    assert table.shape == (6,) + H.idx.shape
+    assert np.array_equal(table, H.idx[None] + 16 * np.arange(6)[:, None, None])
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    assert offsets(H, 2) is not table
+
+
 def test_osd_workspace_properties():
     spec = code_from_generator(GF2m(4), 0x1D1)
     rng = np.random.default_rng(181)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,41 @@ def test_dd_direction_subset():
     with pytest.raises(ConfigError):
         run_monte_carlo(_base_config(algo="dd-spa", directions="bogus",
                                      max_frames=5))
+
+
+# sha256 of build_decoder("dd-osd") output on seeded frames, recorded when
+# the inner decoder still worked on the full-length minimal basis: moving it
+# to the pair transversal changed no bit, count or flag.
+_DD_OSD_DIGESTS = {
+    (128, "0xccc3cdb5487a24fa5f3a3dd", 1, "k:32:2024", 4, (4.0, 2.0), 30):
+        "008118baf846a02d9dd5a1f20f77c5d4374447c47da6017be7063fd679067a12",
+    (16, "0x1d1", 2, "all", 3, (3.0, 1.0), 40):
+        "fecb1322c640db1d6112c1f3bc54372cbaea655a1d98fc8afe9f3e51f58acff2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DD_OSD_DIGESTS), ids=lambda c: f"n={c[0]}")
+def test_dd_osd_output_is_frozen(case):
+    """Bits, outer iterations, inner tallies and flags of the dd-osd decoder
+    on fixed frames: (n, generator, order, directions, N_max, Eb/N0 points,
+    frames per point)."""
+    n, gen, order, directions, n_max, snrs, frames = case
+    spec = code_from_generator(field_for_length(n), int(gen, 16))
+    decode = build_decoder(SimConfig(n=n, gen_poly_hex=gen, algo="dd-osd",
+                                     order=order, directions=directions,
+                                     n_max=n_max), spec)
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20261019)
+    for snr in snrs:
+        ch = ChannelConfig(snr, spec.k / spec.n)
+        for _ in range(frames):
+            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+            bits, its, inner_sum, rows, conv = decode(
+                transmit(msg @ spec.G % 2, ch, rng))
+            digest.update(np.asarray(bits, dtype=np.uint8).tobytes())
+            digest.update(np.array([its, inner_sum, rows, conv],
+                                   dtype=np.int64).tobytes())
+    assert digest.hexdigest() == _DD_OSD_DIGESTS[case]
 
 
 @pytest.mark.parametrize("directions", ["k:abc:1", "k:4:", "k:4:7:1",
