@@ -14,6 +14,11 @@ module's globals, so a wrapper installed on either name sees every call.
 `spa_decode_batch` updates one work block per call: a row whose hard
 decision satisfies every check leaves the block, so later iterations touch
 only the rows still live, and every row decodes exactly as it would alone.
+A row whose channel hard decision already satisfies every check never
+enters the block: on such a check each leave-one-out tanh product is +-0
+or has the sign of its own bit, so the first update would flip no bit,
+and the row reports that hard decision, converged at iteration 1.  Every
+syndrome is one matmul against a dense transpose of H built once per H.
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`) rather than one elimination per vector.  It then scores
 every reprocessing candidate without building it: the correlations come
@@ -65,35 +70,53 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     0).  The check table is H's padded `idx`/`mask`, built with H; a matrix
     with no checks returns the hard decision, converged at iteration 1.
 
+    With max_iter >= 1, a row whose channel hard decision already satisfies
+    every check leaves before the first update, with that hard decision at
+    iteration 1, converged: exactly what the update would give it.  On a
+    check of even hard-decision parity, each leave-one-out tanh product is
+    either +-0 or has the sign of its own position's bit; clipping,
+    arctanh and the sum keep that sign, so the posterior flips no bit.
+    Every syndrome, before and after an update, comes from `_failing_rows`.
+
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
-    (batch,).  Raises ValueError unless L is a finite (batch, n) stack and
-    max_iter an integer >= 0.
+    (batch,).  Raises TypeError unless H is a SparseParityMatrix, and
+    ValueError unless L is a finite (batch, n) stack and max_iter an
+    integer >= 0.
     """
     max_iter = _nonnegative_int(max_iter, "SPA iteration cap")
+    _check_parity_matrix(H)
     idx, mask, n = H.idx, H.mask, H.n
     L = _checked_llrs(L, n, batch=True)
     B = L.shape[0]
     Lc = np.clip(L, -LLR_CLIP, LLR_CLIP)
-    out = np.empty((B, n), dtype=np.uint8)
+    out = (Lc < 0).astype(np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
     conv = np.zeros(B, dtype=bool)
+    if not max_iter:
+        return out, iters, conv
+    conv = ~_failing_rows(H, out)
+    iters[conv] = 1
+    rows = np.flatnonzero(~conv)
+    a = len(rows)
+    if not a:
+        return out, iters, conv
     flat = _bincount_offsets(H, B)
     pad = ~mask
-    # One (B, R, deg) work block per call, updated in place: with fresh
-    # temporaries every iteration, the time per call depended on how far
-    # earlier frees had raised the C allocator's heap trim threshold.  t holds
-    # tanh of half the variable-to-check messages; left and right the
-    # leave-one-out prefix and suffix products; r the check-to-variable
-    # messages.  The a rows still live sit at the front, `rows` maps them to
-    # their frames, and each iteration works on the [:a] views.  Every row
-    # keeps its own slot's bincount offsets and summation order, so dropping
-    # the others changes none of its bits.  mode="clip" keeps np.take from
-    # buffering `out`; every index is in range.
-    t, left, right, r = np.empty((4, B) + idx.shape)
-    if max_iter:
-        np.take(np.tanh(Lc * 0.5), idx, axis=1, out=t, mode="clip")
-        np.copyto(t, 1.0, where=pad)
-    rows, post, a = np.arange(B), Lc, B
+    # One (a, R, deg) work block per call for the a rows that failed a check
+    # before the first update, updated in place: with fresh temporaries every
+    # iteration, the time per call depended on how far earlier frees had
+    # raised the C allocator's heap trim threshold.  t holds tanh of half
+    # the variable-to-check messages; left and right the leave-one-out
+    # prefix and suffix products; r the check-to-variable messages.  The a
+    # rows still live sit at the front, `rows` maps them to their frames,
+    # and each iteration works on the [:a] views.  Every row keeps its own
+    # slot's bincount offsets and summation order, so dropping the others
+    # changes none of its bits.  mode="clip" keeps np.take from buffering
+    # `out`; every index is in range.
+    Lc = Lc[rows]
+    t, left, right, r = np.empty((4, a) + idx.shape)
+    np.take(np.tanh(Lc * 0.5), idx, axis=1, out=t, mode="clip")
+    np.copyto(t, 1.0, where=pad)
     for it in range(1, max_iter + 1):
         ta, la, ra, rr = t[:a], left[:a], right[:a], r[:a]
         la[..., :1] = ra[..., -1:] = 1.0
@@ -107,8 +130,7 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
                           minlength=a * n).reshape(a, n)
         post = Lc + tot
         hard = (post < 0).astype(np.uint8)
-        synd = np.bitwise_xor.reduce(hard[:, idx] & mask, axis=-1)
-        live = synd.any(axis=-1)
+        live = _failing_rows(H, hard)
         a = np.count_nonzero(live)
         if a < len(rows):
             # Converged rows leave the block; the live rows' r moves to the
@@ -131,6 +153,32 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
         np.copyto(ta, 1.0, where=pad)
     out[rows] = post < 0
     return out, iters, conv
+
+
+def _check_parity_matrix(H) -> None:
+    """TypeError unless H is a SparseParityMatrix."""
+    if not isinstance(H, SparseParityMatrix):
+        raise TypeError(f"SPA needs a SparseParityMatrix, got "
+                        f"{type(H).__name__}")
+
+
+@lru_cache(maxsize=8)
+def _dense_checks(H: SparseParityMatrix) -> np.ndarray:
+    """Read-only C-ordered (n, R) float64 transpose of H, built once per H."""
+    HT = np.ascontiguousarray(H.to_dense().T, dtype=np.float64)
+    HT.setflags(write=False)
+    return HT
+
+
+def _failing_rows(H: SparseParityMatrix, hard: np.ndarray) -> np.ndarray:
+    """(a,) mask of the rows of an (a, n) 0/1 stack that fail some check of H.
+
+    One float64 matmul counts each check's ones; the counts are integers
+    below 2^53, so their parity is exact.  (A float remainder would cost
+    several times the matmul; the integer cast is cheap.)
+    """
+    counts = np.matmul(hard, _dense_checks(H))
+    return (counts.astype(np.int64) & 1).any(axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -313,9 +361,10 @@ def mld_exhaustive(G: np.ndarray, L) -> np.ndarray:
 
 def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
     """Batch-decoder closure over a fixed parity-check matrix: each call is
-    spa_decode_batch(H, Ld, max_iter).  Raises ValueError unless max_iter
-    is an integer >= 0."""
+    spa_decode_batch(H, Ld, max_iter).  Raises TypeError unless H is a
+    SparseParityMatrix, and ValueError unless max_iter is an integer >= 0."""
     max_iter = _nonnegative_int(max_iter, "SPA iteration cap")
+    _check_parity_matrix(H)
 
     def decode(Ld: np.ndarray):
         return spa_decode_batch(H, Ld, max_iter)

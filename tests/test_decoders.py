@@ -526,6 +526,18 @@ def test_spa_rejects_invalid_iteration_caps(cap):
         spa_batch_decoder(_H16, cap)
 
 
+@pytest.mark.parametrize("H", [np.eye(3), _SPEC16.check_matrix, None],
+                         ids=["eye", "dense H", "None"])
+def test_spa_rejects_a_matrix_that_is_not_sparse(H):
+    """spa_batch_decoder(np.eye(3)) used to build, and its first call raised
+    AttributeError: 'numpy.ndarray' object has no attribute 'idx'."""
+    with pytest.raises(TypeError, match="SPA needs a SparseParityMatrix, got"):
+        spa_batch_decoder(H)
+    for cap in (0, 5):
+        with pytest.raises(TypeError, match="SparseParityMatrix"):
+            spa_decode_batch(H, np.zeros((1, 3)), cap)
+
+
 def test_spa_accepts_numpy_integer_and_zero_caps():
     L = np.random.default_rng(253).normal(0.0, 2.0, size=(4, 16))
     for got, want in zip(spa_decode_batch(_H16, L, np.int64(3)),
@@ -699,6 +711,47 @@ _SPA_LLRS = st.one_of(
     st.floats(-35.0, 35.0, allow_nan=False))
 
 
+@pytest.mark.parametrize("name", sorted(_SPA_MATRICES) + ["no checks"])
+def test_spa_syndrome_equals_the_padded_table_reduction(name):
+    """_failing_rows (one matmul against the dense transpose) flags exactly
+    the rows that the XOR reduction over the padded check table flags; with
+    no checks it flags none, so every row converges at iteration 1."""
+    H = _SPA_MATRICES.get(name, SparseParityMatrix(16, []))
+    rng = np.random.default_rng(257)
+    for a in (1, 2, 7, 63):
+        hard = rng.integers(0, 2, size=(a, H.n), dtype=np.uint8)
+        want = np.bitwise_xor.reduce(hard[:, H.idx] & H.mask, axis=-1)
+        got = ddcodes.decoders._failing_rows(H, hard)
+        assert got.shape == (a,) and got.dtype == bool
+        assert np.array_equal(got, want.any(axis=-1))
+        assert H.num_checks or not got.any()
+
+
+def test_spa_dense_checks_are_built_once_per_matrix(monkeypatch):
+    """The dense transpose depends only on H: repeat calls reuse one
+    read-only table, built by one to_dense call, and a new H gets its own."""
+    builds = []
+    to_dense = SparseParityMatrix.to_dense
+
+    def counting(self):
+        builds.append(self)
+        return to_dense(self)
+    monkeypatch.setattr(SparseParityMatrix, "to_dense", counting)
+    H = SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]])
+    L = np.random.default_rng(263).normal(0.0, 2.0, size=(4, 6))
+    first = spa_decode_batch(H, L, 10)
+    table = ddcodes.decoders._dense_checks(H)
+    again = spa_decode_batch(H, L, 10)
+    assert builds == [H]
+    assert ddcodes.decoders._dense_checks(H) is table
+    assert not table.flags.writeable and table.dtype == np.float64
+    assert np.array_equal(table, to_dense(H).T)
+    for x, y in zip(first, again):
+        assert np.array_equal(x, y)
+    other = SparseParityMatrix(6, [[0, 1, 2], [3, 4], [0, 5]])
+    assert ddcodes.decoders._dense_checks(other) is not table
+
+
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(sorted(_SPA_MATRICES)), data=st.data())
 def test_spa_batch_matches_per_call_table_reference(name, data):
@@ -764,6 +817,52 @@ def test_spa_rows_do_not_depend_on_the_rest_of_the_stack(name, max_iter, data):
                                        max_iter)
     event(f"iterations of converged rows: {sorted(set(iters[conv].tolist()))}")
     event(f"rows never converged: {int((~conv).sum()) > 0}")
+
+
+# magnitudes of hard-decision codeword rows: erasures, a subnormal where
+# tanh(x/2) underflows products to zero, the clip value and beyond it
+_SPA_EDGE_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 1e-310, 5e-324, 0.5, 30.0, 35.0]),
+    st.floats(0.0, 35.0))
+
+
+@st.composite
+def _spa_passing_rows(draw, name):
+    """An LLR row for _SPA_MATRICES[name] whose hard decision L < 0 is a
+    codeword: positions of bit 0 get +m or -0.0, positions of bit 1 get -m
+    with m > 0."""
+    N = _SPA_NULLSPACES[name]
+    msg = draw(arrays(np.uint8, len(N), elements=st.integers(0, 1)))
+    word = msg @ N % 2
+    mags = draw(arrays(np.float64, N.shape[1], elements=_SPA_EDGE_MAGNITUDES))
+    neg_zero = draw(arrays(bool, N.shape[1]))
+    L = np.where(word == 1, -np.maximum(mags, 1e-310),
+                 np.where((mags == 0) & neg_zero, -0.0, mags))
+    assert np.array_equal(L < 0, word == 1)
+    return L
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_SPA_MATRICES)),
+       max_iter=st.integers(0, 20), data=st.data())
+def test_spa_rows_passing_every_check_leave_before_the_first_update(
+        name, max_iter, data):
+    """Rows whose channel hard decision is a codeword skip the update and
+    report what it would give them: their hard decision at iteration 1,
+    converged (iteration 0, not converged, with no iterations).  Every row,
+    passing or not, equals the cumprod reference and its one-row call."""
+    H = _SPA_MATRICES[name]
+    passing = [data.draw(_spa_passing_rows(name))
+               for _ in range(data.draw(st.integers(1, 4)))]
+    others = [data.draw(arrays(np.float64, H.n, elements=_SPA_LLRS))
+              for _ in range(data.draw(st.integers(0, 3)))]
+    order = data.draw(st.permutations(range(len(passing) + len(others))))
+    L = np.array(passing + others)[order]
+    bits, iters, conv = _spa_rows_checked(H, L, max_iter)
+    ok = np.array(order) < len(passing)
+    assert np.array_equal(bits[ok], (L[ok] < 0).astype(np.uint8))
+    assert iters[ok].tolist() == [min(max_iter, 1)] * len(passing)
+    assert conv[ok].tolist() == [max_iter > 0] * len(passing)
 
 
 @pytest.fixture(scope="module")

@@ -187,6 +187,48 @@ def test_dd_osd_output_is_frozen(case):
     assert digest.hexdigest() == _DD_OSD_DIGESTS[case]
 
 
+# sha256 of build_decoder("dd-spa") output on seeded frames, recorded before
+# rows whose channel hard decision passes every check left SPA ahead of its
+# first update: that exit changed no bit, count or flag.
+_DD_SPA_DIGESTS = {
+    (64, "0x782cf", (5.0, 3.0), 150):
+        "e8eebc9a527ec9d2dbaffab572a31a987fff28ff0c0c19365718f71de1f325f2",
+    (16, "0x1d1", (3.0, 1.0), 40):
+        "faa50b7c836f73c5b12ed6df6156dedf5e281a97008c717d2b243f9e56a5cd59",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DD_SPA_DIGESTS), ids=lambda c: f"n={c[0]}")
+def test_dd_spa_output_is_frozen(case, monkeypatch):
+    """Bits, outer iterations, inner tallies and flags of the dd-spa decoder
+    on fixed frames, and the per-row iteration counts and flags of every
+    inner SPA call: (n, generator, Eb/N0 points, frames per point)."""
+    n, gen, snrs, frames = case
+    spec = code_from_generator(field_for_length(n), int(gen, 16))
+    decode = build_decoder(SimConfig(n=n, gen_poly_hex=gen, algo="dd-spa"),
+                           spec)
+    digest = hashlib.sha256()
+    real = ddcodes.decoders.spa_decode_batch
+
+    def recording(H, L, max_iter=20):
+        bits, iters, conv = real(H, L, max_iter)
+        digest.update(iters.astype(np.int64).tobytes())
+        digest.update(conv.astype(np.uint8).tobytes())
+        return bits, iters, conv
+    monkeypatch.setattr(ddcodes.decoders, "spa_decode_batch", recording)
+    rng = np.random.default_rng(20261019)
+    for snr in snrs:
+        ch = ChannelConfig(snr, spec.k / spec.n)
+        for _ in range(frames):
+            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+            bits, its, inner_sum, rows, conv = decode(
+                transmit(msg @ spec.G % 2, ch, rng))
+            digest.update(np.asarray(bits, dtype=np.uint8).tobytes())
+            digest.update(np.array([its, inner_sum, rows, conv],
+                                   dtype=np.int64).tobytes())
+    assert digest.hexdigest() == _DD_SPA_DIGESTS[case]
+
+
 @pytest.mark.parametrize("directions", ["k:abc:1", "k:4:", "k:4:7:1",
                                         "k:2.5:7"])
 def test_unparsable_directions_are_named(directions):
