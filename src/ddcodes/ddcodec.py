@@ -10,6 +10,17 @@ vector, and the loop stops as soon as the hard decision is a codeword of the
 outer code C, tested against C's cached parity-check matrix
 `spec.check_matrix`.
 
+The loop forms the box-plus with `boxplus`'s own operations but takes tanh
+once per position, not once per pair member, and averages the votes with
+the reduction `ndarray.mean` runs, without its call overhead; both give
+`boxplus`'s and `mean`'s values bit for bit.  A frame whose channel hard
+decision is already a codeword of C, with every |L| at or above a fixed
+floor (`_EXIT_FLOOR`, 1e-4), leaves before any inner call with the report
+the first iteration would give it, when the inner decoder states its
+`codeword_iterations` as the closures of `ddcodes.decoders` do.  The floor
+keeps an exact inner decoder's correlation scores apart from rounding;
+`_derivative_loop` derives it.
+
 One loop serves both decoders of the paper; they differ only in the index
 maps that carry the derivative words into the inner decoder and its bits
 back, built once per (field, B).  `dd_decode_cyclic` decodes every
@@ -40,12 +51,19 @@ __all__ = [
 ]
 
 
+# Smallest |L| at which a frame whose channel hard decision is a codeword
+# leaves the derivative loop before any inner call (see _derivative_loop).
+_EXIT_FLOOR = 1e-4
+
+
 def boxplus(a, b) -> np.ndarray:
     """LLR of the XOR of two bits with LLRs a and b (exact tanh rule).
 
     Inputs are clipped to +-30 and the atanh argument is kept away from
     +-1, so saturated inputs stay finite: boxplus(30, -30) is about -28.3,
-    not -30.
+    not -30.  This is the reference for the derivative loop, which runs
+    the same operations with tanh taken once per position and must match
+    it bit for bit.
     """
     a = np.clip(np.asarray(a, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
     b = np.clip(np.asarray(b, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
@@ -178,6 +196,35 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     on x, since a correct derivative bit says whether x agrees with its
     partner.  The next L is the mean vote over B.  Raises ValueError if the
     decoder's bits do not have the shape of the stack it was handed.
+
+    The box-plus is formed as `boxplus` forms it, with the same operations
+    in the same order, but tanh is taken once per position: t = tanh(clip(L)
+    / 2) on the 2^m positions, then clip(2 atanh(clip(t[x] t[p]))) on every
+    pair.  The mean vote is the reduction `ndarray.mean` performs, then one
+    division by |B|.  Both give the values `boxplus` and `mean` give, bit
+    for bit.
+
+    A frame whose channel hard decision h already passes every check of C
+    leaves before any inner call when N_max >= 1, min |L| >= _EXIT_FLOOR,
+    and the decoder states its `codeword_iterations` (as the closures of
+    `ddcodes.decoders` do).  It reports h, converged at iteration 1, with
+    that tally for every direction: exactly what the first iteration gives
+    it.  Every derivative hard decision D_beta h is then a codeword of the
+    descendant, and each box-plus has its sign, so the inner decoder
+    returns D_beta h (SPA because the row passes every check, ML and OSD
+    because D_beta h has the largest correlation), and every vote
+    (1 - 2 D_beta h[x]) L[x + beta] has the sign of h[x].  A decoder
+    without the attribute, such as a recording wrapper, runs the loop.
+
+    The floor keeps the inner decoder's scores apart.  With |L| >= f,
+    every |box-plus| is at least about f^2 / 2, so D_beta h beats any other
+    codeword's correlation by at least f^2.  Each n-term correlation of
+    values up to 30 is rounded by up to about n^2 * 30 * 2^-53, so the gap
+    survives rounding when f > n * 6e-8: 1.5e-5 at n = 256, and below
+    1e-4 up to n of about 1700.  Without a floor the exit is not exact:
+    codeword-sign frames of magnitudes 30 and 1e-20 on (16, 7) leave the
+    codeword under ML, because two correlations round to a tie and argmax
+    takes the earlier codeword.
     """
     field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
@@ -185,14 +232,25 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     if B is None:
         B = DirectionSet.all_of(field)
     H = spec.check_matrix
+    hard = (L < 0).astype(np.uint8)
+    tally = getattr(decoder, "codeword_iterations", None)
+    # uint8 wraps mod 256, so H @ hard % 2 is the exact syndrome
+    if (N_max and tally is not None and not (H @ hard % 2).any()
+            and np.abs(L).min() >= _EXIT_FLOOR):
+        return DecodeReport(hard, 1, True,
+                            np.full((1, len(B)), tally, dtype=np.int64))
     partner, at, at_partner, from_inner = _direction_maps(field, B, kind)
     Lcur = L
-    hard = (Lcur < 0).astype(np.uint8)
     inner_tallies = []
     converged = False
     it = 0
     for it in range(1, N_max + 1):
-        Ld = boxplus(Lcur[at], Lcur[at_partner])
+        t = np.tanh(np.clip(Lcur, -LLR_CLIP, LLR_CLIP) * 0.5)
+        Ld = np.multiply(t[at], t[at_partner])
+        np.clip(Ld, -_ATANH_LIM, _ATANH_LIM, out=Ld)
+        np.arctanh(Ld, out=Ld)
+        Ld *= 2
+        np.clip(Ld, -LLR_CLIP, LLR_CLIP, out=Ld)
         bits, inner_its, _ = decoder(Ld)
         if np.shape(bits) != Ld.shape:
             raise ValueError(f"inner decoder returned bits of shape "
@@ -200,9 +258,9 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
         inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
         bits = np.take(bits, from_inner)        # (|B|, 2^m), original positions
         votes = (1.0 - 2.0 * bits.astype(np.float64)) * Lcur[partner]
-        Lcur = votes.mean(axis=0)
+        Lcur = np.add.reduce(votes, axis=0) / len(B)
         hard = (Lcur < 0).astype(np.uint8)
-        if not (H @ hard % 2).any():    # uint8 wraps mod 256: parity exact
+        if not (H @ hard % 2).any():
             converged = True
             break
     tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
@@ -218,8 +276,12 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     converged).  Per outer iteration the derivative of the running LLR
     vector is decoded in every direction, the soft votes are averaged into
     the new LLR vector, and the loop exits early once the hard decision
-    passes every check of `spec.check_matrix`.  Raises ValueError unless L
-    is a finite vector of length 2^m and N_max an integer >= 0.
+    passes every check of `spec.check_matrix`.  A frame whose channel hard
+    decision already passes them, with min |L| >= 1e-4 and N_max >= 1,
+    returns before any inner call if dd_decoder has a `codeword_iterations`
+    attribute, with the report the first iteration gives (see
+    `_derivative_loop`).  Raises ValueError unless L is a finite vector of
+    length 2^m and N_max an integer >= 0.
 
     With an exact inner decoder, any hard decision that lies in the
     derivative ascendant A(D(C)) is a fixed point of the loop: its
@@ -248,10 +310,11 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     converged), and each decoded bit is expanded back to both positions of
     its pair.  All directions in B are processed each iteration in one
     batch, and the loop exits early once the hard decision passes every
-    check of `spec.check_matrix`.  Raises ValueError unless L is a finite
-    vector of length 2^m and N_max an integer >= 0, and if mdd_decoder's
-    bits do not have the shape of its input stack (a decoder for the
-    full-length descendant, say).
+    check of `spec.check_matrix`; a frame whose channel hard decision
+    passes them leaves before any inner call, as in `dd_decode_cyclic`.
+    Raises ValueError unless L is a finite vector of length 2^m and N_max
+    an integer >= 0, and if mdd_decoder's bits do not have the shape of its
+    input stack (a decoder for the full-length descendant, say).
     """
     return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 

@@ -11,6 +11,11 @@ Every decoder has one shape: `spa_batch_decoder`, `osd_batch_decoder` and
 `ValueError("LLR input ...")` for any other input.  The SPA and OSD closures
 call the two stack engines `spa_decode_batch` and `osd_decode` through this
 module's globals, so a wrapper installed on either name sees every call.
+Each closure also carries `codeword_iterations`: the iteration count it
+returns for a row whose hard decision is already a codeword of its code,
+min(max_iter, 1) for SPA and 1 for OSD and ML.  The derivative loop reads
+it to return a frame whose channel hard decision is a codeword without
+calling the closure; a closure without the attribute is always called.
 `spa_decode_batch` updates one work block per call: a row whose hard
 decision satisfies every check leaves the block, so later iterations touch
 only the rows still live, and every row decodes exactly as it would alone.
@@ -368,6 +373,7 @@ def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
 
     def decode(Ld: np.ndarray):
         return spa_decode_batch(H, Ld, max_iter)
+    decode.codeword_iterations = min(max_iter, 1)
     return decode
 
 
@@ -385,6 +391,7 @@ def osd_batch_decoder(G: np.ndarray, order: int):
         bits = osd_decode(G, Ld, order)
         ones = np.ones(bits.shape[0], dtype=np.int64)
         return bits, ones, ones.astype(bool)
+    decode.codeword_iterations = 1
     return decode
 
 
@@ -392,14 +399,19 @@ def mld_batch_decoder(G: np.ndarray):
     """Batch-decoder closure enumerating a fixed codebook once.
 
     Row d of the output is mld_exhaustive(G, Ld[d]), reported as converged
-    in one iteration.  Raises ValueError unless Ld is a finite (F, n) stack.
+    in one iteration.  Every stack is scored in Fortran order, the order the
+    derivative loop hands it over in: the matmul rounds near-tied scores
+    differently for the two layouts, and a C-ordered copy of a stack could
+    decode to another word.  Raises ValueError unless Ld is a finite (F, n)
+    stack.
     """
     C = all_codewords(G)
     S = 1.0 - 2.0 * C.astype(np.float64)
 
     def decode(Ld: np.ndarray):
-        Ld = _checked_llrs(Ld, C.shape[1], batch=True)
+        Ld = np.asfortranarray(_checked_llrs(Ld, C.shape[1], batch=True))
         best = np.argmax(S @ Ld.T, axis=0)
         ones = np.ones(Ld.shape[0], dtype=np.int64)
         return C[best], ones, ones.astype(bool)
+    decode.codeword_iterations = 1
     return decode

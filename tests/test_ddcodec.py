@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +24,8 @@ from ddcodes.ddcodec import (
     minimal_transversal,
 )
 from ddcodes.decoders import (_reliability_bases, mld_batch_decoder,
-                              mld_exhaustive, osd_batch_decoder)
+                              mld_exhaustive, osd_batch_decoder,
+                              spa_batch_decoder)
 from ddcodes.derivative import (
     ZeroDirectionError,
     check_equivalence_shift,
@@ -32,7 +36,8 @@ from ddcodes.derivative import (
 )
 from ddcodes.gf2 import nullspace
 from ddcodes.gf2m import GF2m
-from ddcodes.sim import ChannelConfig, transmit
+from ddcodes.parity import SparseParityMatrix
+from ddcodes.sim import ChannelConfig, _dd_parity_matrix, transmit
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +122,8 @@ def _recording(decoder):
 
 def test_derivative_llr_pairs(ex_code, f16, inner_mld):
     """Row d of the cyclic loop's inner stack is the derivative LLR vector
-    boxplus(L, L[pair(B[d])]), so both positions of a pair hold it."""
+    boxplus(L, L[pair(B[d])]) bit for bit, though the loop takes tanh once
+    per position, so both positions of a pair hold it."""
     rng = np.random.default_rng(227)
     for _ in range(100):
         L = rng.normal(0.0, 4.0, size=16)
@@ -126,8 +132,8 @@ def test_derivative_llr_pairs(ex_code, f16, inner_mld):
         (Ld,) = inner.seen
         for d, beta in enumerate(DirectionSet.all_of(f16)):
             perm = f16.pair_permutation(beta)
-            assert np.allclose(Ld[d], Ld[d][perm])
-            assert np.allclose(Ld[d], boxplus(L, L[perm]))
+            assert np.array_equal(Ld[d], Ld[d][perm])
+            assert np.array_equal(Ld[d], boxplus(L, L[perm]))
 
 
 def test_derivative_llr_noiseless_signs(ex_code, f16, inner_mld):
@@ -430,6 +436,49 @@ def test_half_length_minimal_loop_matches_full_length_reference(name, inner):
         assert np.array_equal(rep.inner_iterations, tallies)
 
 
+# sha256 of the reports of both loops with an ML inner decoder on seeded
+# frames, recorded before the loop returned frames whose channel hard
+# decision is already a codeword without an inner call, before it took tanh
+# once per position, and before the ML closure scored every stack in Fortran
+# order: none of these changed a bit, count or flag.  The cyclic case is the
+# dd-ml-16 benchmark call.
+_DD_ML_DIGESTS = {
+    ("cyclic", "(16,7)", 3, (5.0, 3.0, 1.0), 400):
+        "9f4adc2866e0eb1f14a8e8339af509a64854cc9b789eb53fcc8af86f4bac9841",
+    ("minimal", "(16,7)", 4, (5.0, 3.0, 1.0), 400):
+        "14c1ae75c2517dc04b7d842000327703a499cf81f98013120b46d6db08d4bcc6",
+    ("minimal", "RM(2,5)", 4, (5.0, 3.0, 1.0), 200):
+        "8304f70945cf48922bf8ad58efa3b0308bec3bfbb202d1db4f56be6c689e30d9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DD_ML_DIGESTS),
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+def test_dd_ml_output_is_frozen(case):
+    """Bits, outer iterations, inner tallies and flags of each loop with an
+    ML decoder for its descendant, on every direction: (kind, code, N_max,
+    Eb/N0 points, frames per point)."""
+    kind, name, N_max, snrs, frames = case
+    spec = _PUNCTURE_CODES[name]()
+    T, _ = minimal_transversal(spec.field)
+    inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
+                              else minimal_dd_basis(spec, 1).basis[:, T])
+    B = DirectionSet.all_of(spec.field)
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20261019)
+    for snr in snrs:
+        ch = ChannelConfig(snr, spec.k / spec.n)
+        for _ in range(frames):
+            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+            rep = _LOOPS[kind][0](transmit(msg @ spec.G % 2, ch, rng), spec,
+                                  inner, B, N_max)
+            digest.update(np.asarray(rep.bits, dtype=np.uint8).tobytes())
+            digest.update(np.array([rep.iterations, rep.converged],
+                                   dtype=np.int64).tobytes())
+            digest.update(rep.inner_iterations.astype(np.int64).tobytes())
+    assert digest.hexdigest() == _DD_ML_DIGESTS[case]
+
+
 @pytest.mark.parametrize("kind", ["cyclic", "minimal"])
 def test_loops_reject_inner_bits_of_the_wrong_shape(kind, ex_code, f16):
     """A minimal loop handed a full-length decoder, or a cyclic loop handed
@@ -510,7 +559,10 @@ def _reference_minimal(L, spec, mdd_decoder, B, N_max):
         bits, inner_its, _ = mdd_decoder(Ld)
         inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
         votes_shifted = (1.0 - 2.0 * bits.astype(np.float64)) * Lp
-        votes = np.zeros_like(votes_shifted)
+        # C order, so mean(axis=0) adds the directions one by one in B's
+        # order, as the loop does: numpy sums an F-ordered array pairwise,
+        # and a vote sum that cancels to 0 can round to either sign.
+        votes = np.zeros(votes_shifted.shape)
         np.put_along_axis(votes, sidx, votes_shifted, axis=1)
         Lcur = votes.mean(axis=0)
         hard = (Lcur < 0).astype(np.uint8)
@@ -670,3 +722,141 @@ def test_loops_return_codewords_unchanged(case, data):
     rep = _LOOPS[kind][0](8.0 * (1.0 - 2.0 * word), spec, inner)
     assert np.array_equal(rep.bits, word)
     assert (rep.iterations, rep.converged) == (1, True)
+
+
+def _exit_cases():
+    """_LOOP_CASES plus SPA inner decoders with caps 0 and 20: the cyclic
+    kind on the dd-spa parity matrix, the minimal kind on the checks of the
+    punctured minimal basis."""
+    cases = dict(_LOOP_CASES)
+    for (name, kind, inner), (spec, _) in _LOOP_CASES.items():
+        if inner != "ml":
+            continue
+        if kind == "cyclic":
+            H = _dd_parity_matrix(spec)
+        else:
+            T, _ = minimal_transversal(spec.field)
+            H = SparseParityMatrix.from_dense(
+                nullspace(minimal_dd_basis(spec, 1).basis[:, T]))
+        for cap in (0, 20):
+            cases[name, kind, f"spa{cap}"] = (spec, spa_batch_decoder(H, cap))
+    return cases
+
+
+_EXIT_CASES = _exit_cases()
+_FLOOR = ddcodes.ddcodec._EXIT_FLOOR
+# magnitudes at and above the floor, and below it: underflowing box-plus
+# values and erasures of either sign
+_ABOVE_FLOOR = [30.0, 30.0, 30.0, 2.5, 1e-3, _FLOOR, np.nextafter(_FLOOR, 1.0)]
+_BELOW_FLOOR = [np.nextafter(_FLOOR, 0.0), 1e-10, 1e-15, 1e-20, 1e-40, 5e-324,
+                0.0, -0.0]
+
+
+def _counting(decoder):
+    """The batch decoder, counting its calls in .calls; functools.wraps
+    copies its codeword_iterations."""
+    @functools.wraps(decoder)
+    def decode(Ld):
+        decode.calls += 1
+        return decoder(Ld)
+    decode.calls = 0
+    return decode
+
+
+def _same_report(rep, other):
+    assert np.array_equal(rep.bits, other.bits)
+    assert (rep.iterations, rep.converged) == (other.iterations,
+                                               other.converged)
+    assert np.array_equal(rep.inner_iterations, other.inner_iterations)
+    assert rep.inner_iterations.dtype == other.inner_iterations.dtype
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(sorted(_EXIT_CASES)), data=st.data())
+def test_codeword_frames_leave_before_any_inner_call(case, data):
+    """A frame whose channel hard decision passes every check of C, with
+    every |L| at or above the floor and N_max >= 1, makes no inner call and
+    reports its hard decision, iteration 1, converged, and the decoder's
+    codeword_iterations for every direction (0 for SPA with cap 0).  Every
+    frame gets the report of the reference loops, which have no exit, and
+    of the loop through a wrapper without the attribute."""
+    _, kind, _ = case
+    spec, inner = _EXIT_CASES[case]
+    msg = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.k,
+                                      max_size=spec.k)), dtype=np.uint8)
+    pool = _ABOVE_FLOOR + (_BELOW_FLOOR if data.draw(st.booleans()) else [])
+    mags = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                       min_size=spec.n, max_size=spec.n)))
+    L = mags * (1.0 - 2.0 * (msg @ spec.G % 2))
+    flips = list(data.draw(st.sets(st.integers(0, spec.n - 1), max_size=1)))
+    L[flips] *= -1.0
+    field = spec.field
+    if data.draw(st.booleans()):
+        B = DirectionSet.all_of(field)
+    else:
+        B = DirectionSet.random_subset(
+            field, data.draw(st.integers(1, field.n)),
+            data.draw(st.integers(0, 2**16)))
+    N_max = data.draw(st.integers(0, 4))
+    loop, reference = _LOOPS[kind]
+    counted = _counting(inner)
+    rep = loop(L, spec, counted, B, N_max)
+    # the loop itself without the exit: a wrapper without the attribute
+    _same_report(rep, loop(L, spec, _recording(inner), B, N_max))
+    hard = (L < 0).astype(np.uint8)
+    exits = (N_max >= 1 and not (spec.check_matrix @ hard % 2).any()
+             and np.abs(L).min() >= _FLOOR)
+    assert (counted.calls == 0) == (exits or N_max == 0)
+    if N_max:
+        bits, it, converged, tallies = reference(L, spec, inner, B, N_max)
+        assert np.array_equal(rep.bits, bits)
+        assert (rep.iterations, rep.converged) == (it, converged)
+        assert np.array_equal(rep.inner_iterations, tallies)
+    if exits:
+        assert np.array_equal(rep.bits, hard)
+        assert (rep.iterations, rep.converged) == (1, True)
+        assert rep.inner_iterations.tolist() == [
+            [inner.codeword_iterations] * len(B)]
+    event(f"exit {exits}")
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+def test_decoders_without_the_attribute_run_the_loop(kind, ex_code, inner_mld,
+                                                     inner_minimal_mld):
+    """An inner decoder that does not state codeword_iterations, such as a
+    recording wrapper, is called on a clean codeword frame, and the report
+    is the one the exit gives."""
+    inner = inner_mld if kind == "cyclic" else inner_minimal_mld
+    word = ex_code.G[0]
+    L = 8.0 * (1.0 - 2.0 * word)
+    recorded = _recording(inner)
+    rep = _LOOPS[kind][0](L, ex_code, recorded)
+    assert len(recorded.seen) == 1
+    assert np.array_equal(rep.bits, word)
+    assert (rep.iterations, rep.converged) == (1, True)
+    assert (rep.inner_iterations == 1).all()
+
+
+@pytest.mark.parametrize("tiny, exits", [(1e-20, False), (1e-3, True)])
+def test_ml_correlation_ties_keep_tiny_codeword_frames_in_the_loop(
+        ex_code, inner_mld, tiny, exits):
+    """Row 0 of the (16, 7) generator with magnitude 30 on the even positions
+    and `tiny` on the odd ones.  At 1e-20 the ML correlations of two
+    descendant codewords round to a tie, argmax takes the earlier one, and
+    the loop without the exit leaves the codeword, unconverged after three
+    iterations.  The floor keeps that frame in the loop; at 1e-3 it exits
+    with the report the loop gives."""
+    word = ex_code.G[0]
+    L = np.where(np.arange(16) % 2 == 0, 30.0, tiny) * (1.0 - 2.0 * word)
+    B = DirectionSet.all_of(ex_code.field)
+    bits, it, converged, tallies = _reference_cyclic(L, ex_code, inner_mld,
+                                                     B, 3)
+    assert np.array_equal(bits, word) == exits
+    assert converged == exits
+    counted = _counting(inner_mld)
+    rep = dd_decode_cyclic(L, ex_code, counted, B, 3)
+    assert (counted.calls == 0) == exits
+    _same_report(rep, dd_decode_cyclic(L, ex_code, _recording(inner_mld), B, 3))
+    assert np.array_equal(rep.bits, bits)
+    assert (rep.iterations, rep.converged) == (it, converged)
+    assert np.array_equal(rep.inner_iterations, tallies)

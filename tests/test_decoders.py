@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import ddcodes.decoders
 from ddcodes.cyclic import code_from_exponents, code_from_generator, rm_exponent_set
-from ddcodes.ddcodec import boxplus
+from ddcodes.ddcodec import DirectionSet, _direction_maps, boxplus
 from ddcodes.decoders import (
     LLR_CLIP,
     RankDeficientError,
@@ -30,12 +31,12 @@ from ddcodes.decoders import (
     spa_batch_decoder,
     spa_decode_batch,
 )
-from ddcodes.derivative import minimal_dd_basis
+from ddcodes.derivative import dd_code, minimal_dd_basis
 from ddcodes.gf2 import nullspace, rank
 from ddcodes.gf2m import GF2m, field_for_length
 from ddcodes.parity import (SparseParityMatrix, dual_orbit_parity_matrix,
                             eg_line_parity_matrix)
-from ddcodes.sim import ChannelConfig, SimConfig, build_decoder, transmit
+from ddcodes.sim import ChannelConfig, _dd_parity_matrix, transmit
 
 
 @pytest.fixture(scope="module")
@@ -865,33 +866,35 @@ def test_spa_rows_passing_every_check_leave_before_the_first_update(
     assert conv[ok].tolist() == [max_iter > 0] * len(passing)
 
 
+# sha256 of the four stacks below, as the dd-spa decoder handed them to
+# spa_decode_batch before the derivative loop returned codeword frames
+# without an inner call (frame 0 is one).
+_EBCH64_STACKS_SHA256 = \
+    "bbb151fe50a47c112fdcbf51868bbaca9fca445a9ce8db1cfe1538fad47b26e8"
+
+
 @pytest.fixture(scope="module")
 def ebch64_spa_stacks():
     """The first inner SPA stack (63 derivative rows) of four dd-spa frames
     of eBCH(64, 45) `0x782cf` at 5 dB, drawn as criterion 12 draws them
-    (seed 12).  Frames 0, 3, 15 and 56 reach per-call maxima of 1, 2 and 5
-    iterations and the 20-iteration cap."""
+    (seed 12), and formed as the cyclic loop forms its first stack: the
+    box-plus of L over the pairs of every direction.  Frames 0, 3, 15 and 56
+    reach per-call maxima of 1, 2 and 5 iterations and the 20-iteration
+    cap."""
     spec = code_from_generator(field_for_length(64), 0x782CF)
-    decode = build_decoder(SimConfig(n=64, gen_poly_hex="0x782cf",
-                                     algo="dd-spa"), spec)
+    H = _dd_parity_matrix(spec)
+    _, at, at_partner, _ = _direction_maps(
+        spec.field, DirectionSet.all_of(spec.field), "cyclic")
     ch = ChannelConfig(5.0, spec.k / spec.n)
     rng = np.random.default_rng(12)
-    calls = []
-    real = ddcodes.decoders.spa_decode_batch
-
-    def recording(H, L, max_iter=20):
-        calls.append((H, L.copy()))
-        return real(H, L, max_iter)
     stacks = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ddcodes.decoders, "spa_decode_batch", recording)
-        for f in range(57):
-            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
-            L = transmit(msg @ spec.G % 2, ch, rng)
-            if f in (0, 3, 15, 56):
-                calls.clear()
-                decode(L)
-                stacks.append(calls[0])
+    for f in range(57):
+        msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+        L = transmit(msg @ spec.G % 2, ch, rng)
+        if f in (0, 3, 15, 56):
+            stacks.append((H, boxplus(L[at], L[at_partner])))
+    digest = hashlib.sha256(b"".join(Ld.tobytes() for _, Ld in stacks))
+    assert digest.hexdigest() == _EBCH64_STACKS_SHA256
     return stacks
 
 
@@ -936,3 +939,48 @@ def test_batch_decoders_return_codewords_unchanged(name, data):
     assert np.array_equal(bits, words)
     assert iters.tolist() == [1] * F
     assert conv.all()
+
+
+@pytest.mark.parametrize("build, tally", [
+    (lambda spec, H: spa_batch_decoder(H, 0), 0),
+    (lambda spec, H: spa_batch_decoder(H, 1), 1),
+    (lambda spec, H: spa_batch_decoder(H, 20), 1),
+    (lambda spec, H: osd_batch_decoder(spec.G, 0), 1),
+    (lambda spec, H: osd_batch_decoder(spec.G, 2), 1),
+    (lambda spec, H: mld_batch_decoder(spec.G), 1),
+], ids=["spa0", "spa1", "spa20", "osd0", "osd2", "ml"])
+def test_closures_state_the_tally_of_a_codeword_row(rm24, build, tally):
+    """codeword_iterations is the count each closure returns for a row
+    whose hard decision is already a codeword: the derivative loop reports
+    it for every direction of a frame it returns before any inner call."""
+    spec, H = rm24
+    decode = build(spec, H)
+    assert decode.codeword_iterations == tally
+    rng = np.random.default_rng(331)
+    words = rng.integers(0, 2, size=(6, spec.k), dtype=np.uint8) @ spec.G % 2
+    L = rng.uniform(0.5, 30.0, size=words.shape) * (1.0 - 2.0 * words)
+    bits, iters, conv = decode(L)
+    assert np.array_equal(bits, words)
+    assert iters.tolist() == [tally] * len(words)
+    assert conv.tolist() == [tally > 0] * len(words)
+
+
+def test_ml_closure_words_do_not_depend_on_the_stack_layout():
+    """A near-tied derivative stack of the (16, 7) cyclic loop (exact zeros
+    and pairs of opposite LLRs) decoded to another word from a C-ordered
+    copy than from the F-ordered stack the loop hands over.  Both copies,
+    and each row alone, now decode alike."""
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    decode = mld_batch_decoder(dd_code(spec).G)
+    L = np.array([0.5, 0.5, 0.0, 0.0, -2.0, 0.0, -0.5, 0.0, 0.0, 0.0, 0.0,
+                  0.5, 0.5, -0.5, 0.0, 1.0])
+    _, at, at_partner, _ = _direction_maps(
+        spec.field, DirectionSet.random_subset(spec.field, 2, 0), "cyclic")
+    Ld = boxplus(L[at], L[at_partner])
+    rng = np.random.default_rng(337)
+    grid = rng.choice([0.0, 0.5, -0.5, 1.25, -1.25, 2.0], size=(40, 16))
+    for stack in (Ld, boxplus(grid, grid[:, ::-1])):
+        words = decode(np.asfortranarray(stack))[0]
+        assert np.array_equal(decode(np.ascontiguousarray(stack))[0], words)
+        for d, row in enumerate(stack):
+            assert np.array_equal(decode(row[None])[0][0], words[d])

@@ -187,14 +187,20 @@ def test_dd_osd_output_is_frozen(case):
     assert digest.hexdigest() == _DD_OSD_DIGESTS[case]
 
 
-# sha256 of build_decoder("dd-spa") output on seeded frames, recorded before
-# rows whose channel hard decision passes every check left SPA ahead of its
-# first update: that exit changed no bit, count or flag.
+# sha256 of build_decoder("dd-spa") output on seeded frames, and of the
+# per-row iteration counts and flags of every inner SPA call made for a frame
+# whose channel hard decision fails a check of C.  Both were recorded before
+# the derivative loop returned frames whose channel hard decision is already
+# a codeword without calling SPA, and before SPA rows whose channel hard
+# decision passes every check left ahead of the first update: neither exit
+# changed a bit, count or flag.
 _DD_SPA_DIGESTS = {
-    (64, "0x782cf", (5.0, 3.0), 150):
-        "e8eebc9a527ec9d2dbaffab572a31a987fff28ff0c0c19365718f71de1f325f2",
-    (16, "0x1d1", (3.0, 1.0), 40):
-        "faa50b7c836f73c5b12ed6df6156dedf5e281a97008c717d2b243f9e56a5cd59",
+    (64, "0x782cf", (5.0, 3.0), 150): (
+        "57a6bce2429d43d0a80123d66e466665fecfda408bb2978efeef3ac1ce8d57f6",
+        "f293ffbfbab4fbbc17f2ac510626342a3890c61b247bcb1d3001edade0e5b098"),
+    (16, "0x1d1", (3.0, 1.0), 40): (
+        "e835204318540a3489df6bab97f4dbbe9f83208301fd997354903d1070e01a09",
+        "64df45c08e86e5877ca27f18e96c15bd4e23c287e6724045a0147c25bbe36d2f"),
 }
 
 
@@ -202,18 +208,20 @@ _DD_SPA_DIGESTS = {
 def test_dd_spa_output_is_frozen(case, monkeypatch):
     """Bits, outer iterations, inner tallies and flags of the dd-spa decoder
     on fixed frames, and the per-row iteration counts and flags of every
-    inner SPA call: (n, generator, Eb/N0 points, frames per point)."""
+    inner SPA call of the frames whose channel hard decision is not a
+    codeword: (n, generator, Eb/N0 points, frames per point)."""
     n, gen, snrs, frames = case
     spec = code_from_generator(field_for_length(n), int(gen, 16))
     decode = build_decoder(SimConfig(n=n, gen_poly_hex=gen, algo="dd-spa"),
                            spec)
-    digest = hashlib.sha256()
+    outputs, spa_calls = hashlib.sha256(), hashlib.sha256()
     real = ddcodes.decoders.spa_decode_batch
+    frame_calls = []
 
     def recording(H, L, max_iter=20):
         bits, iters, conv = real(H, L, max_iter)
-        digest.update(iters.astype(np.int64).tobytes())
-        digest.update(conv.astype(np.uint8).tobytes())
+        frame_calls.append(iters.astype(np.int64).tobytes())
+        frame_calls.append(conv.astype(np.uint8).tobytes())
         return bits, iters, conv
     monkeypatch.setattr(ddcodes.decoders, "spa_decode_batch", recording)
     rng = np.random.default_rng(20261019)
@@ -221,12 +229,16 @@ def test_dd_spa_output_is_frozen(case, monkeypatch):
         ch = ChannelConfig(snr, spec.k / spec.n)
         for _ in range(frames):
             msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
-            bits, its, inner_sum, rows, conv = decode(
-                transmit(msg @ spec.G % 2, ch, rng))
-            digest.update(np.asarray(bits, dtype=np.uint8).tobytes())
-            digest.update(np.array([its, inner_sum, rows, conv],
-                                   dtype=np.int64).tobytes())
-    assert digest.hexdigest() == _DD_SPA_DIGESTS[case]
+            L = transmit(msg @ spec.G % 2, ch, rng)
+            frame_calls.clear()
+            bits, its, inner_sum, rows, conv = decode(L)
+            outputs.update(np.asarray(bits, dtype=np.uint8).tobytes())
+            outputs.update(np.array([its, inner_sum, rows, conv],
+                                    dtype=np.int64).tobytes())
+            if (spec.check_matrix @ (L < 0).astype(np.uint8) % 2).any():
+                for chunk in frame_calls:
+                    spa_calls.update(chunk)
+    assert (outputs.hexdigest(), spa_calls.hexdigest()) == _DD_SPA_DIGESTS[case]
 
 
 @pytest.mark.parametrize("directions", ["k:abc:1", "k:4:", "k:4:7:1",
