@@ -211,8 +211,8 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     that tally for every direction: exactly what the first iteration gives
     it.  Every derivative hard decision D_beta h is then a codeword of the
     descendant, and each box-plus has its sign, so the inner decoder
-    returns D_beta h (SPA because the row passes every check, ML and OSD
-    because D_beta h has the largest correlation), and every vote
+    returns D_beta h (SPA because its first update flips no bit, ML and
+    OSD because D_beta h has the largest correlation), and every vote
     (1 - 2 D_beta h[x]) L[x + beta] has the sign of h[x].  A decoder
     without the attribute, such as a recording wrapper, runs the loop.
 
@@ -231,6 +231,9 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     N_max = _nonnegative_int(N_max, "N_max")
     if B is None:
         B = DirectionSet.all_of(field)
+    elif not isinstance(B, DirectionSet):
+        raise TypeError(f"B must be a DirectionSet or None, got "
+                        f"{type(B).__name__}")
     H = spec.check_matrix
     hard = (L < 0).astype(np.uint8)
     tally = getattr(decoder, "codeword_iterations", None)
@@ -281,7 +284,8 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     returns before any inner call if dd_decoder has a `codeword_iterations`
     attribute, with the report the first iteration gives (see
     `_derivative_loop`).  Raises ValueError unless L is a finite vector of
-    length 2^m and N_max an integer >= 0.
+    length 2^m and N_max an integer >= 0, and TypeError unless B is None or
+    a DirectionSet.
 
     With an exact inner decoder, any hard decision that lies in the
     derivative ascendant A(D(C)) is a fixed point of the loop: its
@@ -314,7 +318,8 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     passes them leaves before any inner call, as in `dd_decode_cyclic`.
     Raises ValueError unless L is a finite vector of length 2^m and N_max
     an integer >= 0, and if mdd_decoder's bits do not have the shape of its
-    input stack (a decoder for the full-length descendant, say).
+    input stack (a decoder for the full-length descendant, say); raises
+    TypeError unless B is None or a DirectionSet.
     """
     return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 

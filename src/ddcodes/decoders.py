@@ -19,11 +19,7 @@ calling the closure; a closure without the attribute is always called.
 `spa_decode_batch` updates one work block per call: a row whose hard
 decision satisfies every check leaves the block, so later iterations touch
 only the rows still live, and every row decodes exactly as it would alone.
-A row whose channel hard decision already satisfies every check never
-enters the block: on such a check each leave-one-out tanh product is +-0
-or has the sign of its own bit, so the first update would flip no bit,
-and the row reports that hard decision, converged at iteration 1.  Every
-syndrome is one matmul against a dense transpose of H built once per H.
+Every syndrome is one matmul against a dense transpose of H built once per H.
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`) rather than one elimination per vector.  It then scores
 every reprocessing candidate without building it: the correlations come
@@ -75,14 +71,6 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     0).  The check table is H's padded `idx`/`mask`, built with H; a matrix
     with no checks returns the hard decision, converged at iteration 1.
 
-    With max_iter >= 1, a row whose channel hard decision already satisfies
-    every check leaves before the first update, with that hard decision at
-    iteration 1, converged: exactly what the update would give it.  On a
-    check of even hard-decision parity, each leave-one-out tanh product is
-    either +-0 or has the sign of its own position's bit; clipping,
-    arctanh and the sum keep that sign, so the posterior flips no bit.
-    Every syndrome, before and after an update, comes from `_failing_rows`.
-
     Returns (bits, iterations, converged) with shapes (batch, n), (batch,),
     (batch,).  Raises TypeError unless H is a SparseParityMatrix, and
     ValueError unless L is a finite (batch, n) stack and max_iter an
@@ -99,26 +87,20 @@ def spa_decode_batch(H: SparseParityMatrix, L: np.ndarray, max_iter: int = 20):
     conv = np.zeros(B, dtype=bool)
     if not max_iter:
         return out, iters, conv
-    conv = ~_failing_rows(H, out)
-    iters[conv] = 1
-    rows = np.flatnonzero(~conv)
-    a = len(rows)
-    if not a:
-        return out, iters, conv
     flat = _bincount_offsets(H, B)
     pad = ~mask
-    # One (a, R, deg) work block per call for the a rows that failed a check
-    # before the first update, updated in place: with fresh temporaries every
-    # iteration, the time per call depended on how far earlier frees had
-    # raised the C allocator's heap trim threshold.  t holds tanh of half
-    # the variable-to-check messages; left and right the leave-one-out
-    # prefix and suffix products; r the check-to-variable messages.  The a
-    # rows still live sit at the front, `rows` maps them to their frames,
-    # and each iteration works on the [:a] views.  Every row keeps its own
-    # slot's bincount offsets and summation order, so dropping the others
-    # changes none of its bits.  mode="clip" keeps np.take from buffering
-    # `out`; every index is in range.
-    Lc = Lc[rows]
+    # One (B, R, deg) work block per call, updated in place: with fresh
+    # temporaries every iteration, the time per call depended on how far
+    # earlier frees had raised the C allocator's heap trim threshold.  t
+    # holds tanh of half the variable-to-check messages; left and right the
+    # leave-one-out prefix and suffix products; r the check-to-variable
+    # messages.  The a rows still live sit at the front, `rows` maps them to
+    # their frames, and each iteration works on the [:a] views.  Every row
+    # keeps its own slot's bincount offsets and summation order, so dropping
+    # the others changes none of its bits.  mode="clip" keeps np.take from
+    # buffering `out`; every index is in range.
+    rows = np.arange(B)
+    a = B
     t, left, right, r = np.empty((4, a) + idx.shape)
     np.take(np.tanh(Lc * 0.5), idx, axis=1, out=t, mode="clip")
     np.copyto(t, 1.0, where=pad)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cyclic import CodeSpec
 from .gf2 import all_codewords
-from .gf2m import GF2m
+from .gf2m import GF2m, _is_int
 
 __all__ = [
     "SparseParityMatrix", "InvalidGeometryError", "DualTooLargeError",
@@ -44,10 +44,14 @@ class SparseParityMatrix:
     """A binary parity-check matrix of length n, stored as the (checks, max
     row weight) table `idx`, `mask` of the module docstring, built from one
     position list per check.  A position outside 0..n-1 or repeated in a
-    check raises ValueError."""
+    check, or one that is not an integer (a bool is not one), raises
+    ValueError."""
 
     def __init__(self, n: int, rows):
         rows = list(rows)
+        bad = [p for p in chain.from_iterable(rows) if not _is_int(p)]
+        if bad:
+            raise ValueError(f"check position {bad[0]!r} is not an integer")
         self._store(n, np.fromiter(map(len, rows), np.int64, len(rows)),
                     np.fromiter(chain.from_iterable(rows), np.int64))
 

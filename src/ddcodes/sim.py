@@ -18,7 +18,7 @@ from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
 from .decoders import (_checked_llrs, _nonnegative_int, mld_batch_decoder,
                        osd_batch_decoder, spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
-from .gf2m import GF2m, field_for_length
+from .gf2m import GF2m, _is_int, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
 
 __all__ = [
@@ -191,11 +191,20 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
 def run_monte_carlo(cfg: SimConfig) -> SimResult:
     """Simulate every SNR point until max_frames or max_frame_errors.
 
-    Raises ConfigError if `workers` is above 1.
+    Raises ConfigError naming the field if `workers` is above 1, or unless
+    max_frames and max_frame_errors are integers >= 1 and ebn0_db is finite.
     """
     if cfg.workers > 1:
         raise ConfigError(f"field 'workers' was removed (frames come from one "
                           f"random stream); got workers={cfg.workers}")
+    for name in ("max_frames", "max_frame_errors"):
+        value = getattr(cfg, name)
+        if not _is_int(value) or value < 1:
+            raise ConfigError(f"field {name!r} must be an integer >= 1, "
+                              f"got {value!r}")
+    if not all(_is_number(v) and np.isfinite(v) for v in cfg.ebn0_db):
+        raise ConfigError(f"field 'ebn0_db' must hold finite numbers, "
+                          f"got {cfg.ebn0_db!r}")
     field = field_for_length(cfg.n)
     spec = code_from_generator(field, int(cfg.gen_poly_hex, 16))
     decode = build_decoder(cfg, spec)
@@ -227,12 +236,11 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
             if not np.array_equal(bits, a):
                 frame_errors += 1
                 bit_errors += int((bits ^ a).sum())
-        avg_dd = dd_iters_sum / frames if frames else 0.0
+        avg_dd = dd_iters_sum / frames
         avg_inner = inner_sum / inner_calls if inner_calls else 0.0
         flops = flop_account(avg_dd, spec.n, num_dirs, cfg.omega) if num_dirs else 0
         points.append(SimPoint(ebn0, frames, frame_errors, bit_errors,
-                               frame_errors / frames if frames else 0.0,
-                               avg_dd, avg_inner, flops))
+                               frame_errors / frames, avg_dd, avg_inner, flops))
     return SimResult(cfg, points)
 
 
@@ -258,7 +266,7 @@ def save_config(cfg: SimConfig, path) -> None:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return _is_int(v) or isinstance(v, (float, np.floating))
 
 
 # SimConfig annotation -> (what a JSON value must be, test for it)

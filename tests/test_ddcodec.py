@@ -708,6 +708,17 @@ def test_loops_reject_bad_iteration_caps(kind, N_max, ex_code, inner_mld,
         _LOOPS[kind][0](np.ones(16), ex_code, inner, N_max=N_max)
 
 
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+@pytest.mark.parametrize("B", [[1, 2, 4], (1, 2)])
+def test_loops_reject_directions_that_are_not_a_direction_set(
+        kind, B, ex_code, inner_mld, inner_minimal_mld):
+    """A list used to raise "unhashable type" and a tuple an AttributeError."""
+    inner = inner_mld if kind == "cyclic" else inner_minimal_mld
+    with pytest.raises(TypeError, match=f"B must be a DirectionSet or None, "
+                                        f"got {type(B).__name__}"):
+        _LOOPS[kind][0](np.r_[-1.0, np.ones(15)], ex_code, inner, B=B)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(sorted(_LOOP_CASES)), data=st.data())
 def test_loops_return_codewords_unchanged(case, data):

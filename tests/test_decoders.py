@@ -846,12 +846,12 @@ def _spa_passing_rows(draw, name):
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_SPA_MATRICES)),
        max_iter=st.integers(0, 20), data=st.data())
-def test_spa_rows_passing_every_check_leave_before_the_first_update(
+def test_spa_rows_passing_every_check_report_what_the_first_update_gives(
         name, max_iter, data):
-    """Rows whose channel hard decision is a codeword skip the update and
-    report what it would give them: their hard decision at iteration 1,
-    converged (iteration 0, not converged, with no iterations).  Every row,
-    passing or not, equals the cumprod reference and its one-row call."""
+    """Rows whose channel hard decision is a codeword report what the first
+    update gives them: their hard decision at iteration 1, converged
+    (iteration 0, not converged, with no iterations).  Every row, passing
+    or not, equals the cumprod reference and its one-row call."""
     H = _SPA_MATRICES[name]
     passing = [data.draw(_spa_passing_rows(name))
                for _ in range(data.draw(st.integers(1, 4)))]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,19 @@ def test_repeated_position_is_rejected(rows, message):
         SparseParityMatrix(3, rows)
     # padding after a short row is not a repeat
     assert SparseParityMatrix(3, [[0], [0, 1, 2]]).row_weights().tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([[0.5, 2.7]], "0.5"), ([[1], [True, 2]], "True"),
+    ([[np.float64(1.0)]], "np.float64(1.0)"),
+])
+def test_position_that_is_not_an_integer_is_rejected(rows, bad):
+    """[[0.5, 2.7]] used to be truncated to the check [0, 2]."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"check position {bad} is not an integer")):
+        SparseParityMatrix(4, rows)
+    assert SparseParityMatrix(4, [np.arange(3), [np.int64(3)]]).idx.tolist() \
+        == [[0, 1, 2], [3, 0, 0]]
 
 
 def test_alist_with_repeated_position_is_rejected(tmp_path):

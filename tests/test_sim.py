@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,36 @@ def test_workers_above_one_are_a_named_error(workers):
     with pytest.raises(ConfigError, match=f"field 'workers' was removed .*"
                                           f"got workers={workers}"):
         run_monte_carlo(_base_config(workers=workers, ebn0_db=[1.0]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_frames", 0), ("max_frames", -5), ("max_frames", 2.0),
+    ("max_frame_errors", 0), ("max_frame_errors", True),
+])
+def test_bad_frame_budgets_are_a_named_error(field, value):
+    """0 and -5 used to report a point of zero frames at BLER 0; 2.0 and True
+    are not integers."""
+    with pytest.raises(ConfigError, match=f"field '{field}' must be an "
+                                          f"integer >= 1, got {value!r}"):
+        run_monte_carlo(_base_config(**{field: value}))
+
+
+@pytest.mark.parametrize("ebn0", [-math.inf, math.inf, math.nan])
+def test_non_finite_snr_is_a_named_error(ebn0):
+    """-inf used to raise a bare ZeroDivisionError, and inf and NaN an LLR
+    error that did not name the field."""
+    with pytest.raises(ConfigError, match="field 'ebn0_db' must hold finite "
+                                          "numbers"):
+        run_monte_carlo(_base_config(ebn0_db=[3.0, ebn0]))
+
+
+def test_non_finite_snr_from_json_is_a_named_error(tmp_path):
+    """json.load reads NaN and Infinity, so load_config passes them on."""
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 16, "gen_poly_hex": "1d1", "algo": "mld", '
+                    '"ebn0_db": [NaN]}')
+    with pytest.raises(ConfigError, match="field 'ebn0_db'"):
+        run_monte_carlo(load_config(path))
 
 
 def test_workers_below_one_mean_one_substream():
