@@ -26,7 +26,7 @@ def main() -> None:
         print(",".join(CSV_COLUMNS))
         for p in result.points:
             print(f"{p.ebn0_db:g},{p.frames},{p.frame_errors},{p.bler:.6g},"
-                  f"{p.avg_dd_iters:.4f},{p.avg_inner_iters:.4f},{p.flops_est}")
+                  f"{p.avg_dd_iters:.4f},{p.avg_inner_iters:.4f}")
 
 
 if __name__ == "__main__":

@@ -22,14 +22,14 @@ from .sim import (ConfigError, SimConfig, build_decoder, load_config,
 __all__ = ["main"]
 
 
-def _parse_code(text: str, prim_poly: int | None = None) -> CodeSpec:
+def _parse_code(text: str) -> CodeSpec:
     try:
         n_str, gen_str = text.split(":", maxsplit=1)
         n = int(n_str)
         gen = int(gen_str, 16)
     except ValueError as e:
         raise ConfigError(f"cannot parse code {text!r}; expected <n>:<gen-hex>") from e
-    return code_from_generator(field_for_length(n, prim_poly), gen)
+    return code_from_generator(field_for_length(n), gen)
 
 
 def _print_code_lines(label: str, spec: CodeSpec) -> None:
@@ -57,8 +57,7 @@ def _cmd_decode(args) -> int:
     L = np.loadtxt(args.llr_in, dtype=np.float64).reshape(-1)
     cfg = SimConfig(n=spec.n, gen_poly_hex=hex(spec.gen_poly), algo=args.algo,
                     directions=args.directions, order=args.order,
-                    inner_max_iter=args.max_iter if args.algo == "spa" else args.inner_max_iter,
-                    n_max=args.max_iter)
+                    inner_max_iter=args.inner_max_iter, n_max=args.max_iter)
     decode = build_decoder(cfg, spec)
     bits, _, _, _, converged = decode(L)
     line = " ".join(str(int(b)) for b in bits)
@@ -132,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["dd-spa", "dd-osd", "osd", "spa", "mld"])
     pd.add_argument("--directions", default="all", help="all | k:<count>:<seed>")
     pd.add_argument("--max-iter", type=int, default=3,
-                    help="outer iterations (dd-*) or SPA iterations (spa)")
-    pd.add_argument("--inner-max-iter", type=int, default=20)
+                    help="outer derivative-decoding iterations (dd-*)")
+    pd.add_argument("--inner-max-iter", type=int, default=20,
+                    help="SPA iterations (spa, dd-spa)")
     pd.add_argument("--order", type=int, default=1, help="OSD depth")
     pd.add_argument("--llr-in", required=True,
                     help="whitespace-separated LLR values")

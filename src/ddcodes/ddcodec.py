@@ -81,22 +81,21 @@ class DirectionSet:
     bit-reproducible.
     """
     elements: tuple[int, ...]
-    mode: str
 
     @classmethod
     def all_of(cls, field: GF2m) -> "DirectionSet":
-        return cls(tuple(int(x) for x in field.antilog), "all")
+        return cls(tuple(int(x) for x in field.antilog))
 
     @classmethod
     def random_subset(cls, field: GF2m, k: int, seed: int) -> "DirectionSet":
-        """k distinct directions drawn once from a seeded generator; k is an
-        int or numpy integer (a bool is not one)."""
+        """k distinct directions drawn once from a seeded generator; k and
+        seed are ints or numpy integers (a bool is not one), seed >= 0."""
         if not _is_int(k) or not 1 <= k <= field.n:
             raise ValueError(f"cannot draw {k} of {field.n} directions")
+        seed = _nonnegative_int(seed, "direction seed")
         rng = np.random.default_rng(seed)
         exps = np.sort(rng.choice(field.n, size=k, replace=False))
-        return cls(tuple(int(field.antilog[e]) for e in exps),
-                   f"random-{k}-seed{seed}")
+        return cls(tuple(int(field.antilog[e]) for e in exps))
 
     def exponents(self, field: GF2m) -> list[int]:
         return [int(field.log[b]) for b in self.elements]
@@ -116,11 +115,7 @@ class DirectionSet:
 
 @dataclass(eq=False)
 class DecodeReport:
-    """Outcome of one derivative-decoding call; every field is measured.
-
-    `flop_account` turns the iteration count into a closed-form flop
-    estimate when one is wanted.
-    """
+    """Outcome of one derivative-decoding call; every field is measured."""
     bits: np.ndarray
     iterations: int
     converged: bool
@@ -331,8 +326,8 @@ def flop_account(iterations: float, n: int, num_directions: int,
     An estimate, not a measurement: per iteration each direction is assumed
     to cost 4n for the derivative combination plus n for its share of the
     voting average, plus one descendant decode at an assumed omega flops.
-    `sim.run_monte_carlo` computes it once per SNR point from the mean
-    iteration count (`SimPoint.flops_est`).  The iteration count may be
-    fractional (e.g. averaged); the result rounds to the nearest integer.
+    This is the paper's complexity count; no decoder or simulation reads
+    it.  The iteration count may be fractional (e.g. averaged); the result
+    rounds to the nearest integer.
     """
     return int(round(iterations * num_directions * (5.0 * n + omega)))

@@ -294,12 +294,15 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     candidate list and scores it with (1 - 2c) @ L[d], the direct sum over
     all candidates, so every word equals that of direct scoring bit for bit.
 
-    Raises ValueError unless L is a finite (F, n) stack and order an integer
-    >= 0, and RankDeficientError if G's rank is below its row count.
+    An empty (0, n) stack decodes to a (0, n) array.  Raises ValueError
+    unless L is a finite (F, n) stack and order an integer >= 0, and
+    RankDeficientError if G's rank is below its row count (F >= 1).
     """
     order = _nonnegative_int(order, "OSD order")
     G = np.asarray(G, dtype=np.uint8)
     L = _checked_llrs(L, G.shape[1], batch=True)
+    if not len(L):
+        return np.zeros(L.shape, dtype=np.uint8)
     M, pivots = _reliability_bases(G, L)
     F = M.shape[0]
     tables = _flip_tables(M.shape[1], order)

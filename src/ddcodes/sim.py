@@ -14,7 +14,7 @@ import numpy as np
 
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
-                      flop_account, minimal_transversal)
+                      minimal_transversal)
 from .decoders import (_checked_llrs, _nonnegative_int, mld_batch_decoder,
                        osd_batch_decoder, spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
@@ -62,7 +62,7 @@ class SimConfig:
     `workers` was removed; it only dealt frames to random substreams.  The
     field stays so that configs passing workers=1 still load: values <= 1
     all draw from the one substream, and run_monte_carlo raises
-    ConfigError for more.
+    ConfigError for more.  load_config drops the removed field `omega`.
     """
     n: int                      # extended block length 2^m
     gen_poly_hex: str           # generator polynomial, bit i = coeff of x^i
@@ -78,7 +78,6 @@ class SimConfig:
     workers: int = 1            # removed; only values <= 1 are accepted
     all_zero: bool = False      # transmit the zero codeword instead of random
     noiseless: bool = False     # saturated correct-sign LLRs (sanity runs)
-    omega: float = 0.0          # assumed per-call inner-decoder flops
 
 
 @dataclass
@@ -90,7 +89,6 @@ class SimPoint:
     bler: float
     avg_dd_iters: float
     avg_inner_iters: float
-    flops_est: int
 
 
 @dataclass
@@ -192,7 +190,8 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
     """Simulate every SNR point until max_frames or max_frame_errors.
 
     Raises ConfigError naming the field if `workers` is above 1, or unless
-    max_frames and max_frame_errors are integers >= 1 and ebn0_db is finite.
+    max_frames and max_frame_errors are integers >= 1, ebn0_db is finite
+    and gen_poly_hex is a hex integer.
     """
     if cfg.workers > 1:
         raise ConfigError(f"field 'workers' was removed (frames come from one "
@@ -205,12 +204,13 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
     if not all(_is_number(v) and np.isfinite(v) for v in cfg.ebn0_db):
         raise ConfigError(f"field 'ebn0_db' must hold finite numbers, "
                           f"got {cfg.ebn0_db!r}")
-    field = field_for_length(cfg.n)
-    spec = code_from_generator(field, int(cfg.gen_poly_hex, 16))
+    try:
+        gen_poly = int(cfg.gen_poly_hex, 16)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"field 'gen_poly_hex' must be a hex integer, "
+                          f"got {cfg.gen_poly_hex!r}") from e
+    spec = code_from_generator(field_for_length(cfg.n), gen_poly)
     decode = build_decoder(cfg, spec)
-    num_dirs = 0
-    if cfg.algo.startswith("dd-"):
-        num_dirs = len(_parse_directions(cfg.directions, field))
     points = []
     for ebn0 in cfg.ebn0_db:
         chan = ChannelConfig(ebn0, spec.k / spec.n)
@@ -238,14 +238,13 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
                 bit_errors += int((bits ^ a).sum())
         avg_dd = dd_iters_sum / frames
         avg_inner = inner_sum / inner_calls if inner_calls else 0.0
-        flops = flop_account(avg_dd, spec.n, num_dirs, cfg.omega) if num_dirs else 0
         points.append(SimPoint(ebn0, frames, frame_errors, bit_errors,
-                               frame_errors / frames, avg_dd, avg_inner, flops))
+                               frame_errors / frames, avg_dd, avg_inner))
     return SimResult(cfg, points)
 
 
 CSV_COLUMNS = ["ebn0_db", "frames", "frame_errors", "bler",
-               "avg_dd_iters", "avg_inner_iters", "flops_est"]
+               "avg_dd_iters", "avg_inner_iters"]
 
 
 def write_results(result: SimResult, path) -> None:
@@ -256,7 +255,7 @@ def write_results(result: SimResult, path) -> None:
         for p in result.points:
             w.writerow([p.ebn0_db, p.frames, p.frame_errors,
                         f"{p.bler:.6g}", f"{p.avg_dd_iters:.4f}",
-                        f"{p.avg_inner_iters:.4f}", p.flops_est])
+                        f"{p.avg_inner_iters:.4f}"])
 
 
 def save_config(cfg: SimConfig, path) -> None:
@@ -272,7 +271,6 @@ def _is_number(v) -> bool:
 # SimConfig annotation -> (what a JSON value must be, test for it)
 _JSON_TYPES = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "float": ("a number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "list[float]": ("a list of numbers",
@@ -290,6 +288,7 @@ def load_config(path) -> SimConfig:
             raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of fields")
+    raw.pop("omega", None)      # removed, but every older saved config has it
     fields = SimConfig.__dataclass_fields__
     required = {"n", "gen_poly_hex", "algo"}
     for name in required:

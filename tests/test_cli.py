@@ -216,12 +216,27 @@ def test_decode_negative_spa_iteration_cap(tmp_path, capsys):
     """The cap used to run zero iterations and print a word."""
     llr_path = tmp_path / "llrs.txt"
     np.savetxt(llr_path, np.ones(16))
-    rc = main(["decode", "--code", "16:1d1", "--algo", "spa", "--max-iter",
-               "-3", "--llr-in", str(llr_path)])
+    rc = main(["decode", "--code", "16:1d1", "--algo", "spa",
+               "--inner-max-iter", "-3", "--llr-in", str(llr_path)])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: inner_max_iter must be an integer >= 0, got -3" in captured.err
+
+
+def test_decode_spa_reads_the_inner_iteration_cap(tmp_path, capsys):
+    """--inner-max-iter used to be ignored for spa, whose cap came from
+    --max-iter: a zero cap still decoded and reported convergence."""
+    L = np.full(16, 4.0)
+    L[3] = -0.5
+    llr_path = tmp_path / "llrs.txt"
+    np.savetxt(llr_path, L)
+    rc = main(["decode", "--code", "16:1d1", "--algo", "spa",
+               "--inner-max-iter", "0", "--llr-in", str(llr_path)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["1" if i == 3 else "0" for i in range(16)]
+    assert "converged = False" in captured.err
 
 
 def test_hmatrix_dual_orbit(tmp_path, capsys):

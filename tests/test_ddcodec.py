@@ -172,7 +172,6 @@ def test_vote_roundtrip_on_clean_words(ex_code, inner_mld):
 def test_direction_sets(f16):
     allb = DirectionSet.all_of(f16)
     assert len(allb) == 15
-    assert allb.mode == "all"
     assert list(allb) == [int(x) for x in f16.antilog]
     assert allb.exponents(f16) == list(range(15))
     sub = DirectionSet.random_subset(f16, 6, seed=9)
@@ -185,15 +184,29 @@ def test_direction_sets(f16):
     with pytest.raises(ValueError):
         DirectionSet.random_subset(f16, 16, seed=1)
     with pytest.raises(ValueError):
-        DirectionSet((3, 3), "dup")
+        DirectionSet((3, 3))
     with pytest.raises(ZeroDirectionError):
-        DirectionSet((0, 1), "zero")
+        DirectionSet((0, 1))
 
 
 @pytest.mark.parametrize("k", [True, 6.0, 2.5, "6", None, np.float64(6.0)])
 def test_random_subset_rejects_a_k_that_is_not_an_integer(f16, k):
     with pytest.raises(ValueError, match="cannot draw .* of 15 directions"):
         DirectionSet.random_subset(f16, k, seed=9)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+def test_random_subset_rejects_a_seed_that_is_not_a_nonnegative_integer(
+        f16, seed):
+    with pytest.raises(ValueError, match=f"direction seed must be an integer "
+                                         f">= 0, got {seed!r}"):
+        DirectionSet.random_subset(f16, 6, seed)
+
+
+def test_a_draw_of_every_direction_is_the_full_set(f16):
+    """A label once told the two apart, so they built the same direction
+    maps twice."""
+    assert DirectionSet.random_subset(f16, 15, seed=4) == DirectionSet.all_of(f16)
 
 
 def test_random_subset_accepts_numpy_integers(f16):

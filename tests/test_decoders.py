@@ -608,13 +608,15 @@ def test_osd_decode_takes_a_stack():
         osd_decode(_SPEC16.G, np.ones(16), 1)
 
 
+@pytest.mark.parametrize("F", [5, 0])
 @pytest.mark.parametrize("name", sorted(_CLOSURES))
-def test_closures_return_the_stack_contract(name):
-    L = np.random.default_rng(233).normal(0.0, 2.0, size=(5, 16))
+def test_closures_return_the_stack_contract(name, F):
+    """An empty stack used to make the OSD closure raise from rref_stack."""
+    L = np.random.default_rng(233).normal(0.0, 2.0, size=(F, 16))
     bits, iters, conv = _CLOSURES[name](L)
-    assert bits.shape == (5, 16) and bits.dtype == np.uint8
-    assert iters.shape == (5,) and np.issubdtype(iters.dtype, np.integer)
-    assert conv.shape == (5,) and conv.dtype == bool
+    assert bits.shape == (F, 16) and bits.dtype == np.uint8
+    assert iters.shape == (F,) and np.issubdtype(iters.dtype, np.integer)
+    assert conv.shape == (F,) and conv.dtype == bool
 
 
 def test_osd_closure_makes_one_engine_call_per_stack(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -162,14 +163,11 @@ def test_all_zero_codeword_option():
     assert abs(point.bler - ref.bler) < 0.15
 
 
-def test_dd_run_reports_direction_flops():
-    cfg = _base_config(algo="dd-spa", noiseless=True, max_frames=20,
-                       omega=100.0)
+def test_dd_run_reports_iterations():
+    cfg = _base_config(algo="dd-spa", noiseless=True, max_frames=20)
     point = run_monte_carlo(cfg).points[0]
     assert point.frame_errors == 0
     assert point.avg_dd_iters == 1.0
-    # 1 outer iteration, 15 directions, 5n + omega per direction
-    assert point.flops_est == 15 * (5 * 16 + 100)
     assert point.avg_inner_iters >= 1.0
 
 
@@ -279,6 +277,23 @@ def test_unparsable_directions_are_named(directions):
     with pytest.raises(ConfigError, match=f"cannot parse directions "
                                           f"'{directions}'"):
         ddcodes.sim._parse_directions(directions, GF2m(4))
+
+
+@pytest.mark.parametrize("gen", ["zz", "0x", "", 0x1D1])
+def test_bad_generator_is_a_named_error(gen):
+    """A bad hex string used to raise int()'s own message, which names
+    neither the field nor the value."""
+    with pytest.raises(ConfigError, match=f"field 'gen_poly_hex' must be a "
+                                          f"hex integer, got {gen!r}"):
+        run_monte_carlo(_base_config(gen_poly_hex=gen))
+
+
+def test_negative_direction_seed_is_a_named_error():
+    """The seed used to reach numpy, whose message names neither the seed
+    nor its value."""
+    with pytest.raises(ValueError, match="direction seed must be an integer "
+                                         ">= 0, got -1"):
+        run_monte_carlo(_base_config(algo="dd-osd", directions="k:3:-1"))
 
 
 def test_decoder_contracts():
@@ -418,7 +433,7 @@ def test_results_csv(tmp_path):
     path = tmp_path / "out.csv"
     write_results(result, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "ebn0_db,frames,frame_errors,bler,avg_dd_iters,avg_inner_iters,flops_est"
+    assert lines[0] == "ebn0_db,frames,frame_errors,bler,avg_dd_iters,avg_inner_iters"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
@@ -426,10 +441,25 @@ def test_results_csv(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = _base_config(algo="dd-spa", directions="k:8:3", omega=250.0)
+    cfg = _base_config(algo="dd-spa", directions="k:8:3")
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_config_saved_with_omega_decodes_the_same(tmp_path):
+    """Every config saved while SimConfig had the assumed-cost field omega
+    carries it; such a config loads and gives the same points."""
+    cfg = _base_config(algo="dd-osd", directions="k:8:3", ebn0_db=[1.0, 3.0],
+                       max_frames=40, max_frame_errors=40)
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    raw = json.loads(path.read_text())
+    assert "omega" not in raw
+    path.write_text(json.dumps({**raw, "omega": 250.0}))
+    old = load_config(path)
+    assert old == cfg
+    assert run_monte_carlo(old).points == run_monte_carlo(cfg).points
 
 
 def test_config_schema_errors(tmp_path):
@@ -463,6 +493,6 @@ def test_config_rejects_wrong_typed_field(tmp_path, field, value, want):
 def test_config_accepts_integers_for_float_fields(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text('{"n": 16, "gen_poly_hex": "1d1", "algo": "mld", '
-                    '"ebn0_db": [1, 2.5], "omega": 3, "noiseless": true}')
+                    '"ebn0_db": [1, 2.5], "noiseless": true}')
     cfg = load_config(path)
-    assert cfg.ebn0_db == [1, 2.5] and cfg.omega == 3 and cfg.noiseless is True
+    assert cfg.ebn0_db == [1, 2.5] and cfg.noiseless is True
