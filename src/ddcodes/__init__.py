@@ -31,7 +31,8 @@ from .decoders import (LLR_CLIP, RankDeficientError, mld_batch_decoder,
                        mld_exhaustive, osd_batch_decoder, osd_decode,
                        spa_batch_decoder, spa_decode_batch)
 from .ddcodec import (DecodeReport, DirectionSet, boxplus, dd_decode_cyclic,
-                      dd_decode_minimal, flop_account, minimal_transversal)
+                      dd_decode_minimal, fixed_space_dimension, flop_account,
+                      minimal_transversal)
 from .sim import (ChannelConfig, ConfigError, SimConfig, SimPoint, SimResult,
                   build_decoder, load_config, run_monte_carlo,
                   save_config, transmit, write_results)

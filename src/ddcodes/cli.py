@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from .cyclic import CodeSpec, bch_bound, code_from_generator
+from .ddcodec import fixed_space_dimension
 from .derivative import da_code, dd_code
 from .gf2m import field_for_length
 from .parity import (dual_orbit_parity_matrix, eg_line_parity_matrix,
@@ -45,7 +46,11 @@ def _cmd_code(args) -> int:
     field = field_for_length(args.n, args.prim_poly)
     spec = code_from_generator(field, args.gen)
     _print_code_lines("code", spec)
-    if args.which == "dd":
+    if args.which == "info":
+        for kind in ("cyclic", "minimal"):
+            print(f"  fixed_space_dim ({kind} loop, all directions) = "
+                  f"{fixed_space_dimension(spec, kind=kind)}")
+    elif args.which == "dd":
         _print_code_lines("cyclic derivative descendant", dd_code(spec))
     elif args.which == "da":
         _print_code_lines("cyclic derivative ascendant", da_code(spec))
@@ -113,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("code", help="inspect a code and its derivative relatives")
     subc = pc.add_subparsers(dest="which", required=True)
-    for name, help_text in [("info", "exponent set, dimension, distance bound"),
+    for name, help_text in [("info", "exponent set, dimension, distance "
+                                     "bound, derivative loops' fixed spaces"),
                             ("dd", "cyclic derivative descendant"),
                             ("da", "cyclic derivative ascendant")]:
         pci = subc.add_parser(name, help=help_text)

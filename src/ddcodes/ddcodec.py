@@ -7,19 +7,25 @@ hands it to a decoder for the (much smaller) descendant code, and converts
 the decoded derivative back into per-position soft votes on the original
 word.  The votes are averaged across directions to give the next LLR
 vector, and the loop stops as soon as the hard decision is a codeword of the
-outer code C, tested against C's cached parity-check matrix
-`spec.check_matrix`.
+outer code C.
 
 The loop forms the box-plus with `boxplus`'s own operations but takes tanh
 once per position, not once per pair member, and averages the votes with
 the reduction `ndarray.mean` runs, without its call overhead; both give
-`boxplus`'s and `mean`'s values bit for bit.  A frame whose channel hard
-decision is already a codeword of C, with every |L| at or above a fixed
-floor (`_EXIT_FLOOR`, 1e-4), leaves before any inner call with the report
-the first iteration would give it, when the inner decoder states its
-`codeword_iterations` as the closures of `ddcodes.decoders` do.  The floor
-keeps an exact inner decoder's correlation scores apart from rounding;
-`_derivative_loop` derives it.
+`boxplus`'s and `mean`'s values bit for bit.  It also leaves at its fixed
+space: the words whose derivatives in every direction are codewords of the
+inner code, which an exact inner decoder can never leave.  That space
+contains C and can be larger (`fixed_space_dimension`); a frame whose hard
+decision lies in it outside C, with every |L| at or above a fixed floor
+(`_EXIT_FLOOR`, 1e-4), returns at once with the report the remaining
+iterations would give, and a frame whose channel hard decision is already
+a codeword of C returns before any inner call with the report of the first
+iteration.  Both need the inner decoder to state its `codeword_iterations`,
+as the closures of `ddcodes.decoders` do.  Each hard decision gets one
+syndrome, against a check matrix of C built once per (code, direction set,
+loop) whose leading rows check the fixed space.  The floor keeps an exact
+inner decoder's correlation scores apart from rounding; `_derivative_loop`
+derives it.
 
 One loop serves both decoders of the paper; they differ only in the index
 maps that carry the derivative words into the inner decoder and its bits
@@ -41,18 +47,20 @@ import numpy as np
 
 from .cyclic import CodeSpec
 from .decoders import LLR_CLIP, _ATANH_LIM, _checked_llrs, _nonnegative_int
-from .derivative import ZeroDirectionError
+from .derivative import ZeroDirectionError, dd_code
+from .gf2 import nullspace, rref
 from .gf2m import GF2m, _is_int
 
 __all__ = [
     "DirectionSet", "DecodeReport", "boxplus",
     "dd_decode_cyclic", "dd_decode_minimal", "minimal_transversal",
-    "flop_account",
+    "fixed_space_dimension", "flop_account",
 ]
 
 
-# Smallest |L| at which a frame whose channel hard decision is a codeword
-# leaves the derivative loop before any inner call (see _derivative_loop).
+# Smallest |L| at which a frame whose hard decision lies in the loop's fixed
+# space leaves the derivative loop without further inner calls (see
+# _derivative_loop).
 _EXIT_FLOOR = 1e-4
 
 
@@ -84,7 +92,7 @@ class DirectionSet:
 
     @classmethod
     def all_of(cls, field: GF2m) -> "DirectionSet":
-        return cls(tuple(int(x) for x in field.antilog))
+        return cls(tuple(field.antilog.tolist()))
 
     @classmethod
     def random_subset(cls, field: GF2m, k: int, seed: int) -> "DirectionSet":
@@ -180,6 +188,72 @@ def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
     return maps
 
 
+@lru_cache(maxsize=32)
+def _fixed_space_checks(spec: CodeSpec, B: DirectionSet, kind: str):
+    """(H, r) for one (spec, direction set, kind), built on first use.
+
+    H is a read-only check matrix of C whose first r rows span the dual of
+    the loop's fixed space Fix = {h : D_beta h lies in the inner code for
+    every beta in B}.  The inner code of direction beta is the cyclic
+    descendant D(C) for the "cyclic" kind and the minimal descendant
+    D_beta(C) for the "minimal" kind, whose shifted copy the minimal loop's
+    decoder decodes.  With H_beta its checks and P_beta the pair
+    permutation of beta (the `partner` map of `_direction_maps`), Fix is
+    the null space of the stacked H_beta(I + P_beta).  Every stacked row
+    lies in C's dual, so C is inside Fix.
+
+    The stack is eliminated one direction at a time.  Once its rank reaches
+    n - k, Fix = C and H is `spec.check_matrix` with r = n - k; otherwise
+    the reduced stack comes first, and C's checks reduced against it
+    complete H to a basis of C's dual.
+    """
+    partner = _direction_maps(spec.field, B, kind)[0]
+    descendant = dd_code(spec).check_matrix if kind == "cyclic" else None
+    n, dual = spec.n, spec.n - spec.k
+    R, pivots = np.zeros((0, n), dtype=np.uint8), []
+    for P in partner:
+        H_in = (descendant if descendant is not None
+                else nullspace(spec.G ^ spec.G[:, P]))
+        R, pivots = rref(np.vstack([R, H_in ^ H_in[:, P]]))
+        if len(R) == dual:
+            return spec.check_matrix, dual
+    # uint8 wraps mod 256, so the matmul keeps the parity of each sum
+    rest = spec.check_matrix ^ (spec.check_matrix[:, pivots] @ R % 2)
+    H = np.vstack([R, rref(rest)[0]])
+    H.setflags(write=False)
+    return H, len(R)
+
+
+def _direction_set(field: GF2m, B) -> DirectionSet:
+    if B is None:
+        return DirectionSet.all_of(field)
+    if not isinstance(B, DirectionSet):
+        raise TypeError(f"B must be a DirectionSet or None, got "
+                        f"{type(B).__name__}")
+    return B
+
+
+def fixed_space_dimension(spec: CodeSpec, B: DirectionSet | None = None,
+                          kind: str = "cyclic") -> int:
+    """Dimension of the words the derivative loop of `kind` cannot leave.
+
+    With an exact inner decoder, a hard decision h whose derivative in
+    every direction of B (all directions for None) is a codeword of the
+    inner code is a fixed point of the loop: every vote keeps h's sign.
+    These words form a space Fix that contains C; for the "cyclic" kind
+    over all directions it is the derivative ascendant A(D(C)), and for the
+    "minimal" kind it is the intersection over B of C + K_beta, with K_beta
+    the words constant on every beta-pair.  Where this exceeds spec.k, the
+    loop can stall on words outside C.  It is read from the matrix the
+    loop checks against, so the two cannot disagree.  Raises ValueError for
+    an unknown kind and TypeError unless B is None or a DirectionSet.
+    """
+    if kind not in ("cyclic", "minimal"):
+        raise ValueError(f"kind must be 'cyclic' or 'minimal', got {kind!r}")
+    _, r = _fixed_space_checks(spec, _direction_set(spec.field, B), kind)
+    return spec.n - r
+
+
 def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
                      N_max: int, kind: str) -> DecodeReport:
     """The derivative loop of both public decoders; `kind` picks the maps.
@@ -199,44 +273,64 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     division by |B|.  Both give the values `boxplus` and `mean` give, bit
     for bit.
 
-    A frame whose channel hard decision h already passes every check of C
-    leaves before any inner call when N_max >= 1, min |L| >= _EXIT_FLOOR,
-    and the decoder states its `codeword_iterations` (as the closures of
-    `ddcodes.decoders` do).  It reports h, converged at iteration 1, with
-    that tally for every direction: exactly what the first iteration gives
-    it.  Every derivative hard decision D_beta h is then a codeword of the
-    descendant, and each box-plus has its sign, so the inner decoder
-    returns D_beta h (SPA because its first update flips no bit, ML and
-    OSD because D_beta h has the largest correlation), and every vote
-    (1 - 2 D_beta h[x]) L[x + beta] has the sign of h[x].  A decoder
-    without the attribute, such as a recording wrapper, runs the loop.
+    The loop leaves at its fixed space.  Fix is the space of words h whose
+    derivative hard decision D_beta h is a codeword of the inner code in
+    every direction of B (`_fixed_space_checks`, `fixed_space_dimension`);
+    it contains C.  Each hard decision h gets one syndrome against a check
+    matrix of C whose first r rows check Fix.  If it is zero, h is in C and
+    the loop has converged.  If it is zero on the first r rows only, h is
+    in Fix outside C, and when min |L| >= _EXIT_FLOOR and the decoder
+    states its `codeword_iterations` (as the closures of `ddcodes.decoders`
+    do), the loop returns h, N_max, unconverged, with its tallies padded to
+    N_max rows with that count: exactly what the remaining iterations give.
+    The same test runs on the channel hard decision when N_max >= 1, so a
+    frame in C leaves before any inner call with the report of the first
+    iteration (h, 1, converged, one row of that count), and a frame in Fix
+    outside C leaves with no inner call at all.  A decoder without the
+    attribute, such as a recording wrapper, runs every iteration.  Where
+    Fix = C (r = n - k) the test is the one syndrome check of C.
+
+    Why the exit is exact: for h in Fix every D_beta h is a codeword of the
+    inner code, and each box-plus has its sign, so the inner decoder
+    returns D_beta h with its `codeword_iterations` (SPA because its first
+    update flips no bit, ML and OSD because D_beta h has the largest
+    correlation).  Every vote (1 - 2 D_beta h[x]) L[x + beta] then has the
+    sign of h[x] and the magnitude |L[x + beta]|, so the next hard decision
+    is h again, and the argument repeats up to N_max.
 
     The floor keeps the inner decoder's scores apart.  With |L| >= f,
     every |box-plus| is at least about f^2 / 2, so D_beta h beats any other
     codeword's correlation by at least f^2.  Each n-term correlation of
     values up to 30 is rounded by up to about n^2 * 30 * 2^-53, so the gap
     survives rounding when f > n * 6e-8: 1.5e-5 at n = 256, and below
-    1e-4 up to n of about 1700.  Without a floor the exit is not exact:
-    codeword-sign frames of magnitudes 30 and 1e-20 on (16, 7) leave the
-    codeword under ML, because two correlations round to a tie and argmax
-    takes the earlier codeword.
+    1e-4 up to n of about 1700.  The skipped iterations keep that margin.
+    Each new |L[x]| is the mean of |B| <= n magnitudes |L[x + beta]| >= f
+    whose votes all have one sign, so the sum cancels nothing and rounds
+    by a relative error below n * 2^-53, the division by |B| adds one more
+    rounding, and after N_max iterations |L| >= f (1 - N_max * n * 2^-53):
+    above 0.999 f whenever N_max * n < 2^43, so the mean vote cannot bring
+    |L| near the n * 6e-8 limit.  Without a floor the exit is not exact:
+    on (16, 7) under ML, frames of magnitudes 30 and 1e-20 leave a codeword
+    of C, and leave a word of Fix outside C for a codeword, because two
+    correlations round to a tie and argmax takes the earlier codeword.
     """
     field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
     N_max = _nonnegative_int(N_max, "N_max")
-    if B is None:
-        B = DirectionSet.all_of(field)
-    elif not isinstance(B, DirectionSet):
-        raise TypeError(f"B must be a DirectionSet or None, got "
-                        f"{type(B).__name__}")
-    H = spec.check_matrix
+    B = _direction_set(field, B)
+    H, r = _fixed_space_checks(spec, B, kind)
     hard = (L < 0).astype(np.uint8)
     tally = getattr(decoder, "codeword_iterations", None)
     # uint8 wraps mod 256, so H @ hard % 2 is the exact syndrome
-    if (N_max and tally is not None and not (H @ hard % 2).any()
+    s = H @ hard % 2
+    if (N_max and tally is not None and not s[:r].any()
             and np.abs(L).min() >= _EXIT_FLOOR):
-        return DecodeReport(hard, 1, True,
-                            np.full((1, len(B)), tally, dtype=np.int64))
+        if not s.any():
+            return DecodeReport(hard, 1, True,
+                                np.full((1, len(B)), tally, dtype=np.int64))
+        return DecodeReport(hard, N_max, False,
+                            np.full((N_max, len(B)), tally, dtype=np.int64))
+    stalls = tally is not None and r < len(H)
     partner, at, at_partner, from_inner = _direction_maps(field, B, kind)
     Lcur = L
     inner_tallies = []
@@ -258,8 +352,15 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
         votes = (1.0 - 2.0 * bits.astype(np.float64)) * Lcur[partner]
         Lcur = np.add.reduce(votes, axis=0) / len(B)
         hard = (Lcur < 0).astype(np.uint8)
-        if not (H @ hard % 2).any():
+        s = H @ hard % 2
+        if not s.any():
             converged = True
+            break
+        if (stalls and not s[:r].any()
+                and np.abs(Lcur).min() >= _EXIT_FLOOR):
+            skipped = np.full(len(B), tally, dtype=np.int64)
+            inner_tallies += [skipped] * (N_max - it)
+            it = N_max
             break
     tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
     return DecodeReport(hard, it, converged, tallies)
@@ -282,12 +383,15 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
     length 2^m and N_max an integer >= 0, and TypeError unless B is None or
     a DirectionSet.
 
-    With an exact inner decoder, any hard decision that lies in the
-    derivative ascendant A(D(C)) is a fixed point of the loop: its
-    derivatives are codewords of D(C), so every vote keeps its sign.
-    Near-ML output is therefore expected only when C = A(D(C)), as for the
-    Reed-Muller codes; otherwise the loop can stall on a word of A(D(C))
-    outside C and exit at N_max unconverged.
+    With an exact inner decoder, any hard decision whose derivatives in
+    every direction of B are codewords of D(C) is a fixed point of the
+    loop: every vote keeps its sign.  Over all directions these words form
+    the derivative ascendant A(D(C)).  Near-ML output is therefore expected
+    only when C = A(D(C)), as for the Reed-Muller codes; otherwise the loop
+    can stall on a word of A(D(C)) outside C.  It then leaves at the stall,
+    under the same conditions as the codeword exit, with the report the
+    remaining iterations would give: that word, N_max, unconverged.
+    `fixed_space_dimension(spec, B)` gives the dimension of those words.
     """
     return _derivative_loop(L, spec, dd_decoder, B, N_max, "cyclic")
 
@@ -311,6 +415,11 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     batch, and the loop exits early once the hard decision passes every
     check of `spec.check_matrix`; a frame whose channel hard decision
     passes them leaves before any inner call, as in `dd_decode_cyclic`.
+    A hard decision whose derivative in every direction beta of B lies in
+    the minimal descendant of beta is a fixed point with an exact inner
+    decoder, and the loop leaves at such a word outside C, unconverged at
+    N_max, as the cyclic loop does (`fixed_space_dimension(spec, B,
+    "minimal")`).
     Raises ValueError unless L is a finite vector of length 2^m and N_max
     an integer >= 0, and if mdd_decoder's bits do not have the shape of its
     input stack (a decoder for the full-length descendant, say); raises

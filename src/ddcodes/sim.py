@@ -141,14 +141,18 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     for the outer code and decode each frame as a one-row stack; the `dd-*`
     algorithms run a derivative loop around a closure for the descendant.
     Every algorithm raises ValueError("LLR input ...") unless L is a finite
-    vector of length n.  Building raises ValueError unless inner_max_iter
-    and n_max are integers >= 0.
+    vector of length n.  Building checks every setting, whether or not the
+    algorithm reads it: it raises ValueError unless inner_max_iter, n_max
+    and order are integers >= 0 and directions names a set of directions
+    of the code's field.
     """
     field = spec.field
     if cfg.algo not in ALGOS:
         raise ConfigError(f"unknown algo {cfg.algo!r}")
     _nonnegative_int(cfg.inner_max_iter, "inner_max_iter")
     _nonnegative_int(cfg.n_max, "n_max")
+    _nonnegative_int(cfg.order, "OSD order")
+    B = _parse_directions(cfg.directions, field)
     if cfg.algo in ("mld", "osd", "spa"):
         if cfg.algo == "mld":
             if spec.k > 20:
@@ -167,7 +171,6 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
             return bits[0], 1, int(its[0]), 1, bool(conv[0])
         return decode
 
-    B = _parse_directions(cfg.directions, field)
     cyclic = cfg.algo == "dd-spa"
     if cyclic:
         inner = spa_batch_decoder(_dd_parity_matrix(spec), cfg.inner_max_iter)
@@ -190,8 +193,9 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
     """Simulate every SNR point until max_frames or max_frame_errors.
 
     Raises ConfigError naming the field if `workers` is above 1, or unless
-    max_frames and max_frame_errors are integers >= 1, ebn0_db is finite
-    and gen_poly_hex is a hex integer.
+    max_frames and max_frame_errors are integers >= 1, ebn0_db holds at
+    least one point and only finite numbers, and gen_poly_hex is a hex
+    integer.
     """
     if cfg.workers > 1:
         raise ConfigError(f"field 'workers' was removed (frames come from one "
@@ -201,6 +205,9 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
         if not _is_int(value) or value < 1:
             raise ConfigError(f"field {name!r} must be an integer >= 1, "
                               f"got {value!r}")
+    if not len(cfg.ebn0_db):
+        raise ConfigError("field 'ebn0_db' must hold at least one Eb/N0 "
+                          "point, got []")
     if not all(_is_number(v) and np.isfinite(v) for v in cfg.ebn0_db):
         raise ConfigError(f"field 'ebn0_db' must hold finite numbers, "
                           f"got {cfg.ebn0_db!r}")

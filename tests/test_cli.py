@@ -18,6 +18,8 @@ def test_code_info(capsys):
     assert "[0, 1, 2, 4, 5, 8, 10]" in out
     assert "representatives = [0, 1, 5]" in out
     assert "bch_bound = 6" in out
+    assert "  fixed_space_dim (cyclic loop, all directions) = 11\n" in out
+    assert "  fixed_space_dim (minimal loop, all directions) = 7\n" in out
 
 
 def test_code_dd(capsys):
@@ -94,8 +96,9 @@ def test_decode_length_mismatch(tmp_path, capsys):
         assert "error: LLR input has shape (10,), expected (16,)" in err, algo
 
 
-@pytest.mark.parametrize("algo", ["osd", "dd-osd"])
+@pytest.mark.parametrize("algo", ["osd", "dd-osd", "spa", "dd-spa", "mld"])
 def test_decode_negative_osd_order(tmp_path, capsys, algo):
+    """An algorithm that does not read the order used to accept any."""
     llr_path = tmp_path / "llrs.txt"
     np.savetxt(llr_path, np.ones(16))
     rc = main(["decode", "--code", "16:1d1", "--algo", algo, "--order", "-1",
@@ -210,6 +213,33 @@ def test_hmatrix_check_names_bad_input(name, tmp_path, capsys):
     rc = main(["hmatrix", "check", "--alist", str(bad), "--code", code])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["mld", "osd", "spa"])
+def test_decode_checks_the_directions_of_every_algorithm(tmp_path, capsys,
+                                                         algo):
+    """An algorithm that does not read the directions used to accept any."""
+    llr_path = tmp_path / "llrs.txt"
+    np.savetxt(llr_path, np.ones(16))
+    rc = main(["decode", "--code", "16:1d1", "--algo", algo, "--directions",
+               "k:99:1", "--llr-in", str(llr_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot draw 99 of 15 directions" in captured.err
+
+
+def test_simulate_an_empty_sweep_is_an_error(tmp_path, capsys):
+    """An empty ebn0_db list used to exit 0 with a header-only CSV."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 16, "gen_poly_hex": "1d1",
+                                    "algo": "mld", "ebn0_db": []}))
+    csv_path = tmp_path / "out.csv"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(csv_path)])
+    assert rc == 2
+    assert ("error: field 'ebn0_db' must hold at least one Eb/N0 point, "
+            "got []") in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_decode_negative_spa_iteration_cap(tmp_path, capsys):

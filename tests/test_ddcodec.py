@@ -14,12 +14,14 @@ from hypothesis.extra.numpy import arrays
 import ddcodes.cyclic
 import ddcodes.ddcodec
 from ddcodes.cyclic import (code_from_exponents, code_from_generator,
-                            cyclic_shift, is_member, rm_exponent_set)
+                            cyclic_shift, ebch_code, is_member,
+                            rm_exponent_set)
 from ddcodes.ddcodec import (
     DirectionSet,
     boxplus,
     dd_decode_cyclic,
     dd_decode_minimal,
+    fixed_space_dimension,
     flop_account,
     minimal_transversal,
 )
@@ -34,8 +36,8 @@ from ddcodes.derivative import (
     derivative_codeword,
     minimal_dd_basis,
 )
-from ddcodes.gf2 import nullspace
-from ddcodes.gf2m import GF2m
+from ddcodes.gf2 import nullspace, rank, row_spaces_equal
+from ddcodes.gf2m import GF2m, coset_closure
 from ddcodes.parity import SparseParityMatrix
 from ddcodes.sim import ChannelConfig, _dd_parity_matrix, transmit
 
@@ -272,8 +274,9 @@ def test_cyclic_loop_outputs_codewords_when_converged(ex_code, inner_mld):
 
 def test_outer_check_matrix_is_computed_once_per_code(f16, inner_mld,
                                                      monkeypatch):
-    """The loops check against spec.check_matrix: the dual basis is
-    computed on the first decode only and kept read-only."""
+    """The loop checks against a matrix built from C's dual basis and the
+    descendant's: each is computed on the first decode only, and C's is
+    kept read-only."""
     calls = []
 
     def counting(M):
@@ -286,7 +289,7 @@ def test_outer_check_matrix_is_computed_once_per_code(f16, inner_mld,
               for _ in range(2)]
     for L in frames:
         dd_decode_cyclic(L, spec, inner_mld)
-    assert calls == [spec.G.shape]
+    assert sorted(calls) == sorted([spec.G.shape, dd_code(spec).G.shape])
     assert not spec.check_matrix.flags.writeable
 
 
@@ -881,6 +884,230 @@ def test_ml_correlation_ties_keep_tiny_codeword_frames_in_the_loop(
     rep = dd_decode_cyclic(L, ex_code, counted, B, 3)
     assert (counted.calls == 0) == exits
     _same_report(rep, dd_decode_cyclic(L, ex_code, _recording(inner_mld), B, 3))
+    assert np.array_equal(rep.bits, bits)
+    assert (rep.iterations, rep.converged) == (it, converged)
+    assert np.array_equal(rep.inner_iterations, tallies)
+
+
+def _fixed_words_by_enumeration(spec, kind):
+    """The words h of length 16 whose derivative in every direction beta is
+    a codeword of the inner code: D(C) for the cyclic loop, the span of
+    minimal_dd_basis(spec, beta) for the minimal one."""
+    field = spec.field
+    words = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
+    fixed = np.ones(len(words), dtype=bool)
+    for beta in DirectionSet.all_of(field):
+        G_in = (dd_code(spec).G if kind == "cyclic"
+                else minimal_dd_basis(spec, beta).basis)
+        D = words ^ words[:, field.pair_permutation(beta)]
+        fixed &= ~(D.astype(np.int64) @ nullspace(G_in).T % 2).any(axis=1)
+    return words[fixed]
+
+
+_F16_FIXED_DIMS = {"eBCH(16,5)": (lambda: ebch_code(GF2m(4), 5), 5, 5),
+                   "(16,7) 0x1d1": (lambda: code_from_generator(GF2m(4), 0x1D1),
+                                    11, 7),
+                   "eBCH(16,11)": (lambda: ebch_code(GF2m(4), 11), 11, 11)}
+
+
+@pytest.mark.parametrize("name", sorted(_F16_FIXED_DIMS))
+def test_fixed_space_dimension_matches_enumeration(name):
+    """Counted over all 2^16 words: the fixed words of each loop form a
+    space of the dimension fixed_space_dimension gives (cyclic, minimal)."""
+    make, *dims = _F16_FIXED_DIMS[name]
+    spec = make()
+    for kind, dim in zip(("cyclic", "minimal"), dims):
+        words = _fixed_words_by_enumeration(spec, kind)
+        assert len(words) == 1 << dim
+        assert fixed_space_dimension(spec, kind=kind) == dim
+        H, r = ddcodes.ddcodec._fixed_space_checks(
+            spec, DirectionSet.all_of(spec.field), kind)
+        assert not (words.astype(np.int64) @ H[:r].T % 2).any()
+
+
+@pytest.mark.parametrize("k, cyclic, minimal", [(11, 16, 16), (16, 16, 16),
+                                                (21, 26, 21), (26, 26, 26)])
+def test_fixed_space_dimensions_of_the_length_32_ebch_codes(k, cyclic,
+                                                            minimal):
+    spec = ebch_code(GF2m(5), k)
+    assert fixed_space_dimension(spec) == cyclic
+    assert fixed_space_dimension(spec, None, "minimal") == minimal
+
+
+def _ebch_codes(ms):
+    for m in ms:
+        field = GF2m(m)
+        n = field.n
+        dims = {n - len(coset_closure(range(1, d), n)) for d in range(2, n + 1)}
+        for k in sorted(dims - {1}):
+            yield ebch_code(field, k)
+
+
+@pytest.mark.parametrize("spec", list(_ebch_codes((4, 5, 6))), ids=repr)
+def test_cyclic_fixed_space_is_the_derivative_ascendant(spec):
+    """Over all directions, the cyclic loop's fixed space is A(D(C)), and
+    the loop's matrix is a check matrix of C with that space's checks
+    first."""
+    H, r = ddcodes.ddcodec._fixed_space_checks(
+        spec, DirectionSet.all_of(spec.field), "cyclic")
+    assert not H.flags.writeable
+    assert len(H) == spec.n - spec.k
+    assert not (spec.G.astype(np.int64) @ H.T % 2).any()
+    assert rank(H) == len(H)
+    assert row_spaces_equal(nullspace(H[:r]), da_code(dd_code(spec)).G)
+
+
+def test_fixed_space_dimension_rejects_bad_arguments(ex_code):
+    with pytest.raises(ValueError, match="kind must be 'cyclic' or "
+                                         "'minimal', got 'ml'"):
+        fixed_space_dimension(ex_code, kind="ml")
+    with pytest.raises(TypeError, match="B must be a DirectionSet or None, "
+                                        "got list"):
+        fixed_space_dimension(ex_code, [1, 2])
+
+
+def _stall_cases():
+    """Codes whose loop has a fixed space larger than C, with ML, OSD-1 and
+    SPA inner decoders (caps 0 and 20): (code, kind, inner) -> (spec,
+    decoder)."""
+    specs = {"(16,7)": code_from_generator(GF2m(4), 0x1D1),
+             "eBCH(32,21)": ebch_code(GF2m(5), 21),
+             "eBCH(32,11)": ebch_code(GF2m(5), 11)}
+    cases = {}
+    for name, kinds in (("(16,7)", ["cyclic"]), ("eBCH(32,21)", ["cyclic"]),
+                        ("eBCH(32,11)", ["cyclic", "minimal"])):
+        spec = specs[name]
+        T, _ = minimal_transversal(spec.field)
+        for kind in kinds:
+            if kind == "cyclic":
+                G, H = dd_code(spec).G, _dd_parity_matrix(spec)
+            else:
+                G = minimal_dd_basis(spec, 1).basis[:, T]
+                H = SparseParityMatrix.from_dense(nullspace(G))
+            cases[name, kind, "ml"] = (spec, mld_batch_decoder(G))
+            cases[name, kind, "osd1"] = (spec, osd_batch_decoder(G, 1))
+            for cap in (0, 20):
+                cases[name, kind, f"spa{cap}"] = (spec,
+                                                  spa_batch_decoder(H, cap))
+    return cases
+
+
+_STALL_CASES = _stall_cases()
+# the floor, its neighbour above and two larger magnitudes
+_STALL_ABOVE = [30.0, 2.5, _FLOOR, np.nextafter(_FLOOR, 1.0)]
+
+
+def _in_fixed_space(spec, kind, B, h):
+    """Whether every derivative of h in B is a codeword of the inner code,
+    tested direction by direction on the inner code's own checks."""
+    for beta in B:
+        G_in = (dd_code(spec).G if kind == "cyclic"
+                else minimal_dd_basis(spec, beta).basis)
+        d = h ^ h[spec.field.pair_permutation(beta)]
+        if (nullspace(G_in).astype(np.int64) @ d % 2).any():
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(_STALL_CASES)), data=st.data())
+def test_fixed_space_exit_matches_the_reference_loops(case, data):
+    """Frames on words of the loop's fixed space outside C, at magnitudes
+    around the floor, above it and far below it, some with a flipped
+    position or two: each loop
+    gives the bits, iteration count, flag and inner tallies of the
+    reference loop, which has no exit.  A frame whose channel hard decision
+    lies in the fixed space outside C, at or above the floor, makes no
+    inner call."""
+    _, kind, _ = case
+    spec, inner = _STALL_CASES[case]
+    field = spec.field
+    if data.draw(st.booleans()):
+        B = DirectionSet.all_of(field)
+    else:
+        B = DirectionSet.random_subset(
+            field, data.draw(st.integers(1, field.n)),
+            data.draw(st.integers(0, 2**16)))
+    H, r = ddcodes.ddcodec._fixed_space_checks(
+        spec, DirectionSet.all_of(field), kind)
+    basis = nullspace(H[:r])
+    coeffs = np.array(data.draw(st.lists(st.integers(0, 1),
+                                         min_size=len(basis),
+                                         max_size=len(basis))), dtype=np.uint8)
+    word = coeffs @ basis % 2
+    pool = _STALL_ABOVE + (_BELOW_FLOOR if data.draw(st.booleans()) else [])
+    mags = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                       min_size=spec.n, max_size=spec.n)))
+    L = mags * (1.0 - 2.0 * word)
+    if data.draw(st.booleans()):
+        L[list(data.draw(st.sets(st.integers(0, spec.n - 1), min_size=1,
+                                 max_size=2)))] *= -1.0
+    N_max = data.draw(st.integers(0, 4))
+    loop, reference = _LOOPS[kind]
+    counted = _counting(inner)
+    rep = loop(L, spec, counted, B, N_max)
+    hard = (L < 0).astype(np.uint8)
+    in_code = not (spec.check_matrix @ hard % 2).any()
+    stalled = (not in_code and np.abs(L).min() >= _FLOOR
+               and _in_fixed_space(spec, kind, B, hard))
+    if stalled:
+        assert counted.calls == 0
+    if N_max:
+        bits, it, converged, tallies = reference(L, spec, inner, B, N_max)
+    else:
+        bits, it, converged, tallies = hard, 0, False, np.zeros((0, len(B)))
+    assert np.array_equal(rep.bits, bits)
+    assert (rep.iterations, rep.converged) == (it, converged)
+    assert np.array_equal(rep.inner_iterations, tallies)
+    assert rep.inner_iterations.dtype == np.int64
+    event("exit before any inner call" if stalled
+          else "exit after an inner call" if counted.calls < it
+          else "no exit")
+
+
+@pytest.mark.parametrize("tiny, exits", [(1e-20, False), (1e-3, True)])
+def test_ml_correlation_ties_keep_tiny_stalled_frames_in_the_loop(
+        ex_code, inner_mld, tiny, exits):
+    """Row 1 of the A(D(C)) generator, a word outside the (16, 7) code,
+    with magnitude 30 on the even positions and `tiny` on the odd ones.  At
+    1e-20 ML correlation ties take the loop off that word, and it converges
+    to a codeword at iteration 2; the floor keeps the frame in the loop.  At
+    1e-3 it leaves before any inner call with the report the loop gives: the
+    word, N_max, unconverged."""
+    word = da_code(dd_code(ex_code)).G[1]
+    assert not is_member(ex_code, word)
+    L = np.where(np.arange(16) % 2 == 0, 30.0, tiny) * (1.0 - 2.0 * word)
+    B = DirectionSet.all_of(ex_code.field)
+    bits, it, converged, tallies = _reference_cyclic(L, ex_code, inner_mld,
+                                                     B, 3)
+    assert (np.array_equal(bits, word), it, converged) == (
+        (True, 3, False) if exits else (False, 2, True))
+    counted = _counting(inner_mld)
+    rep = dd_decode_cyclic(L, ex_code, counted, B, 3)
+    assert (counted.calls == 0) == exits
+    assert np.array_equal(rep.bits, bits)
+    assert (rep.iterations, rep.converged) == (it, converged)
+    assert np.array_equal(rep.inner_iterations, tallies)
+
+
+@pytest.mark.parametrize("cap", [0, 20])
+def test_frames_that_reach_the_fixed_space_leave_it_at_once(ex_code, cap):
+    """A word of A(D(C)) outside the (16, 7) code at magnitude 2.5, one
+    position at 1e-20: below the floor, so the loop makes its first inner
+    call.  The votes lift every |L| above the floor, and the loop leaves
+    after that one call with the rows the two it skipped would give: SPA's
+    codeword_iterations, 0 with cap 0 and 1 with cap 20."""
+    word = da_code(dd_code(ex_code)).G[1]
+    L = np.where(np.arange(16) == 3, 1e-20, 2.5) * (1.0 - 2.0 * word)
+    inner = spa_batch_decoder(_dd_parity_matrix(ex_code), cap)
+    B = DirectionSet.all_of(ex_code.field)
+    counted = _counting(inner)
+    rep = dd_decode_cyclic(L, ex_code, counted, B, 3)
+    assert counted.calls == 1
+    assert np.array_equal(rep.bits, word)
+    assert (rep.iterations, rep.converged) == (3, False)
+    assert rep.inner_iterations.tolist() == [[min(cap, 1)] * 15] * 3
+    bits, it, converged, tallies = _reference_cyclic(L, ex_code, inner, B, 3)
     assert np.array_equal(rep.bits, bits)
     assert (rep.iterations, rep.converged) == (it, converged)
     assert np.array_equal(rep.inner_iterations, tallies)

@@ -14,6 +14,7 @@ import ddcodes.sim
 from ddcodes.cyclic import code_from_generator, ebch_code
 from ddcodes.decoders import (all_codewords, mld_exhaustive, osd_decode,
                               spa_decode_batch)
+from ddcodes.derivative import da_code, dd_code
 from ddcodes.gf2m import GF2m, field_for_length
 from ddcodes.parity import SparseParityMatrix
 from ddcodes.sim import (
@@ -218,18 +219,20 @@ def test_dd_osd_output_is_frozen(case):
 
 # sha256 of build_decoder("dd-spa") output on seeded frames, and of the
 # per-row iteration counts and flags of every inner SPA call made for a frame
-# whose channel hard decision fails a check of C.  Both were recorded before
-# the derivative loop returned frames whose channel hard decision is already
-# a codeword without calling SPA, and before SPA rows whose channel hard
-# decision passes every check left ahead of the first update: neither exit
-# changed a bit, count or flag.
+# whose channel hard decision fails a check of C and whose output does not
+# lie in the loop's fixed space A(D(C)) outside C.  The outputs digest was
+# recorded before the derivative loop returned frames whose hard decision
+# lies in C or in that fixed space without calling SPA, and before SPA rows
+# whose channel hard decision passes every check left ahead of the first
+# update: no exit changed a bit, count or flag.  The SPA-call digest was
+# recorded with the fixed-space frames left out, before that exit.
 _DD_SPA_DIGESTS = {
     (64, "0x782cf", (5.0, 3.0), 150): (
         "57a6bce2429d43d0a80123d66e466665fecfda408bb2978efeef3ac1ce8d57f6",
         "f293ffbfbab4fbbc17f2ac510626342a3890c61b247bcb1d3001edade0e5b098"),
     (16, "0x1d1", (3.0, 1.0), 40): (
         "e835204318540a3489df6bab97f4dbbe9f83208301fd997354903d1070e01a09",
-        "64df45c08e86e5877ca27f18e96c15bd4e23c287e6724045a0147c25bbe36d2f"),
+        "c915f044d287412d4a2ca31e9345a2ccea6434216d18ad7175bb51b872c1423e"),
 }
 
 
@@ -238,9 +241,11 @@ def test_dd_spa_output_is_frozen(case, monkeypatch):
     """Bits, outer iterations, inner tallies and flags of the dd-spa decoder
     on fixed frames, and the per-row iteration counts and flags of every
     inner SPA call of the frames whose channel hard decision is not a
-    codeword: (n, generator, Eb/N0 points, frames per point)."""
+    codeword and whose output is not a word of A(D(C)) outside C, where the
+    loop stops calling SPA: (n, generator, Eb/N0 points, frames per point)."""
     n, gen, snrs, frames = case
     spec = code_from_generator(field_for_length(n), int(gen, 16))
+    fixed = da_code(dd_code(spec)).check_matrix
     decode = build_decoder(SimConfig(n=n, gen_poly_hex=gen, algo="dd-spa"),
                            spec)
     outputs, spa_calls = hashlib.sha256(), hashlib.sha256()
@@ -264,7 +269,10 @@ def test_dd_spa_output_is_frozen(case, monkeypatch):
             outputs.update(np.asarray(bits, dtype=np.uint8).tobytes())
             outputs.update(np.array([its, inner_sum, rows, conv],
                                     dtype=np.int64).tobytes())
-            if (spec.check_matrix @ (L < 0).astype(np.uint8) % 2).any():
+            stalled = (not (fixed @ bits % 2).any()
+                       and (spec.check_matrix @ bits % 2).any())
+            if (spec.check_matrix @ (L < 0).astype(np.uint8) % 2).any() \
+                    and not stalled:
                 for chunk in frame_calls:
                     spa_calls.update(chunk)
     assert (outputs.hexdigest(), spa_calls.hexdigest()) == _DD_SPA_DIGESTS[case]
@@ -313,11 +321,29 @@ def test_unknown_algo_rejected():
         build_decoder(_base_config(algo="turbo"), spec)
 
 
-@pytest.mark.parametrize("algo", ["osd", "dd-osd"])
+@pytest.mark.parametrize("algo", ["osd", "dd-osd", "spa", "dd-spa", "mld"])
 @pytest.mark.parametrize("order", [-1, 2.5])
 def test_invalid_osd_order_rejected(algo, order):
     with pytest.raises(ValueError, match="OSD order"):
         run_monte_carlo(_base_config(algo=algo, order=order, max_frames=1))
+
+
+@pytest.mark.parametrize("algo", ["osd", "dd-osd", "spa", "dd-spa", "mld"])
+def test_directions_are_checked_for_every_algorithm(algo):
+    """A baseline, which takes no derivatives, used to accept any value."""
+    with pytest.raises(ConfigError, match="cannot parse directions 'bogus'"):
+        run_monte_carlo(_base_config(algo=algo, directions="bogus",
+                                     max_frames=1))
+    with pytest.raises(ValueError, match="cannot draw 99 of 15 directions"):
+        run_monte_carlo(_base_config(algo=algo, directions="k:99:1",
+                                     max_frames=1))
+
+
+def test_an_empty_sweep_is_a_named_error():
+    """It used to return no points, and simulate wrote a header-only CSV."""
+    with pytest.raises(ConfigError, match=r"field 'ebn0_db' must hold at "
+                                          r"least one Eb/N0 point, got \[\]"):
+        run_monte_carlo(_base_config(ebn0_db=[]))
 
 
 @pytest.mark.parametrize("algo", ["spa", "dd-spa", "mld"])
