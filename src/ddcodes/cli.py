@@ -17,7 +17,7 @@ from .derivative import da_code, dd_code
 from .gf2m import field_for_length
 from .parity import (dual_orbit_parity_matrix, eg_line_parity_matrix,
                      is_orthogonal_to, read_alist, write_alist)
-from .sim import (ConfigError, SimConfig, build_decoder, load_config,
+from .sim import (ALGOS, ConfigError, SimConfig, build_decoder, load_config,
                   run_monte_carlo, write_results)
 
 __all__ = ["main"]
@@ -133,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decode", help="decode one LLR vector")
     pd.add_argument("--code", required=True, help="<n>:<gen-hex>")
-    pd.add_argument("--algo", required=True,
-                    choices=["dd-spa", "dd-osd", "osd", "spa", "mld"])
+    pd.add_argument("--algo", required=True, choices=ALGOS)
     pd.add_argument("--directions", default="all", help="all | k:<count>:<seed>")
     pd.add_argument("--max-iter", type=int, default=3,
                     help="outer derivative-decoding iterations (dd-*)")

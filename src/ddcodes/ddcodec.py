@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -82,11 +83,12 @@ def boxplus(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """An ordered, duplicate-free set of nonzero derivative directions.
+    """An ordered, duplicate-free, nonempty set of nonzero directions.
 
-    Elements are kept in ascending order of their discrete log, which fixes
-    the summation order of the voting average and so keeps runs
-    bit-reproducible.
+    The constructor keeps its integers (numpy ones too) as a tuple of ints
+    in the order given; `all_of` and `random_subset` give ascending order
+    of the discrete log.  The order fixes the summation order of the voting
+    average and so keeps runs bit-reproducible.
     """
     elements: tuple[int, ...]
 
@@ -103,12 +105,19 @@ class DirectionSet:
         seed = _nonnegative_int(seed, "direction seed")
         rng = np.random.default_rng(seed)
         exps = np.sort(rng.choice(field.n, size=k, replace=False))
-        return cls(tuple(int(field.antilog[e]) for e in exps))
+        return cls(field.antilog[exps])
 
     def exponents(self, field: GF2m) -> list[int]:
         return [int(field.log[b]) for b in self.elements]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "elements", tuple(map(index, self.elements)))
+        except TypeError:
+            raise TypeError(f"directions must be integers, got "
+                            f"{self.elements!r}") from None
+        if not self.elements:
+            raise ValueError("a direction set must hold at least one direction")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate directions")
         if 0 in self.elements:
@@ -193,33 +202,40 @@ def _fixed_space_checks(spec: CodeSpec, B: DirectionSet, kind: str):
     """(H, r) for one (spec, direction set, kind), built on first use.
 
     H is a read-only check matrix of C whose first r rows span the dual of
-    the loop's fixed space Fix = {h : D_beta h lies in the inner code for
-    every beta in B}.  The inner code of direction beta is the cyclic
-    descendant D(C) for the "cyclic" kind and the minimal descendant
-    D_beta(C) for the "minimal" kind, whose shifted copy the minimal loop's
-    decoder decodes.  With H_beta its checks and P_beta the pair
-    permutation of beta (the `partner` map of `_direction_maps`), Fix is
-    the null space of the stacked H_beta(I + P_beta).  Every stacked row
-    lies in C's dual, so C is inside Fix.
-
-    The stack is eliminated one direction at a time.  Once its rank reaches
-    n - k, Fix = C and H is `spec.check_matrix` with r = n - k; otherwise
-    the reduced stack comes first, and C's checks reduced against it
-    complete H to a basis of C's dual.
+    the loop's fixed space Fix = {h : every derivative of h over B lies in
+    the inner code}.  Row d of the inner stack holds the derivative on the
+    pairs {at[d, i], at_partner[d, i]} (`_direction_maps`), and C's shift
+    invariance makes its code one code H_in checks for every d: D(C) for
+    the "cyclic" kind, the punctured direction-1 minimal descendant for the
+    "minimal" kind.  So direction d's block carries H_in to both at[d] and
+    at_partner[d], and Fix is the null space of the blocks; every block row
+    lies in C's dual, so C is inside Fix.  Each block is reduced against
+    the rows kept so far and eliminated only if it does not reduce to zero.
+    Once the rank reaches n - k, Fix = C and H is `spec.check_matrix` with
+    r = n - k; otherwise the kept rows come first, and C's checks reduced
+    against them complete H to a basis of C's dual.
     """
-    partner = _direction_maps(spec.field, B, kind)[0]
-    descendant = dd_code(spec).check_matrix if kind == "cyclic" else None
+    _, at, at_partner, _ = _direction_maps(spec.field, B, kind)
+    H_in = (dd_code(spec).check_matrix if kind == "cyclic"
+            else nullspace(spec.G[:, at[0]] ^ spec.G[:, at_partner[0]]))
     n, dual = spec.n, spec.n - spec.k
     R, pivots = np.zeros((0, n), dtype=np.uint8), []
-    for P in partner:
-        H_in = (descendant if descendant is not None
-                else nullspace(spec.G ^ spec.G[:, P]))
-        R, pivots = rref(np.vstack([R, H_in ^ H_in[:, P]]))
-        if len(R) == dual:
-            return spec.check_matrix, dual
-    # uint8 wraps mod 256, so the matmul keeps the parity of each sum
-    rest = spec.check_matrix ^ (spec.check_matrix[:, pivots] @ R % 2)
-    H = np.vstack([R, rref(rest)[0]])
+
+    def reduced(M):
+        # exact: every sum is at most n < 2^24, and float32 runs on BLAS
+        carry = M[:, pivots].astype(np.float32) @ R.astype(np.float32)
+        return M ^ (carry.astype(np.int32) & 1).astype(np.uint8)
+
+    for d in range(len(B)):
+        K = np.zeros((len(H_in), n), dtype=np.uint8)
+        K[:, at[d]] = H_in
+        K[:, at_partner[d]] ^= H_in
+        K = reduced(K)
+        if K.any():
+            R, pivots = rref(np.vstack([R, K]))
+            if len(R) == dual:
+                return spec.check_matrix, dual
+    H = np.vstack([R, rref(reduced(spec.check_matrix))[0]])
     H.setflags(write=False)
     return H, len(R)
 
@@ -276,17 +292,16 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     The loop leaves at its fixed space.  Fix is the space of words h whose
     derivative hard decision D_beta h is a codeword of the inner code in
     every direction of B (`_fixed_space_checks`, `fixed_space_dimension`);
-    it contains C.  Each hard decision h gets one syndrome against a check
-    matrix of C whose first r rows check Fix.  If it is zero, h is in C and
-    the loop has converged.  If it is zero on the first r rows only, h is
-    in Fix outside C, and when min |L| >= _EXIT_FLOOR and the decoder
+    it contains C.  Each hard decision h, the channel's at iteration 0
+    included, gets one syndrome against a check matrix of C whose first r
+    rows check Fix, tested in one place.  After an iteration a zero
+    syndrome means h is in C: converged.  At N_max the loop stops.  Else,
+    if the first r rows are zero, min |L| >= _EXIT_FLOOR and the decoder
     states its `codeword_iterations` (as the closures of `ddcodes.decoders`
-    do), the loop returns h, N_max, unconverged, with its tallies padded to
-    N_max rows with that count: exactly what the remaining iterations give.
-    The same test runs on the channel hard decision when N_max >= 1, so a
-    frame in C leaves before any inner call with the report of the first
-    iteration (h, 1, converged, one row of that count), and a frame in Fix
-    outside C leaves with no inner call at all.  A decoder without the
+    do), the loop returns what the remaining iterations give, tallies of
+    that count included: for h in C (only the channel hard decision) the
+    first iteration's (h, 1, converged), before any inner call; for h in
+    Fix outside C, (h, N_max, unconverged).  A decoder without the
     attribute, such as a recording wrapper, runs every iteration.  Where
     Fix = C (r = n - k) the test is the one syndrome check of C.
 
@@ -319,51 +334,36 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     N_max = _nonnegative_int(N_max, "N_max")
     B = _direction_set(field, B)
     H, r = _fixed_space_checks(spec, B, kind)
-    hard = (L < 0).astype(np.uint8)
-    tally = getattr(decoder, "codeword_iterations", None)
-    # uint8 wraps mod 256, so H @ hard % 2 is the exact syndrome
-    s = H @ hard % 2
-    if (N_max and tally is not None and not s[:r].any()
-            and np.abs(L).min() >= _EXIT_FLOOR):
-        if not s.any():
-            return DecodeReport(hard, 1, True,
-                                np.full((1, len(B)), tally, dtype=np.int64))
-        return DecodeReport(hard, N_max, False,
-                            np.full((N_max, len(B)), tally, dtype=np.int64))
-    stalls = tally is not None and r < len(H)
     partner, at, at_partner, from_inner = _direction_maps(field, B, kind)
-    Lcur = L
-    inner_tallies = []
-    converged = False
-    it = 0
-    for it in range(1, N_max + 1):
-        t = np.tanh(np.clip(Lcur, -LLR_CLIP, LLR_CLIP) * 0.5)
+    tally = getattr(decoder, "codeword_iterations", None)
+    tallies = np.empty((N_max, len(B)), dtype=np.int64)
+    for it in range(N_max + 1):
+        hard = (L < 0).astype(np.uint8)
+        # uint8 wraps mod 256, so H @ hard % 2 is the exact syndrome
+        s = H @ hard % 2
+        if it and not s.any():
+            return DecodeReport(hard, it, True, tallies[:it])
+        if it == N_max:
+            break
+        if (tally is not None and not s[:r].any()
+                and np.abs(L).min() >= _EXIT_FLOOR):
+            end = N_max if s.any() else 1
+            tallies[it:end] = tally
+            return DecodeReport(hard, end, not s.any(), tallies[:end])
+        t = np.tanh(np.clip(L, -LLR_CLIP, LLR_CLIP) * 0.5)
         Ld = np.multiply(t[at], t[at_partner])
         np.clip(Ld, -_ATANH_LIM, _ATANH_LIM, out=Ld)
         np.arctanh(Ld, out=Ld)
         Ld *= 2
         np.clip(Ld, -LLR_CLIP, LLR_CLIP, out=Ld)
-        bits, inner_its, _ = decoder(Ld)
+        bits, tallies[it], _ = decoder(Ld)
         if np.shape(bits) != Ld.shape:
             raise ValueError(f"inner decoder returned bits of shape "
                              f"{np.shape(bits)} for a stack of shape {Ld.shape}")
-        inner_tallies.append(np.asarray(inner_its, dtype=np.int64))
         bits = np.take(bits, from_inner)        # (|B|, 2^m), original positions
-        votes = (1.0 - 2.0 * bits.astype(np.float64)) * Lcur[partner]
-        Lcur = np.add.reduce(votes, axis=0) / len(B)
-        hard = (Lcur < 0).astype(np.uint8)
-        s = H @ hard % 2
-        if not s.any():
-            converged = True
-            break
-        if (stalls and not s[:r].any()
-                and np.abs(Lcur).min() >= _EXIT_FLOOR):
-            skipped = np.full(len(B), tally, dtype=np.int64)
-            inner_tallies += [skipped] * (N_max - it)
-            it = N_max
-            break
-    tallies = np.stack(inner_tallies) if inner_tallies else np.zeros((0, len(B)), dtype=np.int64)
-    return DecodeReport(hard, it, converged, tallies)
+        votes = (1.0 - 2.0 * bits.astype(np.float64)) * L[partner]
+        L = np.add.reduce(votes, axis=0) / len(B)
+    return DecodeReport(hard, N_max, False, tallies)
 
 
 def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = None,

@@ -36,7 +36,7 @@ from ddcodes.derivative import (
     derivative_codeword,
     minimal_dd_basis,
 )
-from ddcodes.gf2 import nullspace, rank, row_spaces_equal
+from ddcodes.gf2 import nullspace, rank, row_spaces_equal, rref
 from ddcodes.gf2m import GF2m, coset_closure
 from ddcodes.parity import SparseParityMatrix
 from ddcodes.sim import ChannelConfig, _dd_parity_matrix, transmit
@@ -189,6 +189,18 @@ def test_direction_sets(f16):
         DirectionSet((3, 3))
     with pytest.raises(ZeroDirectionError):
         DirectionSet((0, 1))
+    assert DirectionSet([4, 2]).elements == (4, 2)   # the order given
+    for raw in ([1, 2], np.array([1, 2]), (np.int8(1), 2)):
+        built = DirectionSet(raw)
+        assert built == DirectionSet((1, 2))
+        assert hash(built) == hash(DirectionSet((1, 2)))
+        assert all(type(b) is int for b in built)
+    with pytest.raises(ValueError, match="a direction set must hold at "
+                                         "least one direction"):
+        DirectionSet(())
+    for bad in (3, [1.0, 2.0], ["1"], [None]):
+        with pytest.raises(TypeError, match="directions must be integers"):
+            DirectionSet(bad)
 
 
 @pytest.mark.parametrize("k", [True, 6.0, 2.5, "6", None, np.float64(6.0)])
@@ -272,24 +284,38 @@ def test_cyclic_loop_outputs_codewords_when_converged(ex_code, inner_mld):
         assert report.inner_iterations.shape == (report.iterations, 15)
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "minimal"])
 def test_outer_check_matrix_is_computed_once_per_code(f16, inner_mld,
+                                                     inner_minimal_mld, kind,
                                                      monkeypatch):
-    """The loop checks against a matrix built from C's dual basis and the
-    descendant's: each is computed on the first decode only, and C's is
-    kept read-only."""
-    calls = []
+    """The loop checks against a matrix built from C's dual basis and one
+    check matrix of the inner code, the descendant's (cyclic) or the
+    punctured direction-1 minimal descendant's (minimal): each is computed
+    on the first decode only, and C's is kept read-only."""
+    calls, inner_calls = [], []
 
-    def counting(M):
+    def counting(M, calls):
         calls.append(np.shape(M))
         return nullspace(M)
-    monkeypatch.setattr(ddcodes.cyclic, "nullspace", counting)
+    monkeypatch.setattr(ddcodes.cyclic, "nullspace",
+                        functools.partial(counting, calls=calls))
+    monkeypatch.setattr(ddcodes.ddcodec, "nullspace",
+                        functools.partial(counting, calls=inner_calls))
+    loop, inner = ((dd_decode_cyclic, inner_mld) if kind == "cyclic"
+                   else (dd_decode_minimal, inner_minimal_mld))
     spec = code_from_generator(f16, 0x1D1)
     rng = np.random.default_rng(263)
     frames = [_noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
               for _ in range(2)]
-    for L in frames:
-        dd_decode_cyclic(L, spec, inner_mld)
-    assert sorted(calls) == sorted([spec.G.shape, dd_code(spec).G.shape])
+    loop(frames[0], spec, inner)
+    outer = [spec.G.shape] + ([dd_code(spec).G.shape] if kind == "cyclic"
+                              else [])
+    assert sorted(calls) == sorted(outer)
+    assert len(inner_calls) == (kind == "minimal")
+    calls.clear()
+    inner_calls.clear()
+    loop(frames[1], spec, inner)
+    assert calls == inner_calls == []
     assert not spec.check_matrix.flags.writeable
 
 
@@ -955,6 +981,42 @@ def test_cyclic_fixed_space_is_the_derivative_ascendant(spec):
     assert not (spec.G.astype(np.int64) @ H.T % 2).any()
     assert rank(H) == len(H)
     assert row_spaces_equal(nullspace(H[:r]), da_code(dd_code(spec)).G)
+
+
+def _reference_fixed_space_checks(spec, B, kind):
+    """The fixed-space check matrix built as the first builder did: one
+    full-length inner check matrix per direction (the minimal one by its
+    own null space), and the whole stack eliminated after each direction."""
+    n, dual = spec.n, spec.n - spec.k
+    R, pivots = np.zeros((0, n), dtype=np.uint8), []
+    for beta in B:
+        P = spec.field.pair_permutation(beta)
+        H_in = (dd_code(spec).check_matrix if kind == "cyclic"
+                else nullspace(spec.G ^ spec.G[:, P]))
+        R, pivots = rref(np.vstack([R, H_in ^ H_in[:, P]]))
+        if len(R) == dual:
+            return spec.check_matrix, dual
+    # uint8 wraps mod 256, so the matmul keeps the parity of each sum
+    rest = spec.check_matrix ^ (spec.check_matrix[:, pivots] @ R % 2)
+    return np.vstack([R, rref(rest)[0]]), len(R)
+
+
+@pytest.mark.parametrize(
+    "spec", [code_from_generator(GF2m(4), 0x1D1), *_ebch_codes((4, 5, 6))],
+    ids=repr)
+def test_fixed_space_checks_match_the_per_direction_construction(spec):
+    """One inner check matrix carried into every direction, with each block
+    reduced before elimination, gives the same (H, r) as a per-direction
+    construction, for both kinds on all directions and two subsets."""
+    field = spec.field
+    for B in (DirectionSet.all_of(field),
+              DirectionSet.random_subset(field, 3, seed=5),
+              DirectionSet.random_subset(field, field.n // 2, seed=6)):
+        for kind in ("cyclic", "minimal"):
+            H, r = ddcodes.ddcodec._fixed_space_checks(spec, B, kind)
+            H_ref, r_ref = _reference_fixed_space_checks(spec, B, kind)
+            assert r == r_ref
+            assert np.array_equal(H, H_ref)
 
 
 def test_fixed_space_dimension_rejects_bad_arguments(ex_code):
