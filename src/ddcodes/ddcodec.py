@@ -240,9 +240,15 @@ def _fixed_space_checks(spec: CodeSpec, B: DirectionSet, kind: str):
     return H, len(R)
 
 
+@lru_cache(maxsize=32)
+def _all_directions(field: GF2m) -> DirectionSet:
+    """DirectionSet.all_of(field), built once per field."""
+    return DirectionSet.all_of(field)
+
+
 def _direction_set(field: GF2m, B) -> DirectionSet:
     if B is None:
-        return DirectionSet.all_of(field)
+        return _all_directions(field)
     if not isinstance(B, DirectionSet):
         raise TypeError(f"B must be a DirectionSet or None, got "
                         f"{type(B).__name__}")

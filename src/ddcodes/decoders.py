@@ -21,7 +21,8 @@ decision satisfies every check leaves the block, so later iterations touch
 only the rows still live, and every row decodes exactly as it would alone.
 Every syndrome is one matmul against a dense transpose of H built once per H.
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
-(`gf2.rref_stack`) rather than one elimination per vector.  It then scores
+(`gf2.rref_stack`, one pass over G's rows for all the reliability orders)
+rather than one elimination per vector.  It then scores
 every reprocessing candidate without building it: the correlations come
 from exact sign products, extended one flip weight at a time by a batched
 matmul, and only each row's winner is built.  A row where another screened

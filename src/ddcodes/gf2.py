@@ -1,13 +1,13 @@
 """Dense GF(2) linear algebra on numpy uint8 arrays (values 0/1).
 
-Elimination pivots on the leftmost available column, so reduced forms are
-deterministic and two matrices span the same row space iff their reduced
-forms are identical arrays.  `rref_stack` is the one elimination routine:
-it reduces a matrix under a whole stack of column orders at once (the
-ordered-statistics decoder passes reliability orders), and `rref` is its
-natural-order case.  `all_codewords` is the one row-span enumerator: the
-exhaustive ML decoder, the minimum-distance search and the low-weight dual
-search all read the codebook it builds.
+A row space has one reduced row-echelon form under each column order, so
+two matrices span the same row space iff their natural-order reduced forms
+are identical arrays.  `rref_stack` is the one elimination routine: one
+Gauss-Jordan pass over the rows reduces a matrix under a whole stack of
+column orders (the ordered-statistics decoder passes reliability orders),
+and `rref` is its natural-order case.  `all_codewords` is the one row-span
+enumerator: the exhaustive ML decoder, the minimum-distance search and the
+low-weight dual search all read the codebook it builds.
 """
 from __future__ import annotations
 
@@ -25,16 +25,20 @@ class DimensionTooLargeError(ValueError):
 def rref_stack(M: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row-echelon forms of M under each column order in a stack.
 
-    orders is an (F, n) stack of permutations of M's n columns.  Copy f
-    visits the columns in the order orders[f]: each pivot step takes the
-    first visited column with a 1 in the rows not yet pivoted, uses the
-    lowest such row as the pivot row (swapped up into place) and clears the
-    column in every other row.  The F copies are column permutations of one
-    matrix, so they share its rank and take their pivot steps in lockstep.
+    orders is an (F, n) stack of permutations of M's n columns; copy f
+    visits the columns in the order orders[f].  One Gauss-Jordan pass takes
+    M's rows in order.  Row i, cleared by then in every earlier pivot
+    column, is zero iff it depends on rows 0..i-1, whatever the column
+    order, so every copy skips the same rows (a zero row stays zero, so one
+    scan skips a run of them).  Otherwise its pivot is its first visited 1,
+    and one XOR clears that column in every other row.  Each pivot leads a
+    word of the row space, so the pivots are those of the reduced form, and
+    the kept rows sorted by pivot position are the unique reduced
+    row-echelon form of M under orders[f].
 
-    Returns (R, pivots): R is the (F, rank, n) stack of reduced forms, in
-    M's own column positions, and pivots is the (F, rank) array of pivot
-    columns in pivot order.
+    Returns (R, pivots): R is the (F, rank, n) uint8 stack of reduced
+    forms, in M's own column positions, and pivots is the (F, rank) int64
+    array of pivot columns in visiting order.
     """
     A0 = np.asarray(M, dtype=np.uint8) & 1
     if A0.ndim != 2:
@@ -44,30 +48,35 @@ def rref_stack(M: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
     if orders.ndim != 2 or orders.shape[1] != cols or not len(orders):
         raise ValueError(f"orders must have shape (F, {cols}) with F >= 1, "
                          f"got {orders.shape}")
-    if (np.sort(orders, axis=1) != np.arange(cols)).any():
-        raise ValueError("every order must be a permutation of the columns")
-    F = orders.shape[0]
-    A = np.repeat(A0[None], F, axis=0)
+    F = len(orders)
     f = np.arange(F)
-    visit = orders + (f * cols)[:, None]     # flat indices into an (F, n) array
-    steps = []
-    for r in range(min(rows, cols)):
-        live = A[:, r:, :].any(axis=1).ravel()[visit]   # in visiting order
-        i = live.argmax(axis=1)
-        if not live[0, i[0]]:
-            break
-        c = orders[f, i]
+    # key[f, c] = cols - position of c in orders[f]: argmax(row * key) is a
+    # row's first visited 1, and an order that is no permutation leaves a 0
+    key = np.zeros((F, cols), dtype=np.min_scalar_type(cols))
+    if ((orders >= 0) & (orders < cols)).all():
+        key[f[:, None], orders] = np.arange(cols, 0, -1)
+    if not key.all():
+        raise ValueError("every order must be a permutation of the columns")
+    A = np.repeat(A0[None], F, axis=0)
+    kept, steps = [], []
+    i = 0
+    while i < rows and cols:        # argmax needs a column to scan
+        hit = A[:, i] * key
+        c = hit.argmax(axis=1)
+        if not hit[0, c[0]]:
+            live = np.flatnonzero(A[0, i:].any(axis=1))
+            i += live[0] if len(live) else rows
+            continue
         col = A[f, :, c]
-        p = r + col[:, r:].argmax(axis=1)
-        pivot_row = A[f, p]
-        A[f, p] = A[f, r]
-        A[f, r] = pivot_row
-        col[f, p] = col[:, r]
-        col[:, r] = 0
-        A ^= col[:, :, None] & pivot_row[:, None, :]
+        col[:, i] = 0
+        A ^= col[:, :, None] & A[:, i, None, :]
+        kept.append(i)
         steps.append(c)
-    rank_ = len(steps)
-    return A[:, :rank_], np.array(steps, dtype=np.int64).reshape(rank_, F).T
+        i += 1
+    pivots = np.array(steps, dtype=np.int64).reshape(len(kept), F).T
+    by_position = np.argsort(key[f[:, None], pivots], axis=1)[:, ::-1]
+    R = A[f[:, None], np.array(kept, dtype=np.intp)[by_position]]
+    return R, np.take_along_axis(pivots, by_position, axis=1)
 
 
 def rref(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -98,13 +107,15 @@ def nullspace(M: np.ndarray) -> np.ndarray:
 
 
 def row_space_contains(M: np.ndarray, v: np.ndarray) -> bool:
-    """True iff v lies in the GF(2) row space of M."""
+    """True iff v lies in the GF(2) row space of M; ValueError unless v is
+    a vector of M's length."""
     R, pivots = rref(M)
-    w = (np.asarray(v, dtype=np.uint8) & 1).copy()
-    for row, p in zip(R, pivots):
-        if w[p]:
-            w ^= row
-    return not w.any()
+    w = np.asarray(v, dtype=np.uint8) & 1
+    if w.shape != (R.shape[1],):
+        raise ValueError(f"vector of shape {w.shape} for a matrix of "
+                         f"{R.shape[1]} columns")
+    # the one word of R's span that agrees with w on the pivot columns
+    return np.array_equal(w[pivots] @ R % 2, w)
 
 
 def row_spaces_equal(A: np.ndarray, B: np.ndarray) -> bool:

@@ -718,6 +718,35 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
             a[0, 0] = 0
 
 
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+def test_all_directions_are_built_once_per_field(kind, monkeypatch, ex_code,
+                                                 inner_mld, inner_minimal_mld):
+    """B=None used to rebuild DirectionSet.all_of(field) on every call; two
+    such calls now build nothing and decode as the explicit full set does."""
+    field = ex_code.field
+    inner = inner_mld if kind == "cyclic" else inner_minimal_mld
+    loop = _LOOPS[kind][0]
+    rng = np.random.default_rng(293)
+    frames = [_noisy_llrs(rng, _random_codeword(rng, ex_code), sigma2=0.8)
+              for _ in range(8)]
+    explicit = [loop(L, ex_code, inner, DirectionSet.all_of(field))
+                for L in frames]
+    loop(frames[0], ex_code, inner)
+    built = []
+    real = DirectionSet.all_of.__func__
+
+    def counting(cls, field):
+        built.append(field)
+        return real(cls, field)
+    monkeypatch.setattr(DirectionSet, "all_of", classmethod(counting))
+    for _ in range(2):
+        for L, want in zip(frames, explicit):
+            _same_report(loop(L, ex_code, inner), want)
+    assert built == []
+    assert fixed_space_dimension(ex_code, kind=kind) == fixed_space_dimension(
+        ex_code, DirectionSet.all_of(field), kind)
+
+
 _BAD_LLRS = {
     "wrong length": np.ones(15),
     "all nan": np.full(16, np.nan),

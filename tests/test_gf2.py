@@ -122,21 +122,32 @@ def _rref_loop(M):
 
 @st.composite
 def _matrices(draw):
-    """Tall, wide, all-zero and rank-deficient (repeated-row) 0/1 matrices."""
-    rows = draw(st.integers(0, 12))
-    cols = draw(st.integers(0, 12))
-    kind = draw(st.sampled_from(["random", "sparse", "zero", "repeated"]))
+    """0/1 matrices of up to 40 rows and 140 columns, so widths cross 64 and
+    128: random, sparse, all-zero, repeated (every row a combination of the
+    first two), interleaved (rows that depend on earlier rows placed before
+    independent ones) and zero-led (leading zero rows), plus zero-row and
+    zero-column shapes."""
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.integers(0, 140))
+    kind = draw(st.sampled_from(["random", "sparse", "zero", "repeated",
+                                 "interleaved", "zero-led"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = {"random": 0.5, "sparse": 0.15, "zero": 0.0, "repeated": 0.5}[kind]
+    density = {"sparse": 0.15, "zero": 0.0}.get(kind, 0.5)
     M = (rng.random((rows, cols)) < density).astype(np.uint8)
     if kind == "repeated" and rows >= 2:
-        # every row past the first two is a combination of those two
         coeffs = rng.integers(0, 2, size=(rows, 2)).astype(np.uint8)
         M = (coeffs @ M[:2]) % 2
+    elif kind == "interleaved":
+        for i in range(1, rows):
+            if rng.random() < 0.4:
+                coeffs = rng.integers(0, 2, size=i).astype(np.uint8)
+                M[i] = (coeffs @ M[:i]) % 2
+    elif kind == "zero-led":
+        M[:int(rng.integers(0, rows + 1))] = 0
     return M
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_matrices())
 def test_rref_matches_reference_loop(M):
     R, pivots = rref(M)
@@ -146,8 +157,8 @@ def test_rref_matches_reference_loop(M):
     assert pivots == pivots_ref
 
 
-@settings(max_examples=200, deadline=None)
-@given(_matrices(), st.sampled_from([1, 32]), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+@given(_matrices(), st.sampled_from([1, 3, 32]), st.integers(0, 2**32 - 1))
 def test_rref_stack_matches_reference_per_order(M, F, seed):
     """Copy f is the reference reduction of M with its columns visited in
     orders[f], scattered back to M's own column positions."""
@@ -166,12 +177,33 @@ def test_rref_stack_matches_reference_per_order(M, F, seed):
 
 def test_rref_stack_rejects_bad_orders():
     M = np.eye(3, dtype=np.uint8)
-    with pytest.raises(ValueError, match="permutation"):
-        rref_stack(M, [[0, 0, 1]])
+    for bad in ([[0, 0, 1]], [[0, 1, 3]], [[0, -1, 2]], [[0, 1, 2], [2, 2, 0]]):
+        with pytest.raises(ValueError, match="permutation"):
+            rref_stack(M, bad)
     with pytest.raises(ValueError, match="shape"):
         rref_stack(M, [0, 1, 2])
     with pytest.raises(ValueError, match="shape"):
         rref_stack(M, np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 0)])
+@pytest.mark.parametrize("F", [1, 3, 32])
+def test_rref_stack_of_an_empty_matrix(shape, F):
+    """A matrix without rows or columns has rank 0 under every order."""
+    cols = shape[1]
+    orders = np.tile(np.arange(cols), (F, 1))
+    R, pivots = rref_stack(np.zeros(shape, dtype=np.uint8), orders)
+    assert R.shape == (F, 0, cols) and R.dtype == np.uint8
+    assert pivots.shape == (F, 0) and pivots.dtype == np.int64
+
+
+def test_row_space_contains_rejects_wrong_length_vectors():
+    """A vector of another length used to get an answer: True here."""
+    with pytest.raises(ValueError, match=r"vector of shape \(7,\) for a "
+                                         r"matrix of 4 columns"):
+        row_space_contains(np.zeros((2, 4), dtype=np.uint8), np.zeros(7))
+    with pytest.raises(ValueError, match="matrix of 4 columns"):
+        row_space_contains(np.eye(4, dtype=np.uint8), np.zeros((1, 4)))
 
 
 def test_nullspace_pinned_on_16_7_code():

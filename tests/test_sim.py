@@ -217,6 +217,45 @@ def test_dd_osd_output_is_frozen(case):
     assert digest.hexdigest() == _DD_OSD_DIGESTS[case]
 
 
+# sha256 of build_decoder output on seeded frames of the eBCH(128,36) code for
+# the two OSD benchmark calls (dd-osd-128 and osd3-128), recorded while
+# gf2.rref_stack still eliminated column by column with row swaps: the
+# row-order elimination changed no bit, count or flag.
+_EBCH128_OSD_DIGESTS = {
+    ("dd-osd", 1, "k:32:2024", 4, (4.0, 2.5), 150):
+        "57a45817bfe006a41974406b653f4684a1e438cc72123810e01f8b7e05e3767f",
+    ("osd", 3, "all", 3, (4.0, 2.5), 100):
+        "bffd5fb44ef12bebc710590b4cc51dbc06e1737b51ffdb24abb61ed1a4b3c46c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EBCH128_OSD_DIGESTS),
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+def test_ebch128_osd_output_is_frozen(case):
+    """Bits, outer iterations, inner tallies and flags of the dd-osd and
+    plain OSD decoders of eBCH(128,36), configured as the benchmark calls
+    them, on fixed frames: (algo, order, directions, N_max, Eb/N0 points,
+    frames per point)."""
+    algo, order, directions, n_max, snrs, frames = case
+    gen = "0xccc3cdb5487a24fa5f3a3dd"
+    spec = code_from_generator(field_for_length(128), int(gen, 16))
+    decode = build_decoder(SimConfig(n=128, gen_poly_hex=gen, algo=algo,
+                                     order=order, directions=directions,
+                                     n_max=n_max), spec)
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20261020)
+    for snr in snrs:
+        ch = ChannelConfig(snr, spec.k / spec.n)
+        for _ in range(frames):
+            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+            bits, its, inner_sum, rows, conv = decode(
+                transmit(msg @ spec.G % 2, ch, rng))
+            digest.update(np.asarray(bits, dtype=np.uint8).tobytes())
+            digest.update(np.array([its, inner_sum, rows, conv],
+                                   dtype=np.int64).tobytes())
+    assert digest.hexdigest() == _EBCH128_OSD_DIGESTS[case]
+
+
 # sha256 of build_decoder("dd-spa") output on seeded frames, and of the
 # per-row iteration counts and flags of every inner SPA call made for a frame
 # whose channel hard decision fails a check of C and whose output does not
