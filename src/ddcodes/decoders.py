@@ -22,17 +22,21 @@ only the rows still live, and every row decodes exactly as it would alone.
 Every syndrome is one matmul against a dense transpose of H built once per H.
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`, one pass over G's rows for all the reliability orders)
-rather than one elimination per vector.  It then scores
-every reprocessing candidate without building it: the correlations come
-from exact sign products, extended one flip weight at a time by a batched
-matmul, and only each row's winner is built.  A row where another screened
-score lies within the rounding tolerance of the best is rescored exactly
-as direct scoring does, by dot products over its full candidate list, so
-the decoded words, and the rule that a tie goes to the earliest candidate,
-are those of direct scoring bit for bit.  The ML closure
-and `mld_exhaustive` score the codebook that `gf2.all_codewords` lists;
-`mld_exhaustive` decodes one vector and stays as an independent reference
-for the ML closure.
+rather than one elimination per vector.  It then scores every
+reprocessing candidate without building it: the correlations come from
+exact sign products, in one recursion over the smallest flip index whose
+last two indices are one batched matmul, so the scores come out in
+candidate order from small blocks, and only each row's winner is built.
+Peak memory matters here: the C allocator can hand a large freed block
+back to the kernel, and then every frame that builds one pays the page
+faults for it again.  A row where another screened score lies within the
+rounding tolerance of the best is rescored exactly as direct scoring does,
+by dot products over its full candidate list, one row at a time, so the
+decoded words, and the rule that a tie goes to the earliest candidate, are
+those of direct scoring bit for bit.  The ML closure and `mld_exhaustive`
+score the codebook that `gf2.all_codewords` lists; `mld_exhaustive`
+decodes one vector and stays as an independent reference for the ML
+closure.
 """
 from __future__ import annotations
 
@@ -249,30 +253,59 @@ def _candidates(M: np.ndarray, c0: np.ndarray, tables) -> np.ndarray:
     return np.concatenate(pats, axis=1) ^ c0[:, None, :]
 
 
+@lru_cache(maxsize=None)
+def _pair_index(m: int) -> np.ndarray:
+    """Read-only flat indices of the strict upper triangle of an (m, m)
+    block, row by row: the pairs a < b of range(m) in lexicographic order."""
+    i, j = np.triu_indices(m, 1)
+    flat = i * m + j
+    flat.setflags(write=False)
+    return flat
+
+
+def _subset_scores(R: np.ndarray, sigma: np.ndarray, lo: int, w: int):
+    """Scores sum_i R_i prod_{j in J} sigma_ji of the w-subsets J of
+    range(lo, k), lexicographic in J.  Shapes (F, n), (F, k, n) -> (F, N).
+
+    The sets whose smallest index is a form one contiguous block: the
+    (w-1)-subsets above a, scored from the products R * sigma[:, a].  The
+    last two indices come from one batched matmul, whose strict upper
+    triangle read row by row is the pairs in lexicographic order.
+    """
+    F, k = sigma.shape[:2]
+    if w == 0:
+        return R.sum(axis=1)[:, None]
+    tail = sigma[:, lo:]
+    if w == 1:
+        return np.matmul(R[:, None, :], tail.transpose(0, 2, 1))[:, 0]
+    if w == 2:
+        P = np.matmul(tail * R[:, None, :], tail.transpose(0, 2, 1))
+        return P.reshape(F, -1)[:, _pair_index(k - lo)]
+    return np.concatenate([_subset_scores(R * sigma[:, a], sigma, a + 1, w - 1)
+                           for a in range(lo, k - w + 1)], axis=1)
+
+
 def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, tables):
     """Correlations (1 - 2c) . L[d] of every candidate _candidates lists,
     computed from sign products without building the candidates.
 
     With s0 = (1 - 2 c0) L[d] and sigma = 1 - 2M, candidate J scores
-    sum_i s0_i prod_{j in J} sigma_ji.  One batched matmul per flip weight
-    scores every (weight w-1 set, next index) pair; the (prefix, last) table
-    picks the weight-w sets out of them, in order, and extends the products
-    to weight w.  Every product is exact, so each score, like the direct
-    dot product of that candidate, lies within (n-1) u sum|L[d]| of the true
-    correlation (u the unit roundoff).  Returns the (F, N) scores and the
-    per-row tolerance tol = 4 n eps sum|L[d]|, at least twice that bound
-    for both sums together.
+    sum_i s0_i prod_{j in J} sigma_ji.  Each flip weight is one recursion
+    over the smallest index of J (_subset_scores), so the largest
+    temporary is one (F, k, n) product block.  A block of every (weight
+    w-1 set, next index) pair, about 2 MB per frame at order 3 on
+    eBCH(128,36), would go back to the kernel when freed and be faulted
+    in again on every call.  Every product is exact, so each score, like
+    the direct dot product of that candidate, lies within (n-1) u sum|L[d]|
+    of the true correlation (u the unit roundoff).  Returns the (F, N)
+    scores and the per-row tolerance tol = 4 n eps sum|L[d]|, at least
+    twice that bound for both sums together.
     """
-    F, k, n = M.shape
+    n = M.shape[2]
     # +-1 in int8, then one cast: mixed uint8/float64 arithmetic is ~10x slower
     sigma = (1 - 2 * M.view(np.int8)).astype(np.float64)
-    R = ((1.0 - 2.0 * c0) * L)[:, None, :]      # products of the weight-0 set
-    scores = [R.sum(axis=2)]
-    for w, (prefix, last) in enumerate(tables, start=1):
-        S = np.matmul(R, sigma.transpose(0, 2, 1))
-        scores.append(S.reshape(F, -1)[:, prefix * k + last])
-        if w < len(tables):
-            R = R[:, prefix] * sigma[:, last]
+    s0 = (1.0 - 2.0 * c0) * L
+    scores = [_subset_scores(s0, sigma, 0, w) for w in range(len(tables) + 1)]
     tol = 4 * n * np.finfo(np.float64).eps * np.abs(L).sum(axis=1)
     return np.concatenate(scores, axis=1), tol
 
@@ -292,8 +325,9 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     whose screened maximum is the only score within tol of it has the same
     unique maximum under the direct sums (1 - 2c) @ L[d], and only that
     winner is built.  Any other row (a near or exact tie) builds its full
-    candidate list and scores it with (1 - 2c) @ L[d], the direct sum over
-    all candidates, so every word equals that of direct scoring bit for bit.
+    candidate list, one row at a time, and scores it with (1 - 2c) @ L[d],
+    the direct sum over all candidates, so every word equals that of direct
+    scoring bit for bit.
 
     An empty (0, n) stack decodes to a (0, n) array.  Raises ValueError
     unless L is a finite (F, n) stack and order an integer >= 0, and
@@ -329,11 +363,10 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
         bits[rows] ^= M[rows, last[pos[rows]]]
         pos[rows] = prefix[pos[rows]]
 
-    rows = np.flatnonzero(~clear)
-    if len(rows):
-        cands = _candidates(M[rows], c0[rows], tables)
-        for cands_d, d in zip(cands, rows):
-            bits[d] = cands_d[np.argmax((1.0 - 2.0 * cands_d) @ L[d])]
+    # one row at a time: a tied stack's lists together take rows * N * n bytes
+    for d in np.flatnonzero(~clear):
+        cands = _candidates(M[d:d + 1], c0[d:d + 1], tables)[0]
+        bits[d] = cands[np.argmax((1.0 - 2.0 * cands) @ L[d])]
     return bits
 
 

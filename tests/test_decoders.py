@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ddcodes.decoders
-from ddcodes.cyclic import code_from_exponents, code_from_generator, rm_exponent_set
-from ddcodes.ddcodec import DirectionSet, _direction_maps, boxplus
+from ddcodes.cyclic import (code_from_exponents, code_from_generator, ebch_code,
+                             rm_exponent_set)
+from ddcodes.ddcodec import (DirectionSet, _direction_maps, boxplus,
+                             minimal_transversal)
 from ddcodes.decoders import (
     LLR_CLIP,
     RankDeficientError,
@@ -306,20 +309,34 @@ _GENERATORS = {"(16,7)": _SPEC16.G,
                "RM(1,4)": code_from_exponents(_FIELD16, rm_exponent_set(1, 4).members).G}
 
 
+_SPEC128 = code_from_generator(GF2m(7), 0xCCC3CDB5487A24FA5F3A3DD)
+# Generators past length 16, for the screening recursion: k = 16; the
+# (14, 64) punctured minimal basis the minimal loop of eBCH(128,36) decodes
+# on; and k = 2 and k = 1, where the pair block is one pair or never built.
+_WIDE_GENERATORS = {
+    "eBCH(32,16)": ebch_code(GF2m(5), 16).G,
+    "punctured-minimal-128": minimal_dd_basis(_SPEC128, 1).basis[
+        :, minimal_transversal(GF2m(7))[0]],
+    "k=2": _GENERATORS["RM(1,4)"][:2],
+    "k=1": np.ones((1, 16), dtype=np.uint8),
+}
+_ALL_GENERATORS = {**_GENERATORS, **_WIDE_GENERATORS}
+
+
 @st.composite
-def _tied_llrs(draw, rows):
-    """(rows, 16) LLR stacks full of reliability ties: magnitudes from a
+def _tied_llrs(draw, rows, n=16):
+    """(rows, n) LLR stacks full of reliability ties: magnitudes from a
     few repeated values or coarsely rounded, and, as in derivative words,
     often equal values at both positions of each direction-1 pair."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        L = rng.choice([0.25, 0.5, 1.0, 3.0], size=(rows, 16)) \
-            * rng.choice([-1.0, 1.0], size=(rows, 16))
+        L = rng.choice([0.25, 0.5, 1.0, 3.0], size=(rows, n)) \
+            * rng.choice([-1.0, 1.0], size=(rows, n))
     else:
-        L = np.round(rng.normal(0.0, 2.0, size=(rows, 16)))
+        L = np.round(rng.normal(0.0, 2.0, size=(rows, n)))
     if draw(st.booleans()):
-        perm = _FIELD16.pair_permutation(1)
-        L = L[:, np.minimum(np.arange(16), perm)]
+        perm = field_for_length(n).pair_permutation(1)
+        L = L[:, np.minimum(np.arange(n), perm)]
     return L
 
 
@@ -421,26 +438,34 @@ def _osd_decode_direct(G: np.ndarray, L, order: int) -> np.ndarray:
 
 
 @st.composite
-def _osd_llrs(draw, rows):
-    """(rows, 16) stacks: tied (both kinds of _tied_llrs), Gaussian, or
+def _osd_llrs(draw, rows, n=16):
+    """(rows, n) stacks: tied (both kinds of _tied_llrs), Gaussian, or
     ties between magnitudes that binary floats cannot hold exactly, so
     equal correlations can round apart in different summation orders."""
     kind = draw(st.sampled_from(["tied", "gaussian", "decimal"]))
     if kind == "tied":
-        return draw(_tied_llrs(rows))
+        return draw(_tied_llrs(rows, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "gaussian":
-        return rng.normal(0.0, 2.0, size=(rows, 16))
-    return rng.choice([0.1, 0.2, 0.3, 0.7], size=(rows, 16)) \
-        * rng.choice([-1.0, 1.0], size=(rows, 16))
+        return rng.normal(0.0, 2.0, size=(rows, n))
+    return rng.choice([0.1, 0.2, 0.3, 0.7], size=(rows, n)) \
+        * rng.choice([-1.0, 1.0], size=(rows, n))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_GENERATORS)), st.sampled_from([1, 32]),
-       st.integers(0, 4), st.data())
-def test_osd_screening_matches_direct_scoring(name, F, order, data):
-    G = _GENERATORS[name]
-    L = data.draw(_osd_llrs(F))
+def _osd_orders(k):
+    """Orders 0..4, and k and k + 1 (every flip set) where k <= 7 keeps the
+    direct candidate lists small."""
+    orders = st.integers(0, 4)
+    return orders | st.sampled_from([k, k + 1]) if k <= 7 else orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ALL_GENERATORS)), st.sampled_from([1, 32]),
+       st.data())
+def test_osd_screening_matches_direct_scoring(name, F, data):
+    G = _ALL_GENERATORS[name]
+    order = data.draw(_osd_orders(len(G)), label="order")
+    L = data.draw(_osd_llrs(F, G.shape[1]))
     bits = osd_decode(G, L, order)
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, _osd_decode_direct(G, L, order))
@@ -450,7 +475,7 @@ def _osd3_128_frames(count, seed):
     """Gaussian frames of the (128,36) eBCH code of the order-3 OSD
     benchmark, at 1 dB rather than its 4 dB: with seed 241, 22 of 50 frames
     are won by a candidate of flip weight 2 or 3, against none at 4 dB."""
-    spec = code_from_generator(GF2m(7), 0xCCC3CDB5487A24FA5F3A3DD)
+    spec = _SPEC128
     rng = np.random.default_rng(seed)
     sigma2 = 1.0 / (2.0 * spec.k / spec.n * 10.0 ** 0.1)
     L = np.empty((count, spec.n))
@@ -468,21 +493,40 @@ def test_osd3_on_128_matches_direct_scoring():
                               _osd_decode_direct(G, L[d:d + 1], 3))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(_GENERATORS)), st.integers(0, 4),
-       _osd_llrs(8))
-def test_screened_scores_lie_within_tolerance_of_direct_scores(name, order, L):
-    M, pivots = _reliability_bases(_GENERATORS[name], L)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_ALL_GENERATORS)), st.data())
+def test_screened_scores_lie_within_tolerance_of_direct_scores(name, data):
+    G = _ALL_GENERATORS[name]
+    order = data.draw(_osd_orders(len(G)), label="order")
+    L = data.draw(_osd_llrs(8, G.shape[1]))
+    M, pivots = _reliability_bases(G, L)
     flips = np.take_along_axis((L < 0).astype(np.uint8), pivots, axis=1)
     c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
     tables = _flip_tables(M.shape[1], order)
     scores, tol = _screened_scores(M, c0, L, tables)
-    assert np.array_equal(tol, 4 * 16 * np.finfo(float).eps * np.abs(L).sum(axis=1))
+    n = G.shape[1]
+    assert np.array_equal(tol, 4 * n * np.finfo(float).eps * np.abs(L).sum(axis=1))
     cands = _candidates(M, c0, tables)
     assert scores.shape == cands.shape[:2]
     for d in range(len(L)):
         direct = (1.0 - 2.0 * cands[d]) @ L[d]
         assert (np.abs(scores[d] - direct) <= tol[d]).all()
+
+
+def test_osd3_on_128_peak_memory_stays_small():
+    """One order-3 frame of eBCH(128,36), with no near tie, peaks at most
+    512 KB of traced memory once the index tables are cached.  A block of
+    products for every (pair, next index) takes about 2 MB, and the
+    allocator returns such a block to the kernel after every frame."""
+    G, L = _osd3_128_frames(1, 241)
+    osd_decode(G, L, 3)
+    tracemalloc.start()
+    try:
+        osd_decode(G, L, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 def test_osd_fallback_runs_only_on_near_ties(monkeypatch):
