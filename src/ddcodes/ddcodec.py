@@ -70,15 +70,16 @@ def boxplus(a, b) -> np.ndarray:
 
     Inputs are clipped to +-30 and the atanh argument is kept away from
     +-1, so saturated inputs stay finite: boxplus(30, -30) is about -28.3,
-    not -30.  This is the reference for the derivative loop, which runs
-    the same operations with tanh taken once per position and must match
-    it bit for bit.
+    not -30.  Every output is at most 2 atanh(1 - 1e-12) = 28.32 in
+    magnitude, inside +-30, so the output needs no clip.  This is the
+    reference for the derivative loop, which runs the same operations with
+    tanh taken once per position and must match it bit for bit.
     """
     a = np.clip(np.asarray(a, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
     b = np.clip(np.asarray(b, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
     p = np.tanh(a / 2) * np.tanh(b / 2)
     p = np.clip(p, -_ATANH_LIM, _ATANH_LIM)
-    return np.clip(2 * np.arctanh(p), -LLR_CLIP, LLR_CLIP)
+    return 2 * np.arctanh(p)
 
 
 @dataclass(frozen=True)
@@ -290,8 +291,8 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
 
     The box-plus is formed as `boxplus` forms it, with the same operations
     in the same order, but tanh is taken once per position: t = tanh(clip(L)
-    / 2) on the 2^m positions, then clip(2 atanh(clip(t[x] t[p]))) on every
-    pair.  The mean vote is the reduction `ndarray.mean` performs, then one
+    / 2) on the 2^m positions, then 2 atanh(clip(t[x] t[p])) on every pair.
+    The mean vote is the reduction `ndarray.mean` performs, then one
     division by |B|.  Both give the values `boxplus` and `mean` give, bit
     for bit.
 
@@ -361,7 +362,6 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
         np.clip(Ld, -_ATANH_LIM, _ATANH_LIM, out=Ld)
         np.arctanh(Ld, out=Ld)
         Ld *= 2
-        np.clip(Ld, -LLR_CLIP, LLR_CLIP, out=Ld)
         bits, tallies[it], _ = decoder(Ld)
         if np.shape(bits) != Ld.shape:
             raise ValueError(f"inner decoder returned bits of shape "

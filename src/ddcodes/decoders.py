@@ -26,7 +26,9 @@ rather than one elimination per vector.  It then scores every
 reprocessing candidate without building it: the correlations come from
 exact sign products, in one recursion over the smallest flip index whose
 last two indices are one batched matmul, so the scores come out in
-candidate order from small blocks, and only each row's winner is built.
+candidate order from small blocks.  One cached table names each
+candidate's flip set (`_flip_set_table`), and the stack's winners are
+built in one gather over it.
 Peak memory matters here: the C allocator can hand a large freed block
 back to the kernel, and then every frame that builds one pays the page
 faults for it again.  A row where another screened score lies within the
@@ -41,6 +43,7 @@ closure.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -217,22 +220,17 @@ def _reliability_bases(G: np.ndarray, L: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _flip_tables(k: int, order: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(prefix, last) tables of the basis-flip sets of weight 1..min(order, k).
-
-    Weight w lists the w-subsets J of range(k) in lexicographic order; entry
-    i of that list is J = (weight w-1 set prefix[i]) + {last[i]}, where
-    last[i] exceeds every index of the prefix set (weight 0 is the empty set).
-    """
-    tables = []
-    top = np.array([-1])                       # largest index of each set
-    for _ in range(min(order, k)):
-        prefix, last = np.nonzero(np.arange(k) > top[:, None])
-        for a in (prefix, last):
-            a.setflags(write=False)
-        tables.append((prefix, last))
-        top = last
-    return tuple(tables)
+def _flip_set_table(k: int, order: int) -> np.ndarray:
+    """Read-only (N, w) table of the basis-flip sets J of range(k) with at
+    most w = min(order, k) indices, by size, then lexicographically: the
+    order of the reprocessing candidates and of _subset_scores.  Each row
+    lists J in increasing order, padded with k."""
+    w = min(order, k)
+    sets = np.array([J + (k,) * (w - size) for size in range(w + 1)
+                     for J in combinations(range(k), size)],
+                    dtype=np.min_scalar_type(k))
+    sets.setflags(write=False)
+    return sets
 
 
 def _nonnegative_int(value, what: str) -> int:
@@ -243,14 +241,14 @@ def _nonnegative_int(value, what: str) -> int:
     return int(value)
 
 
-def _candidates(M: np.ndarray, c0: np.ndarray, tables) -> np.ndarray:
-    """Every reprocessing candidate of each row, in generation order: the
-    hard-decision re-encoding c0, then c0 ^ XOR M[J] by weight, lexicographic
-    in J within a weight.  Shapes (F, k, n), (F, n) -> (F, N, n)."""
-    pats = [np.zeros((M.shape[0], 1, M.shape[2]), dtype=np.uint8)]
-    for prefix, last in tables:
-        pats.append(pats[-1][:, prefix] ^ M[:, last])
-    return np.concatenate(pats, axis=1) ^ c0[:, None, :]
+def _candidates(Mz: np.ndarray, c0: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Every reprocessing candidate of one row, in generation order:
+    c0 ^ XOR Mz[J] for each flip set J of `sets`, whose padding index k
+    picks Mz's zero last row.  Shapes (k + 1, n), (n,), (N, w) -> (N, n)."""
+    cands = np.tile(c0, (len(sets), 1))
+    for col in sets.T:
+        cands ^= Mz[col]
+    return cands
 
 
 @lru_cache(maxsize=None)
@@ -285,9 +283,9 @@ def _subset_scores(R: np.ndarray, sigma: np.ndarray, lo: int, w: int):
                            for a in range(lo, k - w + 1)], axis=1)
 
 
-def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, tables):
-    """Correlations (1 - 2c) . L[d] of every candidate _candidates lists,
-    computed from sign products without building the candidates.
+def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int):
+    """Correlations (1 - 2c) . L[d] of every candidate of at most w flips,
+    in _flip_set_table order, from sign products without building any.
 
     With s0 = (1 - 2 c0) L[d] and sigma = 1 - 2M, candidate J scores
     sum_i s0_i prod_{j in J} sigma_ji.  Each flip weight is one recursion
@@ -305,7 +303,7 @@ def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, tables):
     # +-1 in int8, then one cast: mixed uint8/float64 arithmetic is ~10x slower
     sigma = (1 - 2 * M.view(np.int8)).astype(np.float64)
     s0 = (1.0 - 2.0 * c0) * L
-    scores = [_subset_scores(s0, sigma, 0, w) for w in range(len(tables) + 1)]
+    scores = [_subset_scores(s0, sigma, 0, v) for v in range(w + 1)]
     tol = 4 * n * np.finfo(np.float64).eps * np.abs(L).sum(axis=1)
     return np.concatenate(scores, axis=1), tol
 
@@ -321,13 +319,15 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     (1 - 2c) . L[d]; correlation ties resolve to the earliest candidate,
     with J ordered by size, then lexicographically.
 
-    Candidates are screened without being built (_screened_scores).  A row
-    whose screened maximum is the only score within tol of it has the same
-    unique maximum under the direct sums (1 - 2c) @ L[d], and only that
-    winner is built.  Any other row (a near or exact tie) builds its full
-    candidate list, one row at a time, and scores it with (1 - 2c) @ L[d],
-    the direct sum over all candidates, so every word equals that of direct
-    scoring bit for bit.
+    Candidate i flips the rows in row i of _flip_set_table(k, order), whose
+    padding k picks a zero row appended to M.  Candidates are screened
+    without being built (_screened_scores).  A row whose screened maximum
+    is the only score within tol of it has the same unique maximum under
+    the direct sums (1 - 2c) @ L[d], and only that winner is built, in one
+    gather for the stack.  Any other row (a near or exact tie) builds its
+    full candidate list, one row at a time, and scores it with the direct
+    sums (1 - 2c) @ L[d], so every word equals that of direct scoring bit
+    for bit.
 
     An empty (0, n) stack decodes to a (0, n) array.  Raises ValueError
     unless L is a finite (F, n) stack and order an integer >= 0, and
@@ -339,33 +339,24 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     if not len(L):
         return np.zeros(L.shape, dtype=np.uint8)
     M, pivots = _reliability_bases(G, L)
-    F = M.shape[0]
-    tables = _flip_tables(M.shape[1], order)
+    F, k, n = M.shape
+    sets = _flip_set_table(k, order)
     hard = (L < 0).astype(np.uint8)
     flips = np.take_along_axis(hard, pivots, axis=1)
     c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
 
-    scores, tol = _screened_scores(M, c0, L, tables)
+    scores, tol = _screened_scores(M, c0, L, sets.shape[1])
     f = np.arange(F)
     best = np.argmax(scores, axis=1)
     top = scores[f, best]
     clear = np.isfinite(top) & ((scores >= (top - tol)[:, None]).sum(axis=1) == 1)
 
-    # walk each clear winner back through the tables, largest index of J first
-    sizes = [1] + [len(last) for _, last in tables]
-    starts = np.cumsum(sizes) - sizes
-    weight = np.searchsorted(starts, best, side="right") - 1
-    pos = best - starts[weight]
-    bits = c0.copy()
-    for w in range(len(tables), 0, -1):
-        rows = f[clear & (weight >= w)]
-        prefix, last = tables[w - 1]
-        bits[rows] ^= M[rows, last[pos[rows]]]
-        pos[rows] = prefix[pos[rows]]
-
+    # row k of Mz is zero, so the padding index k flips nothing
+    Mz = np.concatenate([M, np.zeros((F, 1, n), dtype=np.uint8)], axis=1)
+    bits = c0 ^ np.bitwise_xor.reduce(Mz[f[:, None], sets[best]], axis=1)
     # one row at a time: a tied stack's lists together take rows * N * n bytes
     for d in np.flatnonzero(~clear):
-        cands = _candidates(M[d:d + 1], c0[d:d + 1], tables)[0]
+        cands = _candidates(Mz[d], c0[d], sets)
         bits[d] = cands[np.argmax((1.0 - 2.0 * cands) @ L[d])]
     return bits
 

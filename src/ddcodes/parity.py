@@ -124,8 +124,10 @@ def eg_line_parity_matrix(mu_dims: int, subfield_bits: int) -> SparseParityMatri
     through_zero = np.pad(field.antilog[np.arange(step)[:, None]
                                         + step * np.arange(q - 1)], ((0, 0), (1, 0)))
     on_lines = np.arange(field.size)[:, None, None] ^ through_zero  # elements
-    lines = np.unique(np.sort(field.pos_of_elem[on_lines], axis=-1).reshape(-1, q),
-                      axis=0)
+    # each line once, from its least element
+    first = on_lines.min(axis=-1) == np.arange(field.size)[:, None]
+    lines = np.sort(field.pos_of_elem[on_lines[first]], axis=-1)
+    lines = lines[np.lexsort(lines.T[::-1])]
     return SparseParityMatrix._from_lists(field.size, np.full(len(lines), q),
                                           lines.ravel())
 
@@ -163,8 +165,10 @@ def dual_orbit_parity_matrix(spec: CodeSpec, max_row_weight: int) -> SparseParit
             f"no dual codeword has weight <= {max_row_weight}")
     H = SparseParityMatrix.from_dense(
         np.unpackbits(hits.view(np.uint8), axis=1, count=n))
-    # sorted as lists: padding below every position puts a list first
-    key = np.unique(np.where(H.mask, H.idx, -1), axis=0)
+    # distinct words, sorted as lists: padding below every position puts a
+    # list first
+    key = np.where(H.mask, H.idx, -1)
+    key = key[np.lexsort(key.T[::-1])]
     return SparseParityMatrix._from_lists(n, (key >= 0).sum(axis=1), key[key >= 0])
 
 

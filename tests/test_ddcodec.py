@@ -25,9 +25,9 @@ from ddcodes.ddcodec import (
     flop_account,
     minimal_transversal,
 )
-from ddcodes.decoders import (_reliability_bases, mld_batch_decoder,
-                              mld_exhaustive, osd_batch_decoder,
-                              spa_batch_decoder)
+from ddcodes.decoders import (LLR_CLIP, _ATANH_LIM, _reliability_bases,
+                              mld_batch_decoder, mld_exhaustive,
+                              osd_batch_decoder, spa_batch_decoder)
 from ddcodes.derivative import (
     ZeroDirectionError,
     check_equivalence_shift,
@@ -71,6 +71,12 @@ def test_boxplus_reference_values():
     sat = float(boxplus(30.0, -30.0))
     assert -30.0 < sat < -27.0
     assert sat == pytest.approx(-28.3242, abs=1e-3)
+    # the atanh argument's limit bounds every output inside the input clip,
+    # so the output is not clipped again
+    bound = 2 * np.arctanh(_ATANH_LIM)
+    assert bound < LLR_CLIP
+    for a, b in [(1e300, 1e300), (1e300, -1e300), (-1e300, 1e300), (-1e300, -1e300)]:
+        assert abs(float(boxplus(a, b))) == bound
 
 
 def test_boxplus_algebra():

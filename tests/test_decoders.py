@@ -23,7 +23,7 @@ from ddcodes.decoders import (
     RankDeficientError,
     _candidates,
     _checked_llrs,
-    _flip_tables,
+    _flip_set_table,
     _reliability_bases,
     _screened_scores,
     all_codewords,
@@ -399,6 +399,19 @@ def test_osd_batch_eliminates_once_per_stack(monkeypatch):
     assert calls == [(32, 16)]
 
 
+@pytest.mark.parametrize("k", range(9))
+def test_flip_set_table_lists_combinations_by_weight(k):
+    for order in range(k + 2):
+        sets = _flip_set_table(k, order)
+        w = min(order, k)
+        want = [J + (k,) * (w - size) for size in range(w + 1)
+                for J in combinations(range(k), size)]
+        assert sets.shape == (len(want), w)
+        assert sets.dtype == np.min_scalar_type(k)
+        assert [tuple(map(int, J)) for J in sets] == want
+        assert not sets.flags.writeable
+
+
 @lru_cache(maxsize=None)
 def _flip_sets(k: int, order: int) -> tuple[np.ndarray, ...]:
     """Index tables of the basis-flip patterns of weight 2..order, in
@@ -502,14 +515,15 @@ def test_screened_scores_lie_within_tolerance_of_direct_scores(name, data):
     M, pivots = _reliability_bases(G, L)
     flips = np.take_along_axis((L < 0).astype(np.uint8), pivots, axis=1)
     c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
-    tables = _flip_tables(M.shape[1], order)
-    scores, tol = _screened_scores(M, c0, L, tables)
+    sets = _flip_set_table(M.shape[1], order)
+    scores, tol = _screened_scores(M, c0, L, sets.shape[1])
     n = G.shape[1]
     assert np.array_equal(tol, 4 * n * np.finfo(float).eps * np.abs(L).sum(axis=1))
-    cands = _candidates(M, c0, tables)
-    assert scores.shape == cands.shape[:2]
+    Mz = np.pad(M, ((0, 0), (0, 1), (0, 0)))
     for d in range(len(L)):
-        direct = (1.0 - 2.0 * cands[d]) @ L[d]
+        cands = _candidates(Mz[d], c0[d], sets)
+        assert scores[d].shape == cands.shape[:1]
+        direct = (1.0 - 2.0 * cands) @ L[d]
         assert (np.abs(scores[d] - direct) <= tol[d]).all()
 
 
@@ -533,9 +547,9 @@ def test_osd_fallback_runs_only_on_near_ties(monkeypatch):
     rows = []
     real = ddcodes.decoders._candidates
 
-    def counting(M, c0, tables):
-        rows.append(len(M))
-        return real(M, c0, tables)
+    def counting(Mz, c0, sets):
+        rows.append(1)                  # one call per tied row
+        return real(Mz, c0, sets)
     monkeypatch.setattr(ddcodes.decoders, "_candidates", counting)
     G, L = _osd3_128_frames(50, 241)
     for d in range(len(L)):

@@ -15,7 +15,9 @@ The parity-check producers build their padded check tables with array
 operations.  The list-based `SparseParityMatrix` constructor, `from_dense`,
 the frozenset line builder and the per-check alist writer they replaced
 are kept below; the tables must be identical, row order included, and the
-alist text byte-identical.
+alist text byte-identical.  The line builder that deduplicated and ordered
+every (point, direction) line with np.unique(..., axis=0), which imports
+numpy.ma, is kept too, and compared the same way.
 
 The β-pair transversal comes from `GF2m.pair_transversal`, built with array
 operations.  The per-element loops it replaced are kept below: the
@@ -158,6 +160,19 @@ def _ref_eg_line_parity_matrix(mu_dims: int, subfield_bits: int):
     return _RefSparseParityMatrix(field.size, rows)
 
 
+def _ref_unique_eg_lines(mu_dims: int, subfield_bits: int):
+    """Every line once per point on it, deduplicated by np.unique."""
+    field = GF2m(mu_dims * subfield_bits)
+    q = 1 << subfield_bits
+    step = field.n // (q - 1)
+    through_zero = np.pad(field.antilog[np.arange(step)[:, None]
+                                        + step * np.arange(q - 1)], ((0, 0), (1, 0)))
+    on_lines = np.arange(field.size)[:, None, None] ^ through_zero
+    lines = np.unique(np.sort(field.pos_of_elem[on_lines], axis=-1).reshape(-1, q),
+                      axis=0)
+    return _RefSparseParityMatrix(field.size, lines.tolist())
+
+
 def _ref_write_alist(path, H) -> None:
     """The per-check alist writer."""
     cols = [[] for _ in range(H.n)]
@@ -286,14 +301,15 @@ def test_geometry_list_covers_every_product_up_to_8():
 
 @pytest.mark.parametrize("mu, s", _GEOMETRIES)
 def test_eg_lines_match_reference(mu, s, tmp_path):
-    """EG(1, 2) has m = 1, which no field supports; both builders say so."""
+    """EG(1, 2) has m = 1, which no field supports; every builder says so."""
+    refs = (_ref_eg_line_parity_matrix, _ref_unique_eg_lines)
     if mu * s == 1:
-        for build in (eg_line_parity_matrix, _ref_eg_line_parity_matrix):
+        for build in (eg_line_parity_matrix,) + refs:
             with pytest.raises(ValueError, match="m=1 out of supported range"):
                 build(mu, s)
         return
-    _assert_same_checks(eg_line_parity_matrix(mu, s),
-                        _ref_eg_line_parity_matrix(mu, s), tmp_path)
+    for ref in refs:
+        _assert_same_checks(eg_line_parity_matrix(mu, s), ref(mu, s), tmp_path)
 
 
 _LITERALS = {

@@ -5,6 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +277,27 @@ _DD_SPA_DIGESTS = {
         "e835204318540a3489df6bab97f4dbbe9f83208301fd997354903d1070e01a09",
         "c915f044d287412d4a2ca31e9345a2ccea6434216d18ad7175bb51b872c1423e"),
 }
+
+
+def test_dd_spa_set_up_leaves_numpy_ma_unloaded():
+    """Building the dd-spa decoder of eBCH(64,45) in a fresh interpreter does
+    not import numpy.ma.  np.unique(..., axis=0) imports it lazily, which
+    took about 10 ms, most of that decoder's set-up."""
+    script = "\n".join([
+        "import sys",
+        "from ddcodes.cyclic import code_from_generator",
+        "from ddcodes.gf2m import field_for_length",
+        "from ddcodes.sim import SimConfig, build_decoder",
+        "spec = code_from_generator(field_for_length(64), 0x782cf)",
+        "build_decoder(SimConfig(n=64, gen_poly_hex='0x782cf', algo='dd-spa'), spec)",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(ddcodes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("case", sorted(_DD_SPA_DIGESTS), ids=lambda c: f"n={c[0]}")
