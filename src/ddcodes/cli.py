@@ -63,15 +63,14 @@ def _cmd_decode(args) -> int:
     cfg = SimConfig(n=spec.n, gen_poly_hex=hex(spec.gen_poly), algo=args.algo,
                     directions=args.directions, order=args.order,
                     inner_max_iter=args.inner_max_iter, n_max=args.max_iter)
-    decode = build_decoder(cfg, spec)
-    bits, _, _, _, converged = decode(L)
-    line = " ".join(str(int(b)) for b in bits)
+    rep = build_decoder(cfg, spec)(L)
+    line = " ".join(str(int(b)) for b in rep.bits)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(line + "\n")
     else:
         print(line)
-    print(f"converged = {converged}", file=sys.stderr)
+    print(f"converged = {rep.converged}", file=sys.stderr)
     return 0
 
 

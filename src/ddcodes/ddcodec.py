@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,9 +132,9 @@ class DirectionSet:
         return iter(self.elements)
 
 
-@dataclass(eq=False)
-class DecodeReport:
-    """Outcome of one derivative-decoding call; every field is measured."""
+class DecodeReport(NamedTuple):
+    """One decoded frame, bits first, as the loops and every closure of
+    `sim.build_decoder` return it; every field is measured."""
     bits: np.ndarray
     iterations: int
     converged: bool

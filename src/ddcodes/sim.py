@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from .cyclic import CodeSpec, code_from_generator
-from .ddcodec import (DirectionSet, dd_decode_cyclic, dd_decode_minimal,
-                      minimal_transversal)
+from .ddcodec import (DecodeReport, DirectionSet, dd_decode_cyclic,
+                      dd_decode_minimal, minimal_transversal)
 from .decoders import (_checked_llrs, _nonnegative_int, mld_batch_decoder,
                        osd_batch_decoder, spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
@@ -135,11 +136,12 @@ def _dd_parity_matrix(spec: CodeSpec) -> SparseParityMatrix:
 
 
 def build_decoder(cfg: SimConfig, spec: CodeSpec):
-    """Per-frame decode closure: L -> (bits, dd_iters, inner_sum, inner_calls, converged).
+    """Per-frame decode closure: L -> DecodeReport.
 
     The baselines `mld`, `osd` and `spa` build the batch-decoder closure
-    for the outer code and decode each frame as a one-row stack; the `dd-*`
-    algorithms run a derivative loop around a closure for the descendant.
+    for the outer code and decode each frame as a one-row stack (one
+    iteration, a (1, 1) tally); the `dd-*` algorithms return the report of
+    a derivative loop around a closure for the descendant.
     Every algorithm raises ValueError("LLR input ...") unless L is a finite
     vector of length n.  Building checks every setting, whether or not the
     algorithm reads it: it raises ValueError unless inner_max_iter, n_max
@@ -168,7 +170,7 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
         def decode(L):
             # checked as a vector first, so a bad shape is named as passed
             bits, its, conv = batch(_checked_llrs(L, spec.n, batch=False)[None])
-            return bits[0], 1, int(its[0]), 1, bool(conv[0])
+            return DecodeReport(bits[0], 1, bool(conv[0]), its[:, None])
         return decode
 
     cyclic = cfg.algo == "dd-spa"
@@ -183,9 +185,7 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     def decode(L):
         # looked up per call, so a wrapper installed after set-up is seen
         loop = dd_decode_cyclic if cyclic else dd_decode_minimal
-        rep = loop(L, spec, inner, B, cfg.n_max)
-        return (rep.bits, rep.iterations, int(rep.inner_iterations.sum()),
-                rep.inner_iterations.size, rep.converged)
+        return loop(L, spec, inner, B, cfg.n_max)
     return decode
 
 
@@ -193,17 +193,18 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
     """Simulate every SNR point until max_frames or max_frame_errors.
 
     Raises ConfigError naming the field if `workers` is above 1, or unless
-    max_frames and max_frame_errors are integers >= 1, ebn0_db holds at
-    least one point and only finite numbers, and gen_poly_hex is a hex
-    integer.
+    max_frames and max_frame_errors are integers >= 1, seed is an integer
+    >= 0, ebn0_db holds at least one point and only finite numbers at
+    which the channel's sigma^2 and 2/sigma^2 are finite and positive, and
+    gen_poly_hex is a hex integer.
     """
     if cfg.workers > 1:
         raise ConfigError(f"field 'workers' was removed (frames come from one "
                           f"random stream); got workers={cfg.workers}")
-    for name in ("max_frames", "max_frame_errors"):
+    for name, low in (("max_frames", 1), ("max_frame_errors", 1), ("seed", 0)):
         value = getattr(cfg, name)
-        if not _is_int(value) or value < 1:
-            raise ConfigError(f"field {name!r} must be an integer >= 1, "
+        if not _is_int(value) or value < low:
+            raise ConfigError(f"field {name!r} must be an integer >= {low}, "
                               f"got {value!r}")
     if not len(cfg.ebn0_db):
         raise ConfigError("field 'ebn0_db' must hold at least one Eb/N0 "
@@ -217,6 +218,15 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
         raise ConfigError(f"field 'gen_poly_hex' must be a hex integer, "
                           f"got {cfg.gen_poly_hex!r}") from e
     spec = code_from_generator(field_for_length(cfg.n), gen_poly)
+    for ebn0 in cfg.ebn0_db:
+        try:
+            sigma2 = ChannelConfig(ebn0, spec.k / spec.n).sigma2
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = 0.0
+        if not (0.0 < sigma2 < math.inf and 2.0 / sigma2 < math.inf):
+            raise ConfigError(f"field 'ebn0_db' must hold finite numbers at "
+                              f"which sigma^2 and 2/sigma^2 are finite and "
+                              f"positive (rate {spec.k}/{spec.n}), got {ebn0!r}")
     decode = build_decoder(cfg, spec)
     points = []
     for ebn0 in cfg.ebn0_db:
@@ -235,14 +245,14 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
                 L = (1.0 - 2.0 * a) * 60.0
             else:
                 L = transmit(a, chan, rng)
-            bits, dd_its, isum, icalls, _ = decode(L)
+            rep = decode(L)
             frames += 1
-            dd_iters_sum += dd_its
-            inner_sum += isum
-            inner_calls += icalls
-            if not np.array_equal(bits, a):
+            dd_iters_sum += rep.iterations
+            inner_sum += int(rep.inner_iterations.sum())
+            inner_calls += rep.inner_iterations.size
+            if not np.array_equal(rep.bits, a):
                 frame_errors += 1
-                bit_errors += int((bits ^ a).sum())
+                bit_errors += int((rep.bits ^ a).sum())
         avg_dd = dd_iters_sum / frames
         avg_inner = inner_sum / inner_calls if inner_calls else 0.0
         points.append(SimPoint(ebn0, frames, frame_errors, bit_errors,

@@ -436,11 +436,11 @@ def test_criterion_12():
         msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
         word = (msg @ spec.G) % 2
         L = transmit(word, ch, rng)
-        _, dd_iters, i_sum, i_calls, cflag = decode(L)
-        conv += bool(cflag)
-        dd_sum += dd_iters
-        inner_sum += i_sum
-        inner_calls += i_calls
+        rep = decode(L)
+        conv += bool(rep.converged)
+        dd_sum += rep.iterations
+        inner_sum += int(rep.inner_iterations.sum())
+        inner_calls += rep.inner_iterations.size
     conv_frac = conv / frames
     avg_inner = inner_sum / inner_calls
     avg_dd = dd_sum / frames

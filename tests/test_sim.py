@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,12 @@ import pytest
 import ddcodes.decoders
 import ddcodes.sim
 from ddcodes.cyclic import code_from_generator, ebch_code
-from ddcodes.decoders import (all_codewords, mld_exhaustive, osd_decode,
+from ddcodes.ddcodec import (DecodeReport, dd_decode_cyclic, dd_decode_minimal,
+                             minimal_transversal)
+from ddcodes.decoders import (all_codewords, mld_exhaustive,
+                              osd_batch_decoder, osd_decode, spa_batch_decoder,
                               spa_decode_batch)
-from ddcodes.derivative import da_code, dd_code
+from ddcodes.derivative import da_code, dd_code, minimal_dd_basis
 from ddcodes.gf2m import GF2m, field_for_length
 from ddcodes.parity import SparseParityMatrix
 from ddcodes.sim import (
@@ -113,10 +117,23 @@ def test_bad_frame_budgets_are_a_named_error(field, value):
         run_monte_carlo(_base_config(**{field: value}))
 
 
-@pytest.mark.parametrize("ebn0", [-math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_bad_seed_is_a_named_error(seed):
+    """-1 used to reach numpy, whose message names neither the field nor the
+    value; 1.5 raised SeedSequence's TypeError; True ran as seed 1."""
+    with pytest.raises(ConfigError, match=re.escape(
+            f"field 'seed' must be an integer >= 0, got {seed!r}")):
+        run_monte_carlo(_base_config(seed=seed))
+
+
+@pytest.mark.parametrize("ebn0", [-math.inf, math.inf, math.nan,
+                                  -4000.0, -3100.0, 3081.0, 3090.0, 4000])
 def test_non_finite_snr_is_a_named_error(ebn0):
     """-inf used to raise a bare ZeroDivisionError, and inf and NaN an LLR
-    error that did not name the field."""
+    error that did not name the field.  A finite point can still leave the
+    channel unrepresentable at rate 7/16: at -4000 dB sigma^2 raised
+    ZeroDivisionError, at 3090 and 4000 dB OverflowError; at -3100 dB it is
+    infinite and the LLRs NaN; at 3081 dB 2/sigma^2 is infinite."""
     with pytest.raises(ConfigError, match="field 'ebn0_db' must hold finite "
                                           "numbers"):
         run_monte_carlo(_base_config(ebn0_db=[3.0, ebn0]))
@@ -186,6 +203,14 @@ def test_dd_direction_subset():
                                      max_frames=5))
 
 
+def _digest_counts(rep):
+    """The four numbers per frame the frozen digests hash, in the order they
+    were recorded in: outer iterations, inner iteration sum, inner rows and
+    converged."""
+    return [rep.iterations, int(rep.inner_iterations.sum()),
+            rep.inner_iterations.size, rep.converged]
+
+
 # sha256 of build_decoder("dd-osd") output on seeded frames, recorded when
 # the inner decoder still worked on the full-length minimal basis: moving it
 # to the pair transversal changed no bit, count or flag.
@@ -213,10 +238,9 @@ def test_dd_osd_output_is_frozen(case):
         ch = ChannelConfig(snr, spec.k / spec.n)
         for _ in range(frames):
             msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
-            bits, its, inner_sum, rows, conv = decode(
-                transmit(msg @ spec.G % 2, ch, rng))
-            digest.update(np.asarray(bits, dtype=np.uint8).tobytes())
-            digest.update(np.array([its, inner_sum, rows, conv],
+            rep = decode(transmit(msg @ spec.G % 2, ch, rng))
+            digest.update(np.asarray(rep.bits, dtype=np.uint8).tobytes())
+            digest.update(np.array(_digest_counts(rep),
                                    dtype=np.int64).tobytes())
     assert digest.hexdigest() == _DD_OSD_DIGESTS[case]
 
@@ -252,10 +276,9 @@ def test_ebch128_osd_output_is_frozen(case):
         ch = ChannelConfig(snr, spec.k / spec.n)
         for _ in range(frames):
             msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
-            bits, its, inner_sum, rows, conv = decode(
-                transmit(msg @ spec.G % 2, ch, rng))
-            digest.update(np.asarray(bits, dtype=np.uint8).tobytes())
-            digest.update(np.array([its, inner_sum, rows, conv],
+            rep = decode(transmit(msg @ spec.G % 2, ch, rng))
+            digest.update(np.asarray(rep.bits, dtype=np.uint8).tobytes())
+            digest.update(np.array(_digest_counts(rep),
                                    dtype=np.int64).tobytes())
     assert digest.hexdigest() == _EBCH128_OSD_DIGESTS[case]
 
@@ -329,9 +352,10 @@ def test_dd_spa_output_is_frozen(case, monkeypatch):
             msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
             L = transmit(msg @ spec.G % 2, ch, rng)
             frame_calls.clear()
-            bits, its, inner_sum, rows, conv = decode(L)
+            rep = decode(L)
+            bits = rep.bits
             outputs.update(np.asarray(bits, dtype=np.uint8).tobytes())
-            outputs.update(np.array([its, inner_sum, rows, conv],
+            outputs.update(np.array(_digest_counts(rep),
                                     dtype=np.int64).tobytes())
             stalled = (not (fixed @ bits % 2).any()
                        and (spec.check_matrix @ bits % 2).any())
@@ -374,9 +398,49 @@ def test_decoder_contracts():
     L = 8.0 * (1.0 - 2.0 * word)
     for algo in ("mld", "osd", "spa", "dd-spa", "dd-osd"):
         decode = build_decoder(_base_config(algo=algo), spec)
-        bits, dd_its, inner_sum, inner_calls, conv = decode(L)
-        assert np.array_equal(bits, word), algo
-        assert dd_its >= 1 and inner_calls >= 1 and conv
+        rep = decode(L)
+        assert isinstance(rep, DecodeReport) and rep[0] is rep.bits, algo
+        assert np.array_equal(rep.bits, word), algo
+        assert rep.iterations >= 1 and rep.inner_iterations.size >= 1
+        assert rep.converged is True
+        if not algo.startswith("dd-"):
+            assert rep.iterations == 1
+            assert rep.inner_iterations.shape == (1, 1)
+
+
+@pytest.mark.parametrize("algo, directions", [("dd-spa", "all"),
+                                               ("dd-osd", "k:6:5")])
+def test_dd_closures_return_the_loop_report(algo, directions):
+    """A dd-* closure returns, field for field, what its derivative loop
+    returns when called directly on the same frame."""
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    cfg = _base_config(algo=algo, directions=directions, order=2, n_max=4)
+    decode = build_decoder(cfg, spec)
+    B = ddcodes.sim._parse_directions(directions, spec.field)
+    if algo == "dd-spa":
+        loop = dd_decode_cyclic
+        inner = spa_batch_decoder(ddcodes.sim._dd_parity_matrix(spec),
+                                  cfg.inner_max_iter)
+    else:
+        loop = dd_decode_minimal
+        T, _ = minimal_transversal(spec.field)
+        inner = osd_batch_decoder(minimal_dd_basis(spec, 1).basis[:, T], 2)
+    rng = np.random.default_rng(2025)
+    ch = ChannelConfig(1.0, spec.k / spec.n)
+    iterations = set()
+    for _ in range(40):
+        msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
+        L = transmit(msg @ spec.G % 2, ch, rng)
+        rep, ref = decode(L), loop(L, spec, inner, B, cfg.n_max)
+        assert type(rep) is DecodeReport
+        assert np.array_equal(rep.bits, ref.bits)
+        assert rep.bits.dtype == ref.bits.dtype
+        assert (rep.iterations, rep.converged) == (ref.iterations,
+                                                   ref.converged)
+        assert np.array_equal(rep.inner_iterations, ref.inner_iterations)
+        assert rep.inner_iterations.dtype == ref.inner_iterations.dtype
+        iterations.add(rep.iterations)
+    assert len(iterations) > 1
 
 
 def test_unknown_algo_rejected():
@@ -426,7 +490,7 @@ def test_zero_iteration_caps_return_the_hard_decision(algo):
     decode = build_decoder(_base_config(algo=algo, inner_max_iter=0, n_max=0),
                            spec)
     L = np.random.default_rng(29).normal(0.0, 2.0, size=16)
-    assert np.array_equal(decode(L)[0], (L < 0).astype(np.uint8))
+    assert np.array_equal(decode(L).bits, (L < 0).astype(np.uint8))
 
 
 def test_mld_dimension_guard():
@@ -438,16 +502,17 @@ def test_mld_dimension_guard():
 def _per_frame_engine_decoder(cfg, spec):
     """The baseline decode closures as they were: one engine call per frame
     on the vector itself, the mld codebook enumerated per frame."""
+    one = np.ones((1, 1), dtype=np.int64)
     if cfg.algo == "mld":
-        return lambda L: (mld_exhaustive(spec.G, L), 1, 1, 1, True)
+        return lambda L: DecodeReport(mld_exhaustive(spec.G, L), 1, True, one)
     if cfg.algo == "osd":
-        return lambda L: (osd_decode(spec.G, L[None], cfg.order)[0],
-                          1, 1, 1, True)
+        return lambda L: DecodeReport(osd_decode(spec.G, L[None], cfg.order)[0],
+                                      1, True, one)
     H = SparseParityMatrix.from_dense(spec.check_matrix)
 
     def decode(L):
         bits, its, conv = spa_decode_batch(H, L[None], cfg.inner_max_iter)
-        return bits[0], 1, int(its[0]), 1, bool(conv[0])
+        return DecodeReport(bits[0], 1, bool(conv[0]), its[:, None])
     return decode
 
 
