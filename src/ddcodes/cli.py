@@ -60,9 +60,10 @@ def _cmd_code(args) -> int:
 def _cmd_decode(args) -> int:
     spec = _parse_code(args.code)
     L = np.loadtxt(args.llr_in, dtype=np.float64).reshape(-1)
-    cfg = SimConfig(n=spec.n, gen_poly_hex=hex(spec.gen_poly), algo=args.algo,
-                    directions=args.directions, order=args.order,
-                    inner_max_iter=args.inner_max_iter, n_max=args.max_iter)
+    # a flag left out is absent from args, so SimConfig's default applies
+    settings = {k: v for k, v in vars(args).items()
+                if k in SimConfig.__dataclass_fields__}
+    cfg = SimConfig(n=spec.n, gen_poly_hex=hex(spec.gen_poly), **settings)
     rep = build_decoder(cfg, spec)(L)
     line = " ".join(str(int(b)) for b in rep.bits)
     if args.out:
@@ -130,15 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="primitive polynomial override (hex)")
         pci.set_defaults(func=_cmd_code)
 
-    pd = sub.add_parser("decode", help="decode one LLR vector")
+    pd = sub.add_parser("decode", help="decode one LLR vector",
+                        argument_default=argparse.SUPPRESS)
     pd.add_argument("--code", required=True, help="<n>:<gen-hex>")
     pd.add_argument("--algo", required=True, choices=ALGOS)
-    pd.add_argument("--directions", default="all", help="all | k:<count>:<seed>")
-    pd.add_argument("--max-iter", type=int, default=3,
+    pd.add_argument("--directions", help="all | k:<count>:<seed>")
+    pd.add_argument("--max-iter", dest="n_max", type=int, metavar="MAX_ITER",
                     help="outer derivative-decoding iterations (dd-*)")
-    pd.add_argument("--inner-max-iter", type=int, default=20,
+    pd.add_argument("--inner-max-iter", type=int,
                     help="SPA iterations (spa, dd-spa)")
-    pd.add_argument("--order", type=int, default=1, help="OSD depth")
+    pd.add_argument("--order", type=int, help="OSD depth")
     pd.add_argument("--llr-in", required=True,
                     help="whitespace-separated LLR values")
     pd.add_argument("--out", default=None, help="write bits here instead of stdout")

@@ -2,7 +2,8 @@
 
 These are the inner engines the derivative decoders call on each derivative
 LLR vector.  All of them consume log-likelihood ratios with the convention
-L > 0 favoring bit 0 and magnitudes clipped to +-30.
+L > 0 favoring bit 0.  SPA clips them to +-LLR_CLIP (30); ML and OSD
+correlate them as given, so a sum of n finite LLRs must stay finite.
 
 Every decoder has one shape: `spa_batch_decoder`, `osd_batch_decoder` and
 `mld_batch_decoder` build a closure over a fixed code that maps a finite

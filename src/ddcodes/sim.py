@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DecodeReport, DirectionSet, dd_decode_cyclic,
                       dd_decode_minimal, minimal_transversal)
-from .decoders import (_checked_llrs, _nonnegative_int, mld_batch_decoder,
-                       osd_batch_decoder, spa_batch_decoder)
+from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
+                       spa_batch_decoder)
 from .derivative import dd_code, minimal_dd_basis
 from .gf2m import GF2m, _is_int, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
@@ -35,16 +36,86 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_finite(v) -> bool:
+    """True for an integer or a finite float; a bool is neither."""
+    return _is_int(v) or (isinstance(v, (float, np.floating))
+                          and math.isfinite(v))
+
+
+def _int_from(low: int):
+    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
+
+
+def _matching(pattern: str):
+    """Test for a string that pattern matches as a whole.  The pattern is
+    compiled here, at import, not in the first config a process builds."""
+    compiled = re.compile(pattern)
+    return lambda v: isinstance(v, str) and compiled.fullmatch(v) is not None
+
+
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+
+# field -> (what its value must be, test for it); a config's __post_init__
+# raises ConfigError for the first field, in this order, that fails its test
+_SIM_RULES = {
+    "n": ("a power of two from 4 to 65536",
+          lambda v: _is_int(v) and 4 <= v <= 1 << 16 and not v & (v - 1)),
+    "gen_poly_hex": ("a hex string", _matching("(0[xX])?[0-9a-fA-F]+")),
+    "algo": (f"one of {', '.join(ALGOS)}", _matching("|".join(ALGOS))),
+    "ebn0_db": ("a non-empty list of finite numbers",
+                lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                and all(map(_is_finite, v))),
+    "directions": ("'all' or 'k:<count>:<seed>' with integers count and "
+                   "seed >= 0", _matching("all|k:[0-9]+:[0-9]+")),
+    "order": _int_from(0),
+    "inner_max_iter": _int_from(0),
+    "n_max": _int_from(0),
+    "max_frames": _int_from(1),
+    "max_frame_errors": _int_from(1),
+    "seed": _int_from(0),
+    "workers": ("an integer <= 1 (the field was removed: frames come from "
+                "one random stream)", lambda v: _is_int(v) and v <= 1),
+    "all_zero": _BOOL,
+    "noiseless": _BOOL,
+}
+_CHANNEL_RULES = {
+    "ebn0_db": ("a finite number", _is_finite),
+    "rate": ("a number in (0, 1]", lambda v: _is_finite(v) and 0 < v <= 1),
+}
+
+
+def _check_fields(cfg, rules: dict) -> None:
+    for name, (what, fits) in rules.items():
+        value = getattr(cfg, name)
+        if not fits(value):
+            raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Binary-input AWGN channel at a given Eb/N0 and code rate."""
+    """Binary-input AWGN channel at a given Eb/N0 and code rate.
+
+    Building one raises ConfigError unless ebn0_db is a finite number, rate
+    lies in (0, 1], and sigma^2 and 2^18/sigma^2 are finite and positive:
+    LLRs are 2y/sigma^2 with |y| < 2 at any sigma^2 that small, so a
+    correlation of n <= 2^16 of them stays finite.
+    """
     ebn0_db: float
     rate: float
 
+    def __post_init__(self):
+        _check_fields(self, _CHANNEL_RULES)
+        try:
+            sigma2 = self.sigma2
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = 0.0
+        if not (0.0 < sigma2 < math.inf and 2.0 ** 18 / sigma2 < math.inf):
+            raise ConfigError(f"field 'ebn0_db' must be an Eb/N0 at which "
+                              f"sigma^2 > 0 and 2^18/sigma^2 are finite at "
+                              f"rate {self.rate!r}, got {self.ebn0_db!r}")
+
     @property
     def sigma2(self) -> float:
-        if self.rate <= 0:
-            raise ConfigError("rate must be positive")
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
@@ -56,14 +127,22 @@ def transmit(a, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     return 2.0 * y / sigma2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One simulation campaign: code, decoder, SNR sweep, stopping rules.
 
+    Every field is checked when the config is built, in Python or by
+    load_config from JSON, and again by dataclasses.replace: a value that
+    breaks its rule in _SIM_RULES raises ConfigError("field '<name>' must
+    be ..., got <repr>").  Three checks need the code and wait for it:
+    build_decoder checks the direction count against the code's field and
+    that mld has k <= 20, and run_monte_carlo builds a ChannelConfig at the
+    code's rate for every Eb/N0 point before the first frame.
+
     `workers` was removed; it only dealt frames to random substreams.  The
     field stays so that configs passing workers=1 still load: values <= 1
-    all draw from the one substream, and run_monte_carlo raises
-    ConfigError for more.  load_config drops the removed field `omega`.
+    all draw from the one substream.  load_config drops the removed field
+    `omega`.
     """
     n: int                      # extended block length 2^m
     gen_poly_hex: str           # generator polynomial, bit i = coeff of x^i
@@ -79,6 +158,9 @@ class SimConfig:
     workers: int = 1            # removed; only values <= 1 are accepted
     all_zero: bool = False      # transmit the zero codeword instead of random
     noiseless: bool = False     # saturated correct-sign LLRs (sanity runs)
+
+    def __post_init__(self):
+        _check_fields(self, _SIM_RULES)
 
 
 @dataclass
@@ -99,17 +181,12 @@ class SimResult:
 
 
 def _parse_directions(spec_str: str, field: GF2m) -> DirectionSet:
+    """The set a checked `directions` value names; random_subset raises
+    ValueError for a count outside 1..field.n."""
     if spec_str == "all":
         return DirectionSet.all_of(field)
-    parts = spec_str.split(":")
-    if len(parts) == 3 and parts[0] == "k":
-        try:
-            k, seed = int(parts[1]), int(parts[2])
-        except ValueError:
-            pass
-        else:
-            return DirectionSet.random_subset(field, k, seed)
-    raise ConfigError(f"cannot parse directions {spec_str!r} (use all | k:<n>:<seed>)")
+    k, seed = map(int, spec_str[2:].split(":"))
+    return DirectionSet.random_subset(field, k, seed)
 
 
 def _dd_parity_matrix(spec: CodeSpec) -> SparseParityMatrix:
@@ -143,17 +220,12 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     iteration, a (1, 1) tally); the `dd-*` algorithms return the report of
     a derivative loop around a closure for the descendant.
     Every algorithm raises ValueError("LLR input ...") unless L is a finite
-    vector of length n.  Building checks every setting, whether or not the
-    algorithm reads it: it raises ValueError unless inner_max_iter, n_max
-    and order are integers >= 0 and directions names a set of directions
-    of the code's field.
+    vector of length n.  cfg checked its fields when it was built; building
+    the decoder checks what needs the code, whether or not the algorithm
+    reads it: the direction count must fit the code's field (ValueError),
+    and mld needs k <= 20 (ConfigError).
     """
     field = spec.field
-    if cfg.algo not in ALGOS:
-        raise ConfigError(f"unknown algo {cfg.algo!r}")
-    _nonnegative_int(cfg.inner_max_iter, "inner_max_iter")
-    _nonnegative_int(cfg.n_max, "n_max")
-    _nonnegative_int(cfg.order, "OSD order")
     B = _parse_directions(cfg.directions, field)
     if cfg.algo in ("mld", "osd", "spa"):
         if cfg.algo == "mld":
@@ -192,45 +264,16 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
 def run_monte_carlo(cfg: SimConfig) -> SimResult:
     """Simulate every SNR point until max_frames or max_frame_errors.
 
-    Raises ConfigError naming the field if `workers` is above 1, or unless
-    max_frames and max_frame_errors are integers >= 1, seed is an integer
-    >= 0, ebn0_db holds at least one point and only finite numbers at
-    which the channel's sigma^2 and 2/sigma^2 are finite and positive, and
-    gen_poly_hex is a hex integer.
+    Builds the code, the channel of every point at the code's rate and the
+    decoder before the first frame, so a point at which ChannelConfig
+    rejects the channel raises its ConfigError naming `ebn0_db`.
     """
-    if cfg.workers > 1:
-        raise ConfigError(f"field 'workers' was removed (frames come from one "
-                          f"random stream); got workers={cfg.workers}")
-    for name, low in (("max_frames", 1), ("max_frame_errors", 1), ("seed", 0)):
-        value = getattr(cfg, name)
-        if not _is_int(value) or value < low:
-            raise ConfigError(f"field {name!r} must be an integer >= {low}, "
-                              f"got {value!r}")
-    if not len(cfg.ebn0_db):
-        raise ConfigError("field 'ebn0_db' must hold at least one Eb/N0 "
-                          "point, got []")
-    if not all(_is_number(v) and np.isfinite(v) for v in cfg.ebn0_db):
-        raise ConfigError(f"field 'ebn0_db' must hold finite numbers, "
-                          f"got {cfg.ebn0_db!r}")
-    try:
-        gen_poly = int(cfg.gen_poly_hex, 16)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'gen_poly_hex' must be a hex integer, "
-                          f"got {cfg.gen_poly_hex!r}") from e
-    spec = code_from_generator(field_for_length(cfg.n), gen_poly)
-    for ebn0 in cfg.ebn0_db:
-        try:
-            sigma2 = ChannelConfig(ebn0, spec.k / spec.n).sigma2
-        except (OverflowError, ZeroDivisionError):
-            sigma2 = 0.0
-        if not (0.0 < sigma2 < math.inf and 2.0 / sigma2 < math.inf):
-            raise ConfigError(f"field 'ebn0_db' must hold finite numbers at "
-                              f"which sigma^2 and 2/sigma^2 are finite and "
-                              f"positive (rate {spec.k}/{spec.n}), got {ebn0!r}")
+    spec = code_from_generator(field_for_length(cfg.n),
+                               int(cfg.gen_poly_hex, 16))
+    chans = [ChannelConfig(ebn0, spec.k / spec.n) for ebn0 in cfg.ebn0_db]
     decode = build_decoder(cfg, spec)
     points = []
-    for ebn0 in cfg.ebn0_db:
-        chan = ChannelConfig(ebn0, spec.k / spec.n)
+    for chan in chans:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         frames = frame_errors = bit_errors = 0
         dd_iters_sum = 0
@@ -255,7 +298,7 @@ def run_monte_carlo(cfg: SimConfig) -> SimResult:
                 bit_errors += int((rep.bits ^ a).sum())
         avg_dd = dd_iters_sum / frames
         avg_inner = inner_sum / inner_calls if inner_calls else 0.0
-        points.append(SimPoint(ebn0, frames, frame_errors, bit_errors,
+        points.append(SimPoint(chan.ebn0_db, frames, frame_errors, bit_errors,
                                frame_errors / frames, avg_dd, avg_inner))
     return SimResult(cfg, points)
 
@@ -281,23 +324,9 @@ def save_config(cfg: SimConfig, path) -> None:
         fh.write("\n")
 
 
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, (float, np.floating))
-
-
-# SimConfig annotation -> (what a JSON value must be, test for it)
-_JSON_TYPES = {
-    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "list[float]": ("a list of numbers",
-                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
-}
-
-
 def load_config(path) -> SimConfig:
-    """JSON mirror of SimConfig; missing, unknown and wrong-typed fields are
-    named errors."""
+    """JSON mirror of SimConfig.  A missing or unknown field, and any
+    ConfigError SimConfig raises, is a ConfigError that names the file."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -306,17 +335,13 @@ def load_config(path) -> SimConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of fields")
     raw.pop("omega", None)      # removed, but every older saved config has it
-    fields = SimConfig.__dataclass_fields__
-    required = {"n", "gen_poly_hex", "algo"}
-    for name in required:
+    for name in ("n", "gen_poly_hex", "algo"):
         if name not in raw:
             raise ConfigError(f"{path}: missing required field {name!r}")
-    unknown = set(raw) - set(fields)
+    unknown = set(raw) - set(SimConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
-    for name, value in raw.items():
-        what, fits = _JSON_TYPES[fields[name].type]
-        if not fits(value):
-            raise ConfigError(f"{path}: field {name!r} must be {what}, "
-                              f"got {json.dumps(value)}")
-    return SimConfig(**raw)
+    try:
+        return SimConfig(**raw)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e

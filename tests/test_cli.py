@@ -7,7 +7,11 @@ import json
 import numpy as np
 import pytest
 
+import ddcodes.cli
 from ddcodes.cli import main
+from ddcodes.cyclic import code_from_generator
+from ddcodes.gf2m import GF2m
+from ddcodes.sim import SimConfig, build_decoder
 
 
 def test_code_info(capsys):
@@ -75,6 +79,28 @@ def test_decode_to_stdout(tmp_path, capsys):
 _ALGOS = ["dd-spa", "dd-osd", "osd", "spa", "mld"]
 
 
+@pytest.mark.parametrize("algo", _ALGOS)
+def test_decode_defaults_are_the_sim_config_defaults(tmp_path, capsys,
+                                                     monkeypatch, algo):
+    """Without --max-iter, --inner-max-iter, --order or --directions,
+    decode builds and runs the decoder of SimConfig(n, gen, algo)."""
+    built = []
+
+    def recording(cfg, spec):
+        built.append(cfg)
+        return build_decoder(cfg, spec)
+    monkeypatch.setattr(ddcodes.cli, "build_decoder", recording)
+    llr_path = tmp_path / "llrs.txt"
+    np.savetxt(llr_path, np.random.default_rng(331).normal(1.0, 1.5, size=16))
+    assert main(["decode", "--code", "16:1d1", "--algo", algo,
+                 "--llr-in", str(llr_path)]) == 0
+    cfg = SimConfig(n=16, gen_poly_hex="0x1d1", algo=algo)
+    assert built == [cfg]
+    rep = build_decoder(cfg, code_from_generator(GF2m(4), 0x1D1))(
+        np.loadtxt(llr_path))
+    assert capsys.readouterr().out.split() == [str(b) for b in rep.bits]
+
+
 def test_decode_nan_llr_is_reported(tmp_path, capsys):
     llr_path = tmp_path / "llrs.txt"
     np.savetxt(llr_path, np.where(np.arange(16) == 4, np.nan, 2.0))
@@ -104,7 +130,8 @@ def test_decode_negative_osd_order(tmp_path, capsys, algo):
     rc = main(["decode", "--code", "16:1d1", "--algo", algo, "--order", "-1",
                "--llr-in", str(llr_path)])
     assert rc == 2
-    assert "error: OSD order must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert ("error: field 'order' must be an integer >= 0, got -1"
+            in capsys.readouterr().err)
 
 
 def test_simulate(tmp_path, capsys):
@@ -237,8 +264,8 @@ def test_simulate_an_empty_sweep_is_an_error(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(csv_path)])
     assert rc == 2
-    assert ("error: field 'ebn0_db' must hold at least one Eb/N0 point, "
-            "got []") in capsys.readouterr().err
+    assert (f"error: {cfg_path}: field 'ebn0_db' must be a non-empty list of "
+            f"finite numbers, got []") in capsys.readouterr().err
     assert not csv_path.exists()
 
 
@@ -251,7 +278,8 @@ def test_decode_negative_spa_iteration_cap(tmp_path, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: inner_max_iter must be an integer >= 0, got -3" in captured.err
+    assert ("error: field 'inner_max_iter' must be an integer >= 0, got -3"
+            in captured.err)
 
 
 def test_decode_spa_reads_the_inner_iteration_cap(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -79,6 +80,46 @@ def _base_config(**kw):
     return SimConfig(**base)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("directions", 5), ("n", "16"), ("n", 17), ("ebn0_db", 3.0),
+    ("noiseless", "false"), ("all_zero", 1), ("order", True),
+])
+def test_a_bad_field_is_named_where_the_config_is_built(field, value):
+    """Built in Python, these used to pass unchecked: directions=5 and
+    n="16" ended in AttributeError, ebn0_db=3.0 in TypeError, and
+    noiseless="false" and all_zero=1 ran as true."""
+    with pytest.raises(ConfigError, match=re.escape(f"field {field!r} must be ")
+                       + ".*" + re.escape(f", got {value!r}")):
+        SimConfig(**{"n": 16, "gen_poly_hex": "1d1", "algo": "mld",
+                     field: value})
+
+
+def test_a_config_is_frozen_and_replace_checks_it_again():
+    cfg = _base_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 2
+    assert dataclasses.replace(cfg, seed=2).seed == 2
+    with pytest.raises(ConfigError, match="field 'seed' must be an integer "
+                                          ">= 0, got -1"):
+        dataclasses.replace(cfg, seed=-1)
+
+
+@pytest.mark.parametrize("algo", ["mld", "osd"])
+def test_an_overflowing_snr_fails_before_the_first_frame(algo, monkeypatch):
+    """At 3080.1 dB on the (16, 7) code, 2/sigma^2 is finite but ML and OSD
+    correlations of the LLRs overflowed, and every frame was lost.  Now the
+    point is a ConfigError before any frame is drawn; 1000 dB decodes."""
+    point = run_monte_carlo(_base_config(algo=algo, ebn0_db=[1000.0],
+                                         max_frames=20)).points[0]
+    assert (point.frames, point.frame_errors) == (20, 0)
+    drawn = []
+    monkeypatch.setattr(ddcodes.sim, "transmit", lambda *a: drawn.append(a))
+    with pytest.raises(ConfigError, match="field 'ebn0_db' must be an Eb/N0 "
+                                          ".*, got 3080.1"):
+        run_monte_carlo(_base_config(algo=algo, ebn0_db=[3.0, 3080.1]))
+    assert drawn == []
+
+
 def test_noiseless_run_is_error_free():
     result = run_monte_carlo(_base_config(noiseless=True, max_frames=50))
     point = result.points[0]
@@ -100,8 +141,8 @@ def test_runs_are_reproducible():
 @pytest.mark.parametrize("workers", [2, 3])
 def test_workers_above_one_are_a_named_error(workers):
     """The field only split the random stream; it no longer does anything."""
-    with pytest.raises(ConfigError, match=f"field 'workers' was removed .*"
-                                          f"got workers={workers}"):
+    with pytest.raises(ConfigError, match=f"field 'workers' must be an "
+                                          f"integer <= 1 .*, got {workers}"):
         run_monte_carlo(_base_config(workers=workers, ebn0_db=[1.0]))
 
 
@@ -127,15 +168,17 @@ def test_bad_seed_is_a_named_error(seed):
 
 
 @pytest.mark.parametrize("ebn0", [-math.inf, math.inf, math.nan,
-                                  -4000.0, -3100.0, 3081.0, 3090.0, 4000])
+                                  -4000.0, -3100.0, 3080.1, 3081.0, 3090.0,
+                                  4000])
 def test_non_finite_snr_is_a_named_error(ebn0):
     """-inf used to raise a bare ZeroDivisionError, and inf and NaN an LLR
     error that did not name the field.  A finite point can still leave the
     channel unrepresentable at rate 7/16: at -4000 dB sigma^2 raised
     ZeroDivisionError, at 3090 and 4000 dB OverflowError; at -3100 dB it is
-    infinite and the LLRs NaN; at 3081 dB 2/sigma^2 is infinite."""
-    with pytest.raises(ConfigError, match="field 'ebn0_db' must hold finite "
-                                          "numbers"):
+    infinite and the LLRs NaN; at 3081 dB 2/sigma^2 is infinite, and at
+    3080.1 dB a correlation of the 16 LLRs overflows."""
+    with pytest.raises(ConfigError, match=r"field 'ebn0_db' must be .*, got "
+                                          r".*" + re.escape(repr(ebn0))):
         run_monte_carlo(_base_config(ebn0_db=[3.0, ebn0]))
 
 
@@ -370,9 +413,9 @@ def test_dd_spa_output_is_frozen(case, monkeypatch):
                                         "k:2.5:7"])
 def test_unparsable_directions_are_named(directions):
     """Non-integer counts and seeds used to raise int()'s own message."""
-    with pytest.raises(ConfigError, match=f"cannot parse directions "
-                                          f"'{directions}'"):
-        ddcodes.sim._parse_directions(directions, GF2m(4))
+    with pytest.raises(ConfigError, match=r"field 'directions' must be .*, "
+                                          f"got '{directions}'"):
+        _base_config(directions=directions)
 
 
 @pytest.mark.parametrize("gen", ["zz", "0x", "", 0x1D1])
@@ -380,15 +423,15 @@ def test_bad_generator_is_a_named_error(gen):
     """A bad hex string used to raise int()'s own message, which names
     neither the field nor the value."""
     with pytest.raises(ConfigError, match=f"field 'gen_poly_hex' must be a "
-                                          f"hex integer, got {gen!r}"):
+                                          f"hex string, got {gen!r}"):
         run_monte_carlo(_base_config(gen_poly_hex=gen))
 
 
 def test_negative_direction_seed_is_a_named_error():
     """The seed used to reach numpy, whose message names neither the seed
     nor its value."""
-    with pytest.raises(ValueError, match="direction seed must be an integer "
-                                         ">= 0, got -1"):
+    with pytest.raises(ValueError, match="field 'directions' must be .*seed "
+                                         ">= 0, got 'k:3:-1'"):
         run_monte_carlo(_base_config(algo="dd-osd", directions="k:3:-1"))
 
 
@@ -452,14 +495,16 @@ def test_unknown_algo_rejected():
 @pytest.mark.parametrize("algo", ["osd", "dd-osd", "spa", "dd-spa", "mld"])
 @pytest.mark.parametrize("order", [-1, 2.5])
 def test_invalid_osd_order_rejected(algo, order):
-    with pytest.raises(ValueError, match="OSD order"):
+    with pytest.raises(ValueError, match=f"field 'order' must be an integer "
+                                         f">= 0, got {order}"):
         run_monte_carlo(_base_config(algo=algo, order=order, max_frames=1))
 
 
 @pytest.mark.parametrize("algo", ["osd", "dd-osd", "spa", "dd-spa", "mld"])
 def test_directions_are_checked_for_every_algorithm(algo):
     """A baseline, which takes no derivatives, used to accept any value."""
-    with pytest.raises(ConfigError, match="cannot parse directions 'bogus'"):
+    with pytest.raises(ConfigError, match="field 'directions' must be .*, "
+                                          "got 'bogus'"):
         run_monte_carlo(_base_config(algo=algo, directions="bogus",
                                      max_frames=1))
     with pytest.raises(ValueError, match="cannot draw 99 of 15 directions"):
@@ -469,8 +514,9 @@ def test_directions_are_checked_for_every_algorithm(algo):
 
 def test_an_empty_sweep_is_a_named_error():
     """It used to return no points, and simulate wrote a header-only CSV."""
-    with pytest.raises(ConfigError, match=r"field 'ebn0_db' must hold at "
-                                          r"least one Eb/N0 point, got \[\]"):
+    with pytest.raises(ConfigError, match=r"field 'ebn0_db' must be a "
+                                          r"non-empty list of finite numbers, "
+                                          r"got \[\]"):
         run_monte_carlo(_base_config(ebn0_db=[]))
 
 
@@ -479,8 +525,8 @@ def test_an_empty_sweep_is_a_named_error():
                                           ("n_max", -3), ("n_max", 1.5)])
 def test_invalid_iteration_caps_rejected(algo, field, value):
     spec = code_from_generator(GF2m(4), 0x1D1)
-    with pytest.raises(ValueError, match=f"{field} must be an integer >= 0, "
-                                         f"got {value}"):
+    with pytest.raises(ValueError, match=f"field '{field}' must be an integer "
+                                         f">= 0, got {value}"):
         build_decoder(_base_config(algo=algo, **{field: value}), spec)
 
 
@@ -633,15 +679,16 @@ def test_config_schema_errors(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("field, value, want", [
-    ("ebn0_db", "3.0", "a list of numbers"),
-    ("max_frames", '"10"', "an integer"),
-    ("seed", "true", "an integer"),
+@pytest.mark.parametrize("field, value, want, got", [
+    ("ebn0_db", "3.0", "a non-empty list of finite numbers", "3.0"),
+    ("max_frames", '"10"', "an integer >= 1", "'10'"),
+    ("seed", "true", "an integer >= 0", "True"),
 ])
-def test_config_rejects_wrong_typed_field(tmp_path, field, value, want):
+def test_config_rejects_wrong_typed_field(tmp_path, field, value, want, got):
     path = tmp_path / "bad.json"
     path.write_text(f'{{"n": 16, "gen_poly_hex": "1d1", "algo": "mld", "{field}": {value}}}')
-    with pytest.raises(ConfigError, match=f"field '{field}' must be {want}, got {value}"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: field '{field}' must be {want}, got {got}")):
         load_config(path)
 
 
