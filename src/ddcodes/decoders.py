@@ -25,14 +25,16 @@ Every syndrome is one matmul against a dense transpose of H built once per H.
 (`gf2.rref_stack`, one pass over G's rows for all the reliability orders)
 rather than one elimination per vector.  It then scores every
 reprocessing candidate without building it: the correlations come from
-exact sign products, in one recursion over the smallest flip index whose
-last two indices are one batched matmul, so the scores come out in
-candidate order from small blocks.  One cached table names each
-candidate's flip set (`_flip_set_table`), and the stack's winners are
-built in one gather over it.
+exact sign products.  A flip set J of weight >= 2 extends a smaller set J'
+by an index above max J'; the J' are grouped by their largest index into
+a few blocks, each one product and one batched matmul, and a plan cached
+per weight puts the scores in candidate order (`_score_blocks`).
+One cached table names each candidate's flip set (`_flip_set_table`), and
+the stack's winners are built in one gather over it.
 Peak memory matters here: the C allocator can hand a large freed block
 back to the kernel, and then every frame that builds one pays the page
-faults for it again.  A row where another screened score lies within the
+faults for it again, so a block's size comes from a byte budget shared
+over the stack's rows.  A row where another screened score lies within the
 rounding tolerance of the best is rescored exactly as direct scoring does,
 by dot products over its full candidate list, one row at a time, so the
 decoded words, and the rule that a tie goes to the earliest candidate, are
@@ -224,7 +226,7 @@ def _reliability_bases(G: np.ndarray, L: np.ndarray):
 def _flip_set_table(k: int, order: int) -> np.ndarray:
     """Read-only (N, w) table of the basis-flip sets J of range(k) with at
     most w = min(order, k) indices, by size, then lexicographically: the
-    order of the reprocessing candidates and of _subset_scores.  Each row
+    order of the reprocessing candidates and of _screened_scores.  Each row
     lists J in increasing order, padded with k."""
     w = min(order, k)
     sets = np.array([J + (k,) * (w - size) for size in range(w + 1)
@@ -252,36 +254,41 @@ def _candidates(Mz: np.ndarray, c0: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return cands
 
 
+# Bytes of one block of product rows, shared over the rows of the stack:
+# 128 rows of (w-1)-sets for one frame of eBCH(128,36), 4 for a stack of 32.
+_BLOCK_BYTES = 1 << 17
+
+
 @lru_cache(maxsize=None)
-def _pair_index(m: int) -> np.ndarray:
-    """Read-only flat indices of the strict upper triangle of an (m, m)
-    block, row by row: the pairs a < b of range(m) in lexicographic order."""
-    i, j = np.triu_indices(m, 1)
-    flat = i * m + j
-    flat.setflags(write=False)
-    return flat
+def _score_blocks(k: int, w: int, rows: int) -> tuple:
+    """Read-only plan of _screened_scores for the w-subsets of range(k),
+    w >= 2: the (w-1)-subsets J' with max J' < k - 1, by max J', in blocks
+    of at most `rows`.
 
-
-def _subset_scores(R: np.ndarray, sigma: np.ndarray, lo: int, w: int):
-    """Scores sum_i R_i prod_{j in J} sigma_ji of the w-subsets J of
-    range(lo, k), lexicographic in J.  Shapes (F, n), (F, k, n) -> (F, N).
-
-    The sets whose smallest index is a form one contiguous block: the
-    (w-1)-subsets above a, scored from the products R * sigma[:, a].  The
-    last two indices come from one batched matmul, whose strict upper
-    triangle read row by row is the pairs in lexicographic order.
+    A block is (heads, lo, src, dest): heads is the (w-1, b) index table
+    of its b sets J', and lo = 1 + the smallest max J' in it.  Entry (i, c)
+    of the block's (b, k - lo) score matrix scores J'_i + (lo + c,); the
+    entries with lo + c > max J'_i, at flat positions src, are the flip
+    sets at rows dest of _flip_set_table.
     """
-    F, k = sigma.shape[:2]
-    if w == 0:
-        return R.sum(axis=1)[:, None]
-    tail = sigma[:, lo:]
-    if w == 1:
-        return np.matmul(R[:, None, :], tail.transpose(0, 2, 1))[:, 0]
-    if w == 2:
-        P = np.matmul(tail * R[:, None, :], tail.transpose(0, 2, 1))
-        return P.reshape(F, -1)[:, _pair_index(k - lo)]
-    return np.concatenate([_subset_scores(R * sigma[:, a], sigma, a + 1, w - 1)
-                           for a in range(lo, k - w + 1)], axis=1)
+    place = {tuple(J): i
+             for i, J in enumerate(_flip_set_table(k, w).tolist())}
+    heads = np.array([J + (top,) for top in range(w - 2, k - 1)
+                      for J in combinations(range(top), w - 2)],
+                     dtype=np.intp).reshape(-1, w - 1)
+    blocks = []
+    for start in range(0, len(heads), rows):
+        block = heads[start:start + rows]
+        lo = int(block[0, -1]) + 1
+        keep = np.arange(lo, k) > block[:, -1:]
+        i, c = np.nonzero(keep)
+        sets = np.column_stack([block[i], lo + c]).tolist()
+        tables = (block.T.copy(), np.flatnonzero(keep),
+                  np.array([place[tuple(J)] for J in sets], dtype=np.intp))
+        for t in tables:
+            t.setflags(write=False)
+        blocks.append((tables[0], lo) + tables[1:])
+    return tuple(blocks)
 
 
 def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int):
@@ -289,24 +296,52 @@ def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int):
     in _flip_set_table order, from sign products without building any.
 
     With s0 = (1 - 2 c0) L[d] and sigma = 1 - 2M, candidate J scores
-    sum_i s0_i prod_{j in J} sigma_ji.  Each flip weight is one recursion
-    over the smallest index of J (_subset_scores), so the largest
-    temporary is one (F, k, n) product block.  A block of every (weight
-    w-1 set, next index) pair, about 2 MB per frame at order 3 on
-    eBCH(128,36), would go back to the kernel when freed and be faulted
-    in again on every call.  Every product is exact, so each score, like
-    the direct dot product of that candidate, lies within (n-1) u sum|L[d]|
-    of the true correlation (u the unit roundoff).  Returns the (F, N)
-    scores and the per-row tolerance tol = 4 n eps sum|L[d]|, at least
-    twice that bound for both sums together.
+    sum_i s0_i prod_{j in J} sigma_ji.  Weight 0 is one reduction and
+    weight 1 one matmul.  A set J of weight v >= 2 is J' + (c,) with c >
+    max J', and scores as the row s0 * prod_{j in J'} sigma_j times
+    sigma_c.  The J' are taken in a few blocks by max J' (_score_blocks):
+    each block is one product, its rows gathered from s0 * sigma and
+    multiplied by the other rows of J', and one matmul against the columns
+    of sigma above the block; its entries with c > max J' go to their
+    places in the flip set order.  One block takes _BLOCK_BYTES for the
+    whole stack, rows rounded down to a power of two so that stacks of any
+    height share a few cached plans: a larger temporary would go back to
+    the kernel when freed and be faulted in again on every call.  Every
+    product is an exact +-s0, so each score, like the direct dot product of
+    that candidate, lies within (n-1) u sum|L[d]| of the true correlation
+    (u the unit roundoff).  Returns the (F, N) scores and the per-row
+    tolerance tol = 4 n eps sum|L[d]|, at least twice that bound for both
+    sums together.
     """
-    n = M.shape[2]
-    # +-1 in int8, then one cast: mixed uint8/float64 arithmetic is ~10x slower
-    sigma = (1 - 2 * M.view(np.int8)).astype(np.float64)
+    F, k, n = M.shape
+    # +-1 in int8, then one cast for the matmuls: mixed uint8/float64
+    # arithmetic is ~10x slower.  The product blocks take their signs from
+    # the int8 table: gathered as float64, they would double a block's
+    # memory to save a fifth of its product time.
+    sign = 1 - 2 * M.view(np.int8)
+    sigma = sign.astype(np.float64)
+    sigT = sigma.transpose(0, 2, 1)
     s0 = (1.0 - 2.0 * c0) * L
-    scores = [_subset_scores(s0, sigma, 0, v) for v in range(w + 1)]
+    scores = np.empty((F, len(_flip_set_table(k, w))))
+    scores[:, 0] = s0.sum(axis=1)
+    if w:
+        np.matmul(s0[:, None, :], sigT, out=scores[:, None, 1:k + 1])
+    if w >= 2:
+        T = sigma * s0[:, None, :]
+        rows = 1 << (max(1, _BLOCK_BYTES // (8 * n * F)).bit_length() - 1)
+        block = np.empty((F, rows, n))
+    for v in range(2, w + 1):
+        for heads, lo, src, dest in _score_blocks(k, v, rows):
+            # mode="clip" keeps np.take from buffering `out`; every index
+            # is in range
+            prod = block[:, :heads.shape[1]]
+            np.take(T, heads[-1], axis=1, out=prod, mode="clip")
+            for h in heads[:-1]:
+                prod *= np.take(sign, h, axis=1)
+            scores[:, dest] = np.take(
+                np.matmul(prod, sigT[:, :, lo:]).reshape(F, -1), src, axis=1)
     tol = 4 * n * np.finfo(np.float64).eps * np.abs(L).sum(axis=1)
-    return np.concatenate(scores, axis=1), tol
+    return scores, tol
 
 
 def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:

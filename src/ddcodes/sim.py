@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,12 +142,13 @@ class SimConfig:
     `workers` was removed; it only dealt frames to random substreams.  The
     field stays so that configs passing workers=1 still load: values <= 1
     all draw from the one substream.  load_config drops the removed field
-    `omega`.
+    `omega`.  A checked ebn0_db list is stored as a tuple, so a config
+    stays frozen and hashes.
     """
     n: int                      # extended block length 2^m
     gen_poly_hex: str           # generator polynomial, bit i = coeff of x^i
     algo: str                   # one of ALGOS
-    ebn0_db: list[float] = dc_field(default_factory=lambda: [3.0])
+    ebn0_db: tuple[float, ...] = (3.0,)
     directions: str = "all"     # "all" or "k:<count>:<seed>"
     order: int = 1              # OSD reprocessing depth
     inner_max_iter: int = 20    # SPA iteration cap
@@ -161,6 +162,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_fields(self, _SIM_RULES)
+        object.__setattr__(self, "ebn0_db", tuple(self.ebn0_db))
 
 
 @dataclass

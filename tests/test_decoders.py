@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import resource
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ddcodes.decoders import (
     _checked_llrs,
     _flip_set_table,
     _reliability_bases,
+    _score_blocks,
     _screened_scores,
     all_codewords,
     mld_batch_decoder,
@@ -310,7 +313,7 @@ _GENERATORS = {"(16,7)": _SPEC16.G,
 
 
 _SPEC128 = code_from_generator(GF2m(7), 0xCCC3CDB5487A24FA5F3A3DD)
-# Generators past length 16, for the screening recursion: k = 16; the
+# Generators past length 16, for block scoring: k = 16; the
 # (14, 64) punctured minimal basis the minimal loop of eBCH(128,36) decodes
 # on; and k = 2 and k = 1, where the pair block is one pair or never built.
 _WIDE_GENERATORS = {
@@ -541,6 +544,102 @@ def test_osd3_on_128_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 512 * 1024
+
+
+def test_osd3_on_128_stack_peak_memory_stays_at_the_recursion_peak():
+    """A 32-row order-3 stack of eBCH(128,36) peaks no higher than the
+    5,378,816 bytes of traced memory the recursion over the smallest flip
+    index took: the product blocks share one byte budget over the rows."""
+    G, L = _osd3_128_frames(32, 241)
+    osd_decode(G, L, 3)
+    tracemalloc.start()
+    try:
+        osd_decode(G, L, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_378_816
+
+
+def test_osd3_on_128_frames_fault_in_no_pages_once_warm():
+    """Once warm, order-3 frames of eBCH(128,36) reuse the memory they
+    freed: 300 frames add under one minor page fault per frame.  A decoder
+    that gives a large block back to the kernel after every frame pays for
+    its pages again on the next (about 394 faults per frame)."""
+    G, L = _osd3_128_frames(50, 241)
+    for d in range(len(L)):
+        osd_decode(G, L[d:d + 1], 3)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(300):
+        osd_decode(G, L[i % 50:i % 50 + 1], 3)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 300 < 1
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 128])
+def test_score_blocks_place_every_flip_set_once(k, rows):
+    """Entry (i, c) of a block scores heads[:, i] + (lo + c,); its kept
+    entries are the w-sets extending their J' upward, each w-set once, at
+    its row of _flip_set_table."""
+    for w in range(2, min(k, 4) + 1):
+        sets = _flip_set_table(k, w)
+        first = sum(comb(k, v) for v in range(w))
+        seen = []
+        tops = []
+        for heads, lo, src, dest in _score_blocks(k, w, rows):
+            assert heads.shape[0] == w - 1 and 1 <= heads.shape[1] <= rows
+            assert lo == heads[-1].min() + 1
+            assert not (heads.flags.writeable or src.flags.writeable
+                        or dest.flags.writeable)
+            i, c = np.divmod(src, k - lo)
+            assert (lo + c > heads[-1, i]).all()
+            got = np.column_stack([heads[:, i].T, lo + c])
+            assert np.array_equal(sets[dest], got)
+            seen.append(dest)
+            tops.append(heads[-1])
+        assert (sorted(np.concatenate(seen).tolist())
+                == list(range(first, first + comb(k, w))))
+        tops = np.concatenate(tops)
+        assert (np.diff(tops) >= 0).all() and tops.max() == k - 2
+
+
+# Stacks whose flip sets span several scoring blocks: eBCH(128,36) at order
+# 3 (blocks of 128 pairs for one frame, 32 for 3 rows, 4 for 32); the
+# punctured minimal basis, k = 14, at orders 2-4 (256, 32 and 8 sets per
+# block); and k <= 3, where a block is a few sets or there is none.
+_BLOCK_CASES = (
+    [("eBCH(128,36)", 3, F) for F in (1, 3, 32)]
+    + [("punctured-minimal-128", order, F) for order in (2, 3, 4)
+       for F in (1, 8, 32)]
+    + [(name, order, F) for name in ("k=1", "k=2", "k=3")
+       for order in (2, 3, 4) for F in (1, 32)])
+_BLOCK_GENERATORS = {**_ALL_GENERATORS, "eBCH(128,36)": _SPEC128.G,
+                     "k=3": _GENERATORS["RM(1,4)"][:3]}
+
+
+@pytest.mark.parametrize("name, order, F", _BLOCK_CASES)
+@pytest.mark.parametrize("kind", ["gaussian", "tied"])
+def test_block_scores_lie_within_tolerance_and_decode_as_direct(
+        name, order, F, kind):
+    G = _BLOCK_GENERATORS[name]
+    n = G.shape[1]
+    rng = np.random.default_rng(sum(map(ord, name)) + 31 * order + F)
+    if kind == "gaussian":
+        L = rng.normal(0.0, 2.0, size=(F, n))
+    else:
+        L = np.round(rng.normal(0.0, 2.0, size=(F, n)))
+    M, pivots = _reliability_bases(G, L)
+    flips = np.take_along_axis((L < 0).astype(np.uint8), pivots, axis=1)
+    c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
+    sets = _flip_set_table(M.shape[1], order)
+    scores, tol = _screened_scores(M, c0, L, sets.shape[1])
+    Mz = np.pad(M, ((0, 0), (0, 1), (0, 0)))
+    for d in range(F):
+        direct = (1.0 - 2.0 * _candidates(Mz[d], c0[d], sets)) @ L[d]
+        assert (np.abs(scores[d] - direct) <= tol[d]).all()
+    assert np.array_equal(osd_decode(G, L, order),
+                          _osd_decode_direct(G, L, order))
 
 
 def test_osd_fallback_runs_only_on_near_ties(monkeypatch):

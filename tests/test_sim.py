@@ -648,6 +648,17 @@ def test_config_roundtrip(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_config_is_hashable_and_its_sweep_immutable():
+    """A list of Eb/N0 points is stored as a tuple once checked: hash(cfg)
+    raised TypeError on the list, and appending to it skipped the check."""
+    cfg = _base_config(ebn0_db=[1.0, 3.0])
+    assert cfg.ebn0_db == (1.0, 3.0)
+    assert hash(cfg) == hash(_base_config(ebn0_db=(1.0, 3.0)))
+    with pytest.raises(AttributeError):
+        cfg.ebn0_db.append(True)
+    assert dataclasses.replace(cfg, seed=2).ebn0_db == (1.0, 3.0)
+
+
 def test_config_saved_with_omega_decodes_the_same(tmp_path):
     """Every config saved while SimConfig had the assumed-cost field omega
     carries it; such a config loads and gives the same points."""
@@ -697,4 +708,4 @@ def test_config_accepts_integers_for_float_fields(tmp_path):
     path.write_text('{"n": 16, "gen_poly_hex": "1d1", "algo": "mld", '
                     '"ebn0_db": [1, 2.5], "noiseless": true}')
     cfg = load_config(path)
-    assert cfg.ebn0_db == [1, 2.5] and cfg.noiseless is True
+    assert cfg.ebn0_db == (1, 2.5) and cfg.noiseless is True
