@@ -110,50 +110,44 @@ class CodeSpec:
         return f"CodeSpec(({self.n},{self.k}), reps={self.exponents.representatives()})"
 
 
-def _poly_divides_xn1(g: int, n: int) -> bool:
-    # long division of x^n - 1 by g over GF(2)
-    rem = (1 << n) | 1
-    dg = g.bit_length() - 1
-    while rem.bit_length() - 1 >= dg and rem:
-        rem ^= g << (rem.bit_length() - 1 - dg)
-    return rem == 0
+def _poly_mod(a: int, b: int) -> int:
+    """a mod b in GF(2)[x], polynomials packed as ints (bit i is x^i); b != 0."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
 
 
 def exponent_set_from_generator(gen_poly: int, field: GF2m) -> ExponentSet:
     """S = {j : g(alpha^{-j}) != 0}, the support of g's spectrum.
 
     Requires g | x^n - 1.  The spectrum is ms_transform of g reduced mod
-    x^n - 1 (x^n folds into x^0), which changes no value at an n-th root
-    of unity and lets g = x^n - 1 itself give the zero code.
+    x^n - 1, which changes no value at an n-th root of unity and lets
+    g = x^n - 1 itself give the zero code.
     """
     n = field.n
-    if gen_poly <= 0 or not _poly_divides_xn1(gen_poly, n):
+    xn1 = (1 << n) | 1
+    if gen_poly <= 0 or _poly_mod(xn1, gen_poly):
         raise NotADivisorError(f"{gen_poly:#x} does not divide x^{n} - 1")
-    g = [(gen_poly >> i) & 1 for i in range(n)]
-    g[0] ^= gen_poly >> n
-    S = ExponentSet(n, np.flatnonzero(ms_transform(g, field)))
+    g = _poly_mod(gen_poly, xn1)
+    spectrum = ms_transform([(g >> i) & 1 for i in range(n)], field)
+    S = ExponentSet(n, np.flatnonzero(spectrum))
     assert S.dimension == n - (gen_poly.bit_length() - 1)
     return S
 
 
 def generator_from_exponent_set(S: ExponentSet, field: GF2m) -> int:
-    """g(x) = prod over j outside S of (x - alpha^{-j}), packed as a bitmask."""
-    coeffs = [1]
-    for j in range(field.n):
-        if j in S.members:
-            continue
-        root = field.alpha_pow(-j)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= field.mul(c, root)
-        coeffs = nxt
-    g = 0
-    for i, c in enumerate(coeffs):
-        if c not in (0, 1):
-            raise NonBinaryResultError("product of conjugate roots left GF(2)")
-        g |= c << i
-    return g
+    """g(x) = gcd(e(x), x^n - 1), packed as a bitmask.
+
+    The idempotent e has S's indicator as spectrum, e(alpha^{-j}) = [j in S],
+    so its zeros among the n-th roots of unity are exactly the roots of g.
+    """
+    n = field.n
+    e = ms_evaluate([int(j in S.members) for j in range(n)], field, extended=False)
+    a, b = (1 << n) | 1, sum(1 << int(i) for i in np.flatnonzero(e))
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return a
 
 
 def _build_generator_matrix(field: GF2m, gen_poly: int) -> np.ndarray:

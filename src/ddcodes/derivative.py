@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclic import CodeSpec, ExponentSet, code_from_exponents, cyclic_shift
 from .gf2 import rank, rref
-from .gf2m import GF2m, coset_closure
+from .gf2m import GF2m
 
 __all__ = [
     "MinimalDdBasis", "ZeroDirectionError",
@@ -56,19 +56,21 @@ def covered_set(s: int) -> frozenset[int]:
 
 
 def cyclic_dd(S: ExponentSet) -> ExponentSet:
-    """Exponent set of the derivative descendant: union of closures of P(s)."""
-    members: set[int] = set()
-    for s in S.representatives():
-        members |= coset_closure(covered_set(s), S.n)
-    return ExponentSet(S.n, members)
+    """Exponent set of the derivative descendant: the union of P(s), s in S.
+
+    Doubling mod 2^m - 1 rotates s's m bits and so maps P(s) onto P(2s): the
+    union over a doubling-closed S is closed without a closure pass.
+    """
+    return ExponentSet(S.n, frozenset().union(*map(covered_set, S.members)))
 
 
 def cyclic_da(S: ExponentSet) -> ExponentSet:
-    """Exponent set of the derivative ascendant: {s : cc(P(s)) subset of S}."""
-    n = S.n
-    members = [s for s in range(n)
-               if coset_closure(covered_set(s), n) <= S.members]
-    return ExponentSet(n, members)
+    """Exponent set of the derivative ascendant: {s : P(s) subset of S}.
+
+    P(s) inside the closed S puts P(s)'s closure there too, and doubling maps
+    P(s) onto P(2s), so the result is closed without a closure pass.
+    """
+    return ExponentSet(S.n, [s for s in range(S.n) if covered_set(s) <= S.members])
 
 
 def dd_code(spec: CodeSpec) -> CodeSpec:

@@ -30,8 +30,9 @@ from ddcodes.cyclic import (
     rm_exponent_set,
     rm_membership,
 )
+from ddcodes.derivative import cyclic_dd
 from ddcodes.gf2 import rank
-from ddcodes.gf2m import GF2m, coset_closure
+from ddcodes.gf2m import GF2m, coset_closure, cyclotomic_coset
 
 
 EX_GEN = 0x1D1  # 1 + x^4 + x^6 + x^7 + x^8 over GF(16)
@@ -82,20 +83,32 @@ def test_exponent_set_from_generator(f16):
         exponent_set_from_generator(0b101, f16)  # (x+1)^2 does not divide x^15-1
 
 
+def _every_coset_closed_set(n):
+    """Every doubling-closed subset of [n]: each union of cyclotomic cosets."""
+    cosets = sorted({cyclotomic_coset(s, n) for s in range(n)}, key=min)
+    for mask in range(1 << len(cosets)):
+        yield ExponentSet(n, set().union(
+            *(c for i, c in enumerate(cosets) if (mask >> i) & 1)))
+
+
 def test_generator_roundtrip(f16):
     S = exponent_set_from_generator(EX_GEN, f16)
     assert generator_from_exponent_set(S, f16) == EX_GEN
-    # roundtrip from every coset-closed subset of a small field
-    f8 = GF2m(3)
-    cosets = [frozenset({0}), frozenset({1, 2, 4}), frozenset({3, 6, 5})]
-    for mask in range(8):
-        members = set()
-        for i, c in enumerate(cosets):
-            if (mask >> i) & 1:
-                members |= c
-        S = ExponentSet(7, members)
-        g = generator_from_exponent_set(S, f8)
-        assert exponent_set_from_generator(g, f8).members == S.members
+    # roundtrip from every coset-closed subset of the fields with n = 7, 15,
+    # 31, and from every eBCH code and its descendant with n = 63, 127, 255
+    sets = [(GF2m(m), S) for m in (3, 4, 5)
+            for S in _every_coset_closed_set((1 << m) - 1)]
+    for m in (6, 7, 8):
+        field = GF2m(m)
+        n = field.n
+        for k in sorted({n - len(coset_closure(range(1, d), n))
+                         for d in range(2, n + 1)}):
+            S = ebch_code(field, k).exponents
+            sets += [(field, S), (field, cyclic_dd(S))]
+    for field, S in sets:
+        g = generator_from_exponent_set(S, field)
+        assert g.bit_length() - 1 == field.n - S.dimension
+        assert exponent_set_from_generator(g, field).members == S.members
 
 
 def test_generator_matrix_structure(ex_code):

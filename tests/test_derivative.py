@@ -44,13 +44,21 @@ def ex_code(f16):
     return code_from_generator(f16, 0x1D1)
 
 
+def _cosets(n):
+    """The cyclotomic cosets of [n], in order of their least members."""
+    return sorted({cyclotomic_coset(s, n) for s in range(n)}, key=min)
+
+
+def _every_coset_closed_set(n):
+    cosets = _cosets(n)
+    for mask in range(1 << len(cosets)):
+        yield ExponentSet(n, set().union(
+            *(c for i, c in enumerate(cosets) if (mask >> i) & 1)))
+
+
 def _random_coset_closed_sets(rng, n, count):
     """Random nonempty doubling-closed subsets of [n]."""
-    cosets = []
-    for s in range(n):
-        c = cyclotomic_coset(s, n)
-        if c not in cosets:
-            cosets.append(c)
+    cosets = _cosets(n)
     out = []
     for _ in range(count):
         members = set()
@@ -130,6 +138,10 @@ def test_dd_da_match_brute_force():
     rng = np.random.default_rng(97)
     for n in (15, 63):
         for S in _random_coset_closed_sets(rng, n, 25):
+            assert cyclic_dd(S).members == _dd_oracle(S)
+            assert cyclic_da(S).members == _da_oracle(S)
+    for n in (7, 15, 31):
+        for S in _every_coset_closed_set(n):
             assert cyclic_dd(S).members == _dd_oracle(S)
             assert cyclic_da(S).members == _da_oracle(S)
 
