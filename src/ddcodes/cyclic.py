@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf2 import DimensionTooLargeError, all_codewords, nullspace
-from .gf2m import GF2m, coset_closure, coset_representatives
+from .gf2m import GF2m, _is_int, coset_representatives, cyclotomic_coset
 
 __all__ = [
     "ExponentSet", "CodeSpec",
@@ -41,16 +41,34 @@ class NotADivisorError(ValueError):
     """Polynomial is not a divisor of x^n - 1."""
 
 
+@dataclass(frozen=True)
 class ExponentSet:
-    """A doubling-closed subset of [n] = {0, ..., n-1}."""
+    """A doubling-closed subset of [n] = {0, ..., n-1}.
 
-    def __init__(self, n: int, members):
-        self.n = n
-        self.members = frozenset(int(j) % n for j in members)
-        for j in self.members:
-            if (2 * j) % n not in self.members:
+    Members are integers read mod n (16 is 1 when n = 15).  An n that is not
+    an integer >= 1 or a member that is not an integer (a bool is not one)
+    raises ValueError; a set not closed under j -> 2j mod n raises
+    NotClosedUnderDoublingError.  Instances are immutable and hashable:
+    equal n and members make equal sets, however the members were given.
+    """
+    n: int
+    members: frozenset[int]
+
+    def __post_init__(self):
+        n = self.n
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"exponent set length n={n} is not an integer >= 1")
+        members = list(self.members)
+        for kind in set(map(type, members)):   # as _is_int, once per type
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                bad = next(j for j in members if type(j) is kind)
+                raise ValueError(f"exponent {bad} is not an integer")
+        members = frozenset(int(j) % n for j in members)
+        for j in members:
+            if (2 * j) % n not in members:
                 raise NotClosedUnderDoublingError(
                     f"{j} in S but {(2 * j) % n} = 2*{j} mod {n} is not")
+        object.__setattr__(self, "members", members)
 
     @property
     def dimension(self) -> int:
@@ -61,13 +79,6 @@ class ExponentSet:
 
     def __contains__(self, j: int) -> bool:
         return j % self.n in self.members
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExponentSet)
-                and self.n == other.n and self.members == other.members)
-
-    def __hash__(self):
-        return hash((self.n, self.members))
 
     def __iter__(self):
         return iter(sorted(self.members))
@@ -121,8 +132,8 @@ def _poly_mod(a: int, b: int) -> int:
 def exponent_set_from_generator(gen_poly: int, field: GF2m) -> ExponentSet:
     """S = {j : g(alpha^{-j}) != 0}, the support of g's spectrum.
 
-    Requires g | x^n - 1.  The spectrum is ms_transform of g reduced mod
-    x^n - 1, which changes no value at an n-th root of unity and lets
+    Requires g | x^n - 1.  The spectrum is the MS transform of g reduced
+    mod x^n - 1, which changes no value at an n-th root of unity and lets
     g = x^n - 1 itself give the zero code.
     """
     n = field.n
@@ -130,7 +141,7 @@ def exponent_set_from_generator(gen_poly: int, field: GF2m) -> ExponentSet:
     if gen_poly <= 0 or _poly_mod(xn1, gen_poly):
         raise NotADivisorError(f"{gen_poly:#x} does not divide x^{n} - 1")
     g = _poly_mod(gen_poly, xn1)
-    spectrum = ms_transform([(g >> i) & 1 for i in range(n)], field)
+    spectrum = _power_sums(np.array([(g >> i) & 1 for i in range(n)]), field, -1)
     S = ExponentSet(n, np.flatnonzero(spectrum))
     assert S.dimension == n - (gen_poly.bit_length() - 1)
     return S
@@ -141,9 +152,16 @@ def generator_from_exponent_set(S: ExponentSet, field: GF2m) -> int:
 
     The idempotent e has S's indicator as spectrum, e(alpha^{-j}) = [j in S],
     so its zeros among the n-th roots of unity are exactly the roots of g.
+    An indicator of a doubling-closed set meets the conjugacy constraint, so
+    e is binary.  Raises ValueError, naming both lengths, if S.n is not the
+    field's n.
     """
     n = field.n
-    e = ms_evaluate([int(j in S.members) for j in range(n)], field, extended=False)
+    if S.n != n:
+        raise ValueError(f"exponent set of length {S.n} does not fit a field of length {n}")
+    indicator = np.zeros(n, dtype=np.int64)
+    indicator[list(S.members)] = 1
+    e = _power_sums(indicator, field, 1)
     a, b = (1 << n) | 1, sum(1 << int(i) for i in np.flatnonzero(e))
     while b:
         a, b = b, _poly_mod(a, b)
@@ -170,53 +188,83 @@ def code_from_exponents(field: GF2m, members) -> CodeSpec:
 
 
 def ebch_code(field: GF2m, k: int) -> CodeSpec:
-    """Extended narrow-sense BCH code of dimension k (zeros alpha^1..alpha^{d-1})."""
+    """Extended narrow-sense BCH code of dimension k (zeros alpha^1..alpha^{d-1}).
+
+    The zero set grows by the cyclotomic coset of each designed distance's
+    new zero, alpha^{d-1}, until the dimension n - |zeros| reaches k.
+    Raises ValueError if k is not an integer in 0..n, or if no designed
+    distance gives dimension k.
+    """
     n = field.n
-    delta = 2
-    while True:
-        zeros = coset_closure(range(1, delta), n)
-        dim = n - len(zeros)
-        if dim == k:
+    if not _is_int(k) or not 0 <= k <= n:
+        raise ValueError(f"dimension k={k} is not an integer in 0..{n}")
+    zeros = set()
+    for z in range(1, n + 1):
+        zeros |= cyclotomic_coset(z, n)
+        if n - len(zeros) <= k:
             break
-        if dim < k:
-            raise ValueError(f"no narrow-sense BCH code of dimension {k} for n={n}")
-        delta += 1
+    if n - len(zeros) != k:
+        raise ValueError(f"no narrow-sense BCH code of dimension {k} for n={n}")
     S = ExponentSet(n, set(range(n)) - {(-z) % n for z in zeros})
     return code_from_exponents(field, S)
 
 
+_TERMS_PER_BLOCK = 64
+
+
+def _power_sums(coeffs: np.ndarray, field: GF2m, sign: int) -> np.ndarray:
+    """[sum_i c_i alpha^(sign*i*j) for j in 0..n-1] for field elements c_i.
+
+    The nonzero terms are summed a block at a time, so the work array is
+    _TERMS_PER_BLOCK x n whatever the number of terms.
+    """
+    n = field.n
+    terms = np.flatnonzero(coeffs)
+    logs = field.log[coeffs[terms]]
+    j = np.arange(n)
+    out = np.zeros(n, dtype=np.int64)
+    for b in range(0, len(terms), _TERMS_PER_BLOCK):
+        i = terms[b:b + _TERMS_PER_BLOCK, None]
+        e = (logs[b:b + _TERMS_PER_BLOCK, None] + sign * i * j) % n
+        out ^= np.bitwise_xor.reduce(field.antilog[e], axis=0)
+    return out
+
+
 def ms_transform(cyclic_word, field: GF2m) -> list[int]:
-    """Spectrum [A_j] of a length-n binary word, A_j = a(alpha^{-j})."""
-    a = np.asarray(cyclic_word, dtype=np.uint8)
+    """Spectrum [A_j] of a length-n binary word, A_j = a(alpha^{-j}).
+
+    Raises ValueError if the word is not of length n or holds a value other
+    than 0 and 1.
+    """
+    a = np.asarray(cyclic_word)
     if a.shape != (field.n,):
         raise ValueError(f"expected length {field.n} cyclic word")
-    neg_j = -np.arange(field.n)
-    out = np.zeros(field.n, dtype=np.int64)
-    for i in np.flatnonzero(a):
-        out ^= field.antilog[neg_j * i % field.n]
-    return out.tolist()
+    bad = np.flatnonzero((a != 0) & (a != 1))
+    if len(bad):
+        raise ValueError(f"cyclic word is not binary: a_{bad[0]} = {a[bad[0]]}")
+    return _power_sums(a.astype(np.uint8), field, -1).tolist()
 
 
 def ms_evaluate(spectrum, field: GF2m, extended: bool = True) -> np.ndarray:
     """Evaluate a spectrum back to a codeword: a_i = A(alpha^i), extension = A(0).
 
-    Raises NonBinaryResultError if any evaluation leaves {0, 1}, which happens
+    Raises ValueError if there are not n coefficients or one of them is not
+    an integer in 0..2^m - 1 (the first such is named), and
+    NonBinaryResultError if any evaluation leaves {0, 1}, which happens
     exactly when the spectrum violates A_{2j} = A_j^2.
     """
     spec = list(spectrum)
     n = field.n
     if len(spec) != n:
         raise ValueError(f"expected {n} spectral coefficients")
-    i = np.arange(n)
-    vals = np.zeros(n, dtype=np.int64)
     for j, A in enumerate(spec):
-        if A:
-            vals ^= field.antilog[(field.log[A] + i * j) % n]
+        if not (_is_int(A) and 0 <= A < field.size):
+            raise ValueError(f"spectral coefficient A_{j} = {A} is not an "
+                             f"integer in 0..{field.size - 1}")
+    vals = _power_sums(np.array(spec, dtype=np.int64), field, 1)
     bad = np.flatnonzero(vals > 1)
     if len(bad):
-        first = bad[0]
-        raise NonBinaryResultError(
-            f"A(alpha^{first}) = {vals[first]} is not in GF(2)")
+        raise NonBinaryResultError(f"A(alpha^{bad[0]}) = {vals[bad[0]]} is not in GF(2)")
     if not extended:
         return vals.astype(np.uint8)
     ext = spec[0]
@@ -247,14 +295,12 @@ def cyclic_shift(word, b: int) -> np.ndarray:
 
 def is_member(spec: CodeSpec, word) -> bool:
     """Spectrum support inside S plus the extension bit matching A_0."""
-    w = np.asarray(word, dtype=np.uint8)
-    if w.shape != (spec.n,):
+    w = np.asarray(word)
+    if w.shape != (spec.n,) or ((w != 0) & (w != 1)).any():
         return False
     spectrum = ms_transform(w[1:], spec.field)
-    for j, A in enumerate(spectrum):
-        if A and j not in spec.exponents.members:
-            return False
-    return int(w[0]) == spectrum[0]
+    return (int(w[0]) == spectrum[0]
+            and all(j in spec.exponents.members for j, A in enumerate(spectrum) if A))
 
 
 def bch_bound(S: ExponentSet, extended: bool = True) -> int:
@@ -263,25 +309,17 @@ def bch_bound(S: ExponentSet, extended: bool = True) -> int:
     The cyclic-code bound is (longest circular run of integers absent from S)
     plus one.  For the extended code an odd bound improves by one: odd-weight
     words gain the parity bit and even-weight words already exceed an odd
-    bound.  The degenerate full code (nothing absent) reports 1.
+    bound.  The run plus one is the largest gap between successive members
+    of S read around the circle.  The degenerate full code (nothing absent)
+    reports 1, and the zero code (everything absent) n + 1.
     """
     n = S.n
-    absent = set(range(n)) - S.members
-    if not absent:
+    if len(S) == n:
         return 1
-    best = 0
-    for start in absent:
-        if (start - 1) % n in absent:
-            continue
-        run = 1
-        x = start
-        while (x + 1) % n in absent:
-            run += 1
-            x = (x + 1) % n
-        best = max(best, run)
-    if best == 0:          # everything absent: zero code, bound is vacuous
+    if not S.members:
         return n + 1
-    delta = best + 1
+    present = sorted(S.members)
+    delta = int(np.diff(present + [present[0] + n]).max())
     if extended and delta % 2 == 1:
         delta += 1
     return delta

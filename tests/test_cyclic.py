@@ -342,3 +342,149 @@ def test_codewords_of_weight_formula_codes_are_low_degree():
             table = np.empty(16, dtype=np.uint8)
             table[f16.elem_at_pos] = word
             assert rm_membership(table, r)
+
+
+def test_exponent_set_rejects_non_integer_lengths_and_members():
+    for n in (0, -15, 15.0, True, "15"):
+        with pytest.raises(ValueError, match="length n=.* is not an integer >= 1"):
+            ExponentSet(n, [])
+    # a bool is not an integer: True would otherwise be read as the member 1
+    with pytest.raises(ValueError, match="exponent True is not an integer"):
+        ExponentSet(15, [True, 2, 4, 8])
+    # 1.5 must not be truncated to 1 and then blamed on the missing 2
+    with pytest.raises(ValueError, match="exponent 1.5 is not an integer"):
+        ExponentSet(15, [1.5])
+    with pytest.raises(ValueError, match="exponent 1.0 is not an integer"):
+        ExponentSet(15, np.array([1.0, 2.0, 4.0, 8.0]))
+    assert ExponentSet(np.int64(15), [np.int32(1), 2, 4, 8]).members == {1, 2, 4, 8}
+
+
+def test_exponent_set_equality_hash_and_immutability():
+    from_list = ExponentSet(15, [1, 2, 4, 8])
+    from_set = ExponentSet(15, {8, 4, 2, 1})
+    from_residues = ExponentSet(15, [16, 2, 19, 8])   # 16 = 1, 19 = 4 mod 15
+    assert from_list == from_set == from_residues
+    assert len({hash(from_list), hash(from_set), hash(from_residues)}) == 1
+    assert len({from_list, from_set, from_residues}) == 1
+    assert from_list != ExponentSet(31, [1, 2, 4, 8, 16])
+    assert from_list != ExponentSet(15, [1, 2, 4, 8, 0])
+    assert repr(from_residues) == "ExponentSet(n=15, k=4, reps=[1])"
+    assert list(from_residues) == [1, 2, 4, 8] and len(from_residues) == 4
+    assert 16 in from_residues and 3 not in from_residues
+    with pytest.raises(AttributeError):
+        from_list.n = 31
+    with pytest.raises(AttributeError):
+        from_list.members = frozenset()
+
+
+def test_ebch_code_rejects_dimensions_outside_0_to_n(f16):
+    # a negative k used to search designed distances forever
+    for k in (-1, -2, 16, True, 7.0, "7"):
+        with pytest.raises(ValueError, match=r"dimension k=.* is not an integer in 0\.\.15"):
+            ebch_code(f16, k)
+    assert ebch_code(f16, np.int64(7)).gen_poly == EX_GEN
+
+
+def test_code_from_exponents_rejects_a_set_of_another_length(f16):
+    # used to build a (16, 1) code whose exponent set had length 7
+    with pytest.raises(ValueError, match="length 7 .* length 15"):
+        code_from_exponents(f16, ExponentSet(7, [0]))
+    with pytest.raises(ValueError, match="length 31 .* length 15"):
+        generator_from_exponent_set(ExponentSet(31, [0]), f16)
+
+
+def test_ms_routines_reject_values_outside_their_alphabet(f16, ex_code):
+    zero = [0] * 15
+    for A, bad in ((16, "16"), (1.5, "1.5"), (-1, "-1"), (True, "True")):
+        for j in (0, 3):
+            spectrum = zero[:j] + [A] + zero[j + 1:]
+            with pytest.raises(ValueError, match=rf"A_{j} = {bad} is not an integer in 0\.\.15"):
+                ms_evaluate(spectrum, f16)
+    for v in (2, -1, 0.5):
+        word = zero[:4] + [v] + zero[5:]
+        with pytest.raises(ValueError, match="cyclic word is not binary: a_4 = "):
+            ms_transform(word, f16)
+    # a 2 used to be read as a 1, giving the all-ones spectrum
+    with pytest.raises(ValueError, match="a_0 = 2"):
+        ms_transform([2] + zero[1:], f16)
+    # is_member answers False, not an error, for every such word
+    row = ex_code.G[0].astype(np.int64)
+    one = int(np.flatnonzero(row[1:])[0]) + 1
+    assert is_member(ex_code, row)
+    for v in (2, 3, -1, 0.5, 1.5):
+        word = row.astype(float)
+        word[one] = v
+        assert not is_member(ex_code, word)
+        assert not is_member(ex_code, list(word))
+    assert not is_member(ex_code, row[:15])
+
+
+def _bch_search_dimensions(n):
+    """{k: zero set} of the narrow-sense BCH codes of length n, from the
+    closure of 1..d-1 at each designed distance d."""
+    out = {}
+    for d in range(2, n + 2):
+        zeros = coset_closure(range(1, d), n)
+        out.setdefault(n - len(zeros), zeros)
+    return out
+
+
+def test_ebch_code_matches_the_closure_search_for_every_k():
+    for m in range(2, 10):
+        field = GF2m(m)
+        n = field.n
+        found = _bch_search_dimensions(n)
+        for k in range(-2, n + 2):
+            if k not in found:
+                with pytest.raises(ValueError):
+                    ebch_code(field, k)
+                continue
+            S = ExponentSet(n, set(range(n)) - {(-z) % n for z in found[k]})
+            spec = ebch_code(field, k)
+            assert spec.k == k and spec.exponents == S
+            assert spec.gen_poly == generator_from_exponent_set(S, field)
+            assert spec.gen_poly.bit_length() - 1 == n - k
+
+
+def _ref_bch_bound(S, extended=True):
+    """The run-by-run walk over the absent exponents."""
+    n = S.n
+    absent = set(range(n)) - S.members
+    if not absent:
+        return 1
+    best = 0
+    for start in absent:
+        if (start - 1) % n in absent:
+            continue
+        run = 1
+        x = start
+        while (x + 1) % n in absent:
+            run += 1
+            x = (x + 1) % n
+        best = max(best, run)
+    if best == 0:
+        return n + 1
+    delta = best + 1
+    if extended and delta % 2 == 1:
+        delta += 1
+    return delta
+
+
+def test_bch_bound_matches_the_run_walk():
+    sets = [S for m in (3, 4, 5) for S in _every_coset_closed_set((1 << m) - 1)]
+    rng = np.random.default_rng(97)
+    for m in (6, 7):
+        n = (1 << m) - 1
+        cosets = sorted({cyclotomic_coset(s, n) for s in range(n)}, key=min)
+        sets += [ExponentSet(n, []), ExponentSet(n, range(n))]
+        for _ in range(200):
+            keep = rng.integers(0, 2, size=len(cosets))
+            sets.append(ExponentSet(n, set().union(
+                *(c for c, b in zip(cosets, keep) if b))))
+    assert len(sets) == 8 + 32 + 128 + 2 * 202
+    for S in sets:
+        for extended in (True, False):
+            assert bch_bound(S, extended) == _ref_bch_bound(S, extended)
+    for n in (7, 127):
+        assert bch_bound(ExponentSet(n, range(n))) == 1
+        assert bch_bound(ExponentSet(n, [])) == n + 1

@@ -9,7 +9,10 @@ alpha^{-j}, a packed-lane span table decoded bit by bit, and one np.roll
 per generator row.  Every extended cyclic code of lengths 8 and 16 is
 compared, plus a fixed sample of length-32 codes with n - k <= 20.
 `ms_evaluate` is compared with its original per-(position, term) loop on
-the same codes and on a few length-64 codes.
+the same codes and on a few length-64 codes.  Both MS routines sum their
+terms in blocks of 64; every eBCH generator polynomial of lengths 128 and
+256 and a few dense random words, most with 64 terms or more, are compared
+with the per-term references and round-tripped.
 
 The parity-check producers build their padded check tables with array
 operations.  The list-based `SparseParityMatrix` constructor, `from_dense`,
@@ -35,8 +38,8 @@ import pytest
 
 from ddcodes.cyclic import (NonBinaryResultError, code_from_exponents,
                             ebch_code, exponent_set_from_generator,
-                            min_distance_exhaustive, ms_evaluate, ms_transform,
-                            rm_exponent_set)
+                            extend_cyclic, min_distance_exhaustive,
+                            ms_evaluate, ms_transform, rm_exponent_set)
 from ddcodes.derivative import dd_code, rm_projection
 from ddcodes.gf2m import GF2m, coset_closure, coset_representatives
 from ddcodes.parity import (EmptyParityMatrixError, SparseParityMatrix,
@@ -440,3 +443,56 @@ def test_dd_parity_matrix_matches_reference(spec):
     assert got.n == want.n
     for a, b in ((got.idx, want.idx), (got.mask, want.mask)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _ref_spectrum(word, field: GF2m) -> list[int]:
+    """A_j = a(alpha^{-j}): one alpha_pow per (j, nonzero position)."""
+    support = np.flatnonzero(word).tolist()
+    out = []
+    for j in range(field.n):
+        acc = 0
+        for i in support:
+            acc ^= field.alpha_pow(-i * j)
+        out.append(acc)
+    return out
+
+
+def _block_crossing_words(m: int):
+    """Every eBCH generator polynomial of length 2^m as a cyclic word, and
+    two dense random words."""
+    field = GF2m(m)
+    n = field.n
+    dims = {n - len(coset_closure(range(1, d), n)) for d in range(2, n + 1)}
+    gens = [ebch_code(field, k).gen_poly for k in sorted(dims)]
+    words = [np.array([(g >> i) & 1 for i in range(n)], dtype=np.uint8) for g in gens]
+    rng = np.random.default_rng(m)
+    return field, words + list((rng.random((2, n)) < 0.75).astype(np.uint8))
+
+
+@pytest.mark.parametrize("m", (7, 8))
+def test_ms_routines_match_references_across_term_blocks(m):
+    """Spectra match the per-term reference and evaluate back to the word.
+    Against the per-(position, term) loop, which costs n x terms field
+    multiplications, ms_evaluate is compared on the valid spectra with the
+    fewest and the most terms above one block, and on every spectrum of more
+    than one block with a coefficient made non-binary (the loop stops at the
+    first non-binary position)."""
+    field, words = _block_crossing_words(m)
+    spectra = [ms_transform(w, field) for w in words]
+    for w, A in zip(words, spectra):
+        assert A == _ref_spectrum(w, field)
+        assert np.array_equal(ms_evaluate(A, field, extended=False), w)
+        assert np.array_equal(ms_evaluate(A, field), extend_cyclic(w))
+    assert sum(np.count_nonzero(w) > 64 for w in words) >= 3
+    crossing = [A for A in spectra if np.count_nonzero(A) > 64]
+    assert len(crossing) >= len(spectra) // 3
+    rng = np.random.default_rng(m)
+    checked = [min(crossing, key=np.count_nonzero), max(crossing, key=np.count_nonzero)]
+    for A in crossing:
+        bad = list(A)
+        bad[int(rng.integers(0, field.n))] = int(rng.integers(2, field.size))
+        checked.append(bad)
+    for A in checked:
+        for extended in (True, False):
+            assert (_outcome(ms_evaluate, A, field, extended)
+                    == _outcome(_ref_ms_evaluate, A, extended, field))
