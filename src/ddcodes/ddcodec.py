@@ -22,14 +22,15 @@ iterations would give, and a frame whose channel hard decision is already
 a codeword of C returns before any inner call with the report of the first
 iteration.  Both need the inner decoder to state its `codeword_iterations`,
 as the closures of `ddcodes.decoders` do.  Each hard decision gets one
-syndrome, against a check matrix of C built once per (code, direction set,
-loop) whose leading rows check the fixed space.  The floor keeps an exact
-inner decoder's correlation scores apart from rounding; `_derivative_loop`
-derives it.
+syndrome, against a check matrix of C whose leading rows check the fixed
+space.  The floor keeps an exact inner decoder's correlation scores apart
+from rounding; `_derivative_loop` derives it.
 
 One loop serves both decoders of the paper; they differ only in the index
 maps that carry the derivative words into the inner decoder and its bits
-back, built once per (field, B).  `dd_decode_cyclic` decodes every
+back.  The maps and the check matrix form the loop's plan, built on the
+first decode and then cached, one per (code, direction set, kind)
+(`_build_loop_plan`).  `dd_decode_cyclic` decodes every
 direction in the common cyclic descendant, so its maps are the identity.
 `dd_decode_minimal` reuses one decoder for the direction-1 minimal
 descendant: its maps cyclically shift each direction's problem into
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -87,10 +87,11 @@ def boxplus(a, b) -> np.ndarray:
 class DirectionSet:
     """An ordered, duplicate-free, nonempty set of nonzero directions.
 
-    The constructor keeps its integers (numpy ones too) as a tuple of ints
-    in the order given; `all_of` and `random_subset` give ascending order
-    of the discrete log.  The order fixes the summation order of the voting
-    average and so keeps runs bit-reproducible.
+    The constructor keeps its integers (numpy ones too; a bool is not one)
+    as a tuple of ints in the order given; `all_of` and `random_subset`
+    give ascending order of the discrete log.  The order fixes the
+    summation order of the voting average and so keeps runs
+    bit-reproducible.
     """
     elements: tuple[int, ...]
 
@@ -109,15 +110,15 @@ class DirectionSet:
         exps = np.sort(rng.choice(field.n, size=k, replace=False))
         return cls(field.antilog[exps])
 
-    def exponents(self, field: GF2m) -> list[int]:
-        return [int(field.log[b]) for b in self.elements]
-
     def __post_init__(self):
         try:
-            object.__setattr__(self, "elements", tuple(map(index, self.elements)))
+            elements = tuple(self.elements)
+            if not all(map(_is_int, elements)):
+                raise TypeError
         except TypeError:
             raise TypeError(f"directions must be integers, got "
                             f"{self.elements!r}") from None
+        object.__setattr__(self, "elements", tuple(map(int, elements)))
         if not self.elements:
             raise ValueError("a direction set must hold at least one direction")
         if len(set(self.elements)) != len(self.elements):
@@ -161,9 +162,10 @@ def minimal_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
-    """Read-only index maps of the derivative loop for one (field, direction
-    set, kind), built on first use.
+def _build_loop_plan(spec: CodeSpec, B: DirectionSet | None, kind: str):
+    """The read-only plan of the derivative loop for one (spec, direction
+    set, kind), B = None for all directions, built on first use:
+    (H, r, partner, at, at_partner, from_inner).
 
     partner[d] is the pair permutation of direction B[d] on the original
     positions, shape (|B|, 2^m).  The inner decoder sees an (|B|, h) stack:
@@ -173,43 +175,20 @@ def _direction_maps(field: GF2m, B: DirectionSet, kind: str):
     included, so np.take(bits, from_inner) is the (|B|, 2^m) stack of
     decoded derivative bits on the original positions.
 
-    For the "cyclic" kind h = 2^m and every map but partner is the
-    identity.  For the "minimal" kind row d is the shift by the discrete log
-    b of B[d]: the b-shifted derivative in direction alpha^b is the
-    direction-1 derivative of the b-shifted word, which is constant on the
-    pairs {y, y + 1}.  So h = 2^(m-1): with (T, slot) =
+    For the "cyclic" kind h = 2^m, every map but partner is the identity,
+    and the inner code is D(C).  For the "minimal" kind row d is the shift
+    by the discrete log b of B[d]: the b-shifted derivative in direction
+    alpha^b is the direction-1 derivative of the b-shifted word, which is
+    constant on the pairs {y, y + 1}.  So h = 2^(m-1): with (T, slot) =
     minimal_transversal(field), slot i of row d sits at the b-shifted
-    position of T[i], and position x takes the bit of its b-shifted
-    position's pair.
-    """
-    partner = np.stack([field.pair_permutation(b) for b in B.elements])
-    positions = np.arange(field.size)
-    if kind == "cyclic":
-        shifts = np.broadcast_to(positions, partner.shape)
-        T = slot = positions
-    else:
-        shifts = np.stack([field.shift_index(e) for e in B.exponents(field)])
-        T, slot = minimal_transversal(field)
-    at = shifts[:, T]
-    at_partner = np.take_along_axis(partner, at, axis=1)
-    from_inner = slot[np.argsort(shifts, axis=1)] + len(T) * np.arange(len(B))[:, None]
-    maps = (partner, at, at_partner, from_inner)
-    for a in maps:
-        a.setflags(write=False)
-    return maps
+    position of T[i], position x takes the bit of its b-shifted position's
+    pair, and the inner code is the punctured direction-1 minimal
+    descendant.  C's shift invariance makes the inner code one code H_in
+    checks for every d.
 
-
-@lru_cache(maxsize=32)
-def _fixed_space_checks(spec: CodeSpec, B: DirectionSet, kind: str):
-    """(H, r) for one (spec, direction set, kind), built on first use.
-
-    H is a read-only check matrix of C whose first r rows span the dual of
-    the loop's fixed space Fix = {h : every derivative of h over B lies in
-    the inner code}.  Row d of the inner stack holds the derivative on the
-    pairs {at[d, i], at_partner[d, i]} (`_direction_maps`), and C's shift
-    invariance makes its code one code H_in checks for every d: D(C) for
-    the "cyclic" kind, the punctured direction-1 minimal descendant for the
-    "minimal" kind.  So direction d's block carries H_in to both at[d] and
+    H is a check matrix of C whose first r rows span the dual of the loop's
+    fixed space Fix = {h : every derivative of h over B lies in the inner
+    code}.  Direction d's block carries H_in to both at[d] and
     at_partner[d], and Fix is the null space of the blocks; every block row
     lies in C's dual, so C is inside Fix.  Each block is reduced against
     the rows kept so far and eliminated only if it does not reduce to zero.
@@ -217,9 +196,21 @@ def _fixed_space_checks(spec: CodeSpec, B: DirectionSet, kind: str):
     r = n - k; otherwise the kept rows come first, and C's checks reduced
     against them complete H to a basis of C's dual.
     """
-    _, at, at_partner, _ = _direction_maps(spec.field, B, kind)
-    H_in = (dd_code(spec).check_matrix if kind == "cyclic"
-            else nullspace(spec.G[:, at[0]] ^ spec.G[:, at_partner[0]]))
+    field = spec.field
+    B = DirectionSet.all_of(field) if B is None else B
+    partner = np.stack([field.pair_permutation(b) for b in B])
+    if kind == "cyclic":
+        T = slot = np.arange(field.size)
+        shifts = np.broadcast_to(T, partner.shape)
+        H_in = dd_code(spec).check_matrix
+    else:
+        shifts = np.stack([field.shift_index(field.log[b]) for b in B])
+        T, slot = minimal_transversal(field)
+        at0 = shifts[0, T]
+        H_in = nullspace(spec.G[:, at0] ^ spec.G[:, partner[0, at0]])
+    at = shifts[:, T]
+    at_partner = np.take_along_axis(partner, at, axis=1)
+    from_inner = slot[np.argsort(shifts, axis=1)] + len(T) * np.arange(len(B))[:, None]
     n, dual = spec.n, spec.n - spec.k
     R, pivots = np.zeros((0, n), dtype=np.uint8), []
 
@@ -236,25 +227,24 @@ def _fixed_space_checks(spec: CodeSpec, B: DirectionSet, kind: str):
         if K.any():
             R, pivots = rref(np.vstack([R, K]))
             if len(R) == dual:
-                return spec.check_matrix, dual
-    H = np.vstack([R, rref(reduced(spec.check_matrix))[0]])
-    H.setflags(write=False)
-    return H, len(R)
+                H = spec.check_matrix
+                break
+    else:
+        H = np.vstack([R, rref(reduced(spec.check_matrix))[0]])
+    for a in (H, partner, at, at_partner, from_inner):
+        a.setflags(write=False)
+    return H, len(R), partner, at, at_partner, from_inner
 
 
-@lru_cache(maxsize=32)
-def _all_directions(field: GF2m) -> DirectionSet:
-    """DirectionSet.all_of(field), built once per field."""
-    return DirectionSet.all_of(field)
-
-
-def _direction_set(field: GF2m, B) -> DirectionSet:
-    if B is None:
-        return _all_directions(field)
-    if not isinstance(B, DirectionSet):
+def _loop_plan(spec: CodeSpec, B, kind: str):
+    """`_build_loop_plan` after checking kind and B, which the cache cannot:
+    it would raise "unhashable type" for a list B."""
+    if kind not in ("cyclic", "minimal"):
+        raise ValueError(f"kind must be 'cyclic' or 'minimal', got {kind!r}")
+    if B is not None and not isinstance(B, DirectionSet):
         raise TypeError(f"B must be a DirectionSet or None, got "
                         f"{type(B).__name__}")
-    return B
+    return _build_loop_plan(spec, B, kind)
 
 
 def fixed_space_dimension(spec: CodeSpec, B: DirectionSet | None = None,
@@ -268,14 +258,12 @@ def fixed_space_dimension(spec: CodeSpec, B: DirectionSet | None = None,
     over all directions it is the derivative ascendant A(D(C)), and for the
     "minimal" kind it is the intersection over B of C + K_beta, with K_beta
     the words constant on every beta-pair.  Where this exceeds spec.k, the
-    loop can stall on words outside C.  It is read from the matrix the
-    loop checks against, so the two cannot disagree.  Raises ValueError for
+    loop can stall on words outside C.  It is read from the loop's cached
+    plan, the one the loop checks against, so the two cannot disagree, and
+    shares that plan with the loop's decodes.  Raises ValueError for
     an unknown kind and TypeError unless B is None or a DirectionSet.
     """
-    if kind not in ("cyclic", "minimal"):
-        raise ValueError(f"kind must be 'cyclic' or 'minimal', got {kind!r}")
-    _, r = _fixed_space_checks(spec, _direction_set(spec.field, B), kind)
-    return spec.n - r
+    return spec.n - _loop_plan(spec, B, kind)[1]
 
 
 def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
@@ -299,7 +287,7 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
 
     The loop leaves at its fixed space.  Fix is the space of words h whose
     derivative hard decision D_beta h is a codeword of the inner code in
-    every direction of B (`_fixed_space_checks`, `fixed_space_dimension`);
+    every direction of B (`_build_loop_plan`, `fixed_space_dimension`);
     it contains C.  Each hard decision h, the channel's at iteration 0
     included, gets one syndrome against a check matrix of C whose first r
     rows check Fix, tested in one place.  After an iteration a zero
@@ -337,14 +325,11 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
     of C, and leave a word of Fix outside C for a codeword, because two
     correlations round to a tie and argmax takes the earlier codeword.
     """
-    field = spec.field
     L = _checked_llrs(L, spec.n, batch=False)
     N_max = _nonnegative_int(N_max, "N_max")
-    B = _direction_set(field, B)
-    H, r = _fixed_space_checks(spec, B, kind)
-    partner, at, at_partner, from_inner = _direction_maps(field, B, kind)
+    H, r, partner, at, at_partner, from_inner = _loop_plan(spec, B, kind)
     tally = getattr(decoder, "codeword_iterations", None)
-    tallies = np.empty((N_max, len(B)), dtype=np.int64)
+    tallies = np.empty((N_max, len(partner)), dtype=np.int64)
     for it in range(N_max + 1):
         hard = (L < 0).astype(np.uint8)
         # uint8 wraps mod 256, so H @ hard % 2 is the exact syndrome
@@ -369,7 +354,7 @@ def _derivative_loop(L, spec: CodeSpec, decoder, B: DirectionSet | None,
                              f"{np.shape(bits)} for a stack of shape {Ld.shape}")
         bits = np.take(bits, from_inner)        # (|B|, 2^m), original positions
         votes = (1.0 - 2.0 * bits.astype(np.float64)) * L[partner]
-        L = np.add.reduce(votes, axis=0) / len(B)
+        L = np.add.reduce(votes, axis=0) / len(partner)
     return DecodeReport(hard, N_max, False, tallies)
 
 

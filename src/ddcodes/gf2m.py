@@ -95,9 +95,6 @@ class GF2m:
     def __repr__(self):
         return f"GF2m(m={self.m}, prim_poly={self.prim_poly:#x})"
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -181,13 +181,13 @@ def test_direction_sets(f16):
     allb = DirectionSet.all_of(f16)
     assert len(allb) == 15
     assert list(allb) == [int(x) for x in f16.antilog]
-    assert allb.exponents(f16) == list(range(15))
+    assert f16.log[list(allb)].tolist() == list(range(15))
     sub = DirectionSet.random_subset(f16, 6, seed=9)
     assert len(sub) == 6
     assert len(set(sub.elements)) == 6
     assert 0 not in sub.elements
     assert sub.elements == DirectionSet.random_subset(f16, 6, seed=9).elements
-    exps = sub.exponents(f16)
+    exps = f16.log[list(sub)].tolist()
     assert exps == sorted(exps)
     with pytest.raises(ValueError):
         DirectionSet.random_subset(f16, 16, seed=1)
@@ -204,7 +204,9 @@ def test_direction_sets(f16):
     with pytest.raises(ValueError, match="a direction set must hold at "
                                          "least one direction"):
         DirectionSet(())
-    for bad in (3, [1.0, 2.0], ["1"], [None]):
+    # a bool used to pass as 0 or 1: (True, 2) built (1, 2), and
+    # [False, 1] raised ZeroDirectionError
+    for bad in (3, [1.0, 2.0], ["1"], [None], (True, 2), [False, 1]):
         with pytest.raises(TypeError, match="directions must be integers"):
             DirectionSet(bad)
 
@@ -592,7 +594,7 @@ def _reference_minimal(L, spec, mdd_decoder, B, N_max):
     field = spec.field
     L = np.asarray(L, dtype=np.float64)
     Hd = spec.check_matrix.astype(np.int64)
-    shifts = [e if e > 0 else field.n for e in B.exponents(field)]
+    shifts = [e if e > 0 else field.n for e in field.log[list(B)]]
     sidx = np.stack([field.shift_index(b) for b in shifts])
     perm1 = field.pair_permutation(1)
     Lcur = L.copy()
@@ -690,15 +692,9 @@ def test_merged_loop_matches_reference_loops(case, data):
     assert np.array_equal(rep.inner_iterations, tallies)
 
 
-@pytest.mark.parametrize("kind", sorted(_LOOPS))
-def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
-    """A second decode with the same (field, B) builds no index map, and the
-    cached maps cannot be written."""
-    field = GF2m(4)
-    spec = code_from_generator(field, 0x1D1)
-    T, _ = minimal_transversal(field)
-    inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
-                              else minimal_dd_basis(spec, 1).basis[:, T])
+def _count_builds(monkeypatch):
+    """A list that records every pair permutation, shift index and full
+    direction set built from here on."""
     calls = []
     for attr in ("pair_permutation", "shift_index"):
         real = getattr(GF2m, attr)
@@ -707,6 +703,25 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
             calls.append(attr)
             return real(self, x)
         monkeypatch.setattr(GF2m, attr, counting)
+    real_all_of = DirectionSet.all_of.__func__
+
+    def all_of(cls, field):
+        calls.append("all_of")
+        return real_all_of(cls, field)
+    monkeypatch.setattr(DirectionSet, "all_of", classmethod(all_of))
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
+    """A second decode with the same (code, B) builds nothing, and no array
+    of the cached plan can be written."""
+    field = GF2m(4)
+    spec = code_from_generator(field, 0x1D1)
+    T, _ = minimal_transversal(field)
+    inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
+                              else minimal_dd_basis(spec, 1).basis[:, T])
+    calls = _count_builds(monkeypatch)
     loop = _LOOPS[kind][0]
     rng = np.random.default_rng(283)
     B = DirectionSet.random_subset(field, 6, seed=4)
@@ -718,7 +733,8 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
     loop(L, spec, inner, DirectionSet.random_subset(field, 6, seed=4))
     loop(_noisy_llrs(rng, _random_codeword(rng, spec), 0.8), spec, inner, B)
     assert calls == []
-    for a in ddcodes.ddcodec._direction_maps(field, B, kind):
+    H, _, *maps = ddcodes.ddcodec._loop_plan(spec, B, kind)
+    for a in (H, *maps):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 0
@@ -751,6 +767,31 @@ def test_all_directions_are_built_once_per_field(kind, monkeypatch, ex_code,
     assert built == []
     assert fixed_space_dimension(ex_code, kind=kind) == fixed_space_dimension(
         ex_code, DirectionSet.all_of(field), kind)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOPS))
+def test_a_decode_makes_one_plan_lookup(kind, monkeypatch, ex_code, inner_mld,
+                                        inner_minimal_mld):
+    """After a first B=None decode, more decodes (one a codeword that exits
+    before any inner call) and fixed_space_dimension build nothing, and
+    each is one hit of the plan's cache."""
+    inner = inner_mld if kind == "cyclic" else inner_minimal_mld
+    loop = _LOOPS[kind][0]
+    rng = np.random.default_rng(307)
+    frames = [_noisy_llrs(rng, _random_codeword(rng, ex_code), sigma2=0.8)
+              for _ in range(4)]
+    frames.append(8.0 * (1.0 - 2.0 * _random_codeword(rng, ex_code)))
+    loop(frames[0], ex_code, inner)
+    calls = _count_builds(monkeypatch)
+    info = ddcodes.ddcodec._build_loop_plan.cache_info
+    before = info()
+    for i, L in enumerate(frames, 1):
+        loop(L, ex_code, inner)
+        assert info().hits == before.hits + i
+    fixed_space_dimension(ex_code, kind=kind)
+    assert info().hits == before.hits + len(frames) + 1
+    assert info().misses == before.misses
+    assert calls == []
 
 
 _BAD_LLRS = {
@@ -981,7 +1022,7 @@ def test_fixed_space_dimension_matches_enumeration(name):
         words = _fixed_words_by_enumeration(spec, kind)
         assert len(words) == 1 << dim
         assert fixed_space_dimension(spec, kind=kind) == dim
-        H, r = ddcodes.ddcodec._fixed_space_checks(
+        H, r, *_ = ddcodes.ddcodec._loop_plan(
             spec, DirectionSet.all_of(spec.field), kind)
         assert not (words.astype(np.int64) @ H[:r].T % 2).any()
 
@@ -1009,7 +1050,7 @@ def test_cyclic_fixed_space_is_the_derivative_ascendant(spec):
     """Over all directions, the cyclic loop's fixed space is A(D(C)), and
     the loop's matrix is a check matrix of C with that space's checks
     first."""
-    H, r = ddcodes.ddcodec._fixed_space_checks(
+    H, r, *_ = ddcodes.ddcodec._loop_plan(
         spec, DirectionSet.all_of(spec.field), "cyclic")
     assert not H.flags.writeable
     assert len(H) == spec.n - spec.k
@@ -1048,19 +1089,24 @@ def test_fixed_space_checks_match_the_per_direction_construction(spec):
               DirectionSet.random_subset(field, 3, seed=5),
               DirectionSet.random_subset(field, field.n // 2, seed=6)):
         for kind in ("cyclic", "minimal"):
-            H, r = ddcodes.ddcodec._fixed_space_checks(spec, B, kind)
+            H, r, *_ = ddcodes.ddcodec._loop_plan(spec, B, kind)
             H_ref, r_ref = _reference_fixed_space_checks(spec, B, kind)
             assert r == r_ref
             assert np.array_equal(H, H_ref)
 
 
 def test_fixed_space_dimension_rejects_bad_arguments(ex_code):
-    with pytest.raises(ValueError, match="kind must be 'cyclic' or "
-                                         "'minimal', got 'ml'"):
-        fixed_space_dimension(ex_code, kind="ml")
+    """Checked before the plan's cache is reached, which would raise
+    "unhashable type" for a list and cache a plan for an unknown kind."""
+    cached = ddcodes.ddcodec._build_loop_plan.cache_info().currsize
+    for kind in ("ml", "bad"):
+        with pytest.raises(ValueError, match=f"kind must be 'cyclic' or "
+                                             f"'minimal', got '{kind}'"):
+            fixed_space_dimension(ex_code, kind=kind)
     with pytest.raises(TypeError, match="B must be a DirectionSet or None, "
                                         "got list"):
         fixed_space_dimension(ex_code, [1, 2])
+    assert ddcodes.ddcodec._build_loop_plan.cache_info().currsize == cached
 
 
 def _stall_cases():
@@ -1125,7 +1171,7 @@ def test_fixed_space_exit_matches_the_reference_loops(case, data):
         B = DirectionSet.random_subset(
             field, data.draw(st.integers(1, field.n)),
             data.draw(st.integers(0, 2**16)))
-    H, r = ddcodes.ddcodec._fixed_space_checks(
+    H, r, *_ = ddcodes.ddcodec._loop_plan(
         spec, DirectionSet.all_of(field), kind)
     basis = nullspace(H[:r])
     coeffs = np.array(data.draw(st.lists(st.integers(0, 1),

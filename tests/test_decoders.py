@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 import ddcodes.decoders
 from ddcodes.cyclic import (code_from_exponents, code_from_generator, ebch_code,
                              rm_exponent_set)
-from ddcodes.ddcodec import (DirectionSet, _direction_maps, boxplus,
+from ddcodes.ddcodec import (DirectionSet, _loop_plan, boxplus,
                              minimal_transversal)
 from ddcodes.decoders import (
     LLR_CLIP,
@@ -1042,8 +1042,8 @@ def ebch64_spa_stacks():
     cap."""
     spec = code_from_generator(field_for_length(64), 0x782CF)
     H = _dd_parity_matrix(spec)
-    _, at, at_partner, _ = _direction_maps(
-        spec.field, DirectionSet.all_of(spec.field), "cyclic")
+    _, _, _, at, at_partner, _ = _loop_plan(
+        spec, DirectionSet.all_of(spec.field), "cyclic")
     ch = ChannelConfig(5.0, spec.k / spec.n)
     rng = np.random.default_rng(12)
     stacks = []
@@ -1133,8 +1133,8 @@ def test_ml_closure_words_do_not_depend_on_the_stack_layout():
     decode = mld_batch_decoder(dd_code(spec).G)
     L = np.array([0.5, 0.5, 0.0, 0.0, -2.0, 0.0, -0.5, 0.0, 0.0, 0.0, 0.0,
                   0.5, 0.5, -0.5, 0.0, 1.0])
-    _, at, at_partner, _ = _direction_maps(
-        spec.field, DirectionSet.random_subset(spec.field, 2, 0), "cyclic")
+    _, _, _, at, at_partner, _ = _loop_plan(
+        spec, DirectionSet.random_subset(spec.field, 2, 0), "cyclic")
     Ld = boxplus(L[at], L[at_partner])
     rng = np.random.default_rng(337)
     grid = rng.choice([0.0, 0.5, -0.5, 1.25, -1.25, 2.0], size=(40, 16))
