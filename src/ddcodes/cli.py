@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .cyclic import CodeSpec, bch_bound, code_from_generator
-from .ddcodec import fixed_space_dimension
+from .ddcodec import fixed_space_dimension, inner_generator
 from .derivative import da_code, dd_code
 from .gf2m import field_for_length
 from .parity import (dual_orbit_parity_matrix, eg_line_parity_matrix,
@@ -48,6 +48,8 @@ def _cmd_code(args) -> int:
     _print_code_lines("code", spec)
     if args.which == "info":
         for kind in ("cyclic", "minimal"):
+            k_in, n_in = inner_generator(spec, kind).shape
+            print(f"  inner_code ({kind} loop) = ({n_in}, {k_in})")
             print(f"  fixed_space_dim ({kind} loop, all directions) = "
                   f"{fixed_space_dimension(spec, kind=kind)}")
     elif args.which == "dd":

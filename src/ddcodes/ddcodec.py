@@ -3,41 +3,25 @@
 A derivative decoder never decodes the outer code directly.  Each iteration
 it forms, for every direction beta in a chosen set B, the LLR vector of the
 derivative word (box-plus of the received LLRs over each pair {x, x+beta}),
-hands it to a decoder for the (much smaller) descendant code, and converts
-the decoded derivative back into per-position soft votes on the original
-word.  The votes are averaged across directions to give the next LLR
-vector, and the loop stops as soon as the hard decision is a codeword of the
-outer code C.
+hands it to a decoder for the (much smaller) inner code, and converts the
+decoded derivative back into per-position soft votes on the original word.
+The votes are averaged across directions to give the next LLR vector, and
+the loop stops as soon as the hard decision is a codeword of the outer code
+C.
 
-The loop forms the box-plus with `boxplus`'s own operations but takes tanh
-once per position, not once per pair member, and averages the votes with
-the reduction `ndarray.mean` runs, without its call overhead; both give
-`boxplus`'s and `mean`'s values bit for bit.  It also leaves at its fixed
-space: the words whose derivatives in every direction are codewords of the
-inner code, which an exact inner decoder can never leave.  That space
-contains C and can be larger (`fixed_space_dimension`); a frame whose hard
-decision lies in it outside C, with every |L| at or above a fixed floor
-(`_EXIT_FLOOR`, 1e-4), returns at once with the report the remaining
-iterations would give, and a frame whose channel hard decision is already
-a codeword of C returns before any inner call with the report of the first
-iteration.  Both need the inner decoder to state its `codeword_iterations`,
-as the closures of `ddcodes.decoders` do.  Each hard decision gets one
-syndrome, against a check matrix of C whose leading rows check the fixed
-space.  The floor keeps an exact inner decoder's correlation scores apart
-from rounding; `_derivative_loop` derives it.
-
-One loop serves both decoders of the paper; they differ only in the index
-maps that carry the derivative words into the inner decoder and its bits
-back.  The maps and the check matrix form the loop's plan, built on the
-first decode and then cached, one per (code, direction set, kind)
-(`_build_loop_plan`).  `dd_decode_cyclic` decodes every
-direction in the common cyclic descendant, so its maps are the identity.
-`dd_decode_minimal` reuses one decoder for the direction-1 minimal
-descendant: its maps cyclically shift each direction's problem into
-direction 1 and shift the bits back.  A direction-1 derivative is constant
-on every pair {x, x + 1}, so the minimal loop forms it only on one position
-per pair (`minimal_transversal`), and its inner decoder works on the
-descendant punctured to those 2^(m-1) positions.
+One loop, `_derivative_loop`, serves both decoders of the paper; its
+docstring states when a frame leaves early, why that exit is exact, and the
+floor on |L| it needs.  The decoders differ only in the one code they
+decode in, which `inner_generator` names, and in the index maps that carry
+the derivative words into the inner decoder and its bits back.  Every
+cyclic descendant of C is the same code D(C), so `dd_decode_cyclic` decodes
+every direction in it and its maps are the identity.  The minimal
+descendants of all directions are equivalent codes, so `dd_decode_minimal`
+shifts each direction's problem into direction 1 and decodes it in that
+direction's minimal descendant, punctured to one position per pair
+{x, x + 1}, since the derivative is constant on each pair.  The maps and a
+check matrix of C form the loop's plan, built on the first decode and then
+cached, one per (code, direction set, kind) (`_build_loop_plan`).
 """
 from __future__ import annotations
 
@@ -49,13 +33,13 @@ import numpy as np
 
 from .cyclic import CodeSpec
 from .decoders import LLR_CLIP, _ATANH_LIM, _checked_llrs, _nonnegative_int
-from .derivative import ZeroDirectionError, dd_code
+from .derivative import ZeroDirectionError, dd_code, minimal_dd_basis
 from .gf2 import nullspace, rref
 from .gf2m import GF2m, _is_int
 
 __all__ = [
     "DirectionSet", "DecodeReport", "boxplus",
-    "dd_decode_cyclic", "dd_decode_minimal", "minimal_transversal",
+    "dd_decode_cyclic", "dd_decode_minimal", "inner_generator",
     "fixed_space_dimension", "flop_account",
 ]
 
@@ -142,16 +126,14 @@ class DecodeReport(NamedTuple):
     inner_iterations: np.ndarray   # (iterations, |B|) inner-decoder tallies
 
 
-def minimal_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
+def _minimal_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
     """Where the minimal loop decodes: one position per pair {x, x + 1}.
 
     Returns (T, slot): T lists the smaller position of each pair in
     ascending order, 2^(m-1) of them, and slot[p] is the index in T of p's
-    pair, so a word w on T expands to full length as w[slot].  The inner
-    decoder of `dd_decode_minimal` works on the direction-1 minimal
-    descendant punctured to T, `minimal_dd_basis(spec, 1).basis[:, T]`.
-    Ascending order keeps the stable reliability sort of a punctured word in
-    the order the full-length sort gives its pairs, ties included.  (This is
+    pair, so a word w on T expands to full length as w[slot].  Ascending
+    order keeps the stable reliability sort of a punctured word in the
+    order the full-length sort gives its pairs, ties included.  (This is
     not `field.pair_transversal(1)`, which lists the pairs in field-element
     order.)
     """
@@ -159,6 +141,29 @@ def minimal_transversal(field: GF2m) -> tuple[np.ndarray, np.ndarray]:
     positions = np.arange(field.size)
     T = np.flatnonzero(positions < partner)
     return T, np.searchsorted(T, np.minimum(positions, partner))
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("cyclic", "minimal"):
+        raise ValueError(f"kind must be 'cyclic' or 'minimal', got {kind!r}")
+
+
+def inner_generator(spec: CodeSpec, kind: str) -> np.ndarray:
+    """Generator matrix of the one code the derivative loop of `kind`
+    decodes in; build the loop's inner decoder on it.
+
+    "cyclic": the generator of the cyclic derivative descendant D(C), the
+    span of C's derivatives over all directions, of length 2^m.
+    "minimal": the reduced basis of the direction-1 minimal descendant
+    (`minimal_dd_basis(spec, 1)`) punctured to the positions where the
+    minimal loop decodes, the smaller position of each pair {x, x + 1} in
+    ascending order, of length 2^(m-1).  Raises ValueError for any other
+    kind.
+    """
+    _check_kind(kind)
+    if kind == "cyclic":
+        return dd_code(spec).G
+    return minimal_dd_basis(spec, 1).basis[:, _minimal_transversal(spec.field)[0]]
 
 
 @lru_cache(maxsize=32)
@@ -175,16 +180,15 @@ def _build_loop_plan(spec: CodeSpec, B: DirectionSet | None, kind: str):
     included, so np.take(bits, from_inner) is the (|B|, 2^m) stack of
     decoded derivative bits on the original positions.
 
-    For the "cyclic" kind h = 2^m, every map but partner is the identity,
-    and the inner code is D(C).  For the "minimal" kind row d is the shift
-    by the discrete log b of B[d]: the b-shifted derivative in direction
-    alpha^b is the direction-1 derivative of the b-shifted word, which is
-    constant on the pairs {y, y + 1}.  So h = 2^(m-1): with (T, slot) =
-    minimal_transversal(field), slot i of row d sits at the b-shifted
-    position of T[i], position x takes the bit of its b-shifted position's
-    pair, and the inner code is the punctured direction-1 minimal
-    descendant.  C's shift invariance makes the inner code one code H_in
-    checks for every d.
+    The inner code is `inner_generator(spec, kind)`, with check matrix
+    H_in.  For the "cyclic" kind h = 2^m and every map but partner is the
+    identity.  For the "minimal" kind row d is the shift by the discrete
+    log b of B[d]: the b-shifted derivative in direction alpha^b is the
+    direction-1 derivative of the b-shifted word, which is constant on the
+    pairs {y, y + 1}.  So h = 2^(m-1): with (T, slot) =
+    _minimal_transversal(field), slot i of row d sits at the b-shifted
+    position of T[i], and position x takes the bit of its b-shifted
+    position's pair.  C's shift invariance makes H_in check every d.
 
     H is a check matrix of C whose first r rows span the dual of the loop's
     fixed space Fix = {h : every derivative of h over B lies in the inner
@@ -202,12 +206,10 @@ def _build_loop_plan(spec: CodeSpec, B: DirectionSet | None, kind: str):
     if kind == "cyclic":
         T = slot = np.arange(field.size)
         shifts = np.broadcast_to(T, partner.shape)
-        H_in = dd_code(spec).check_matrix
     else:
         shifts = np.stack([field.shift_index(field.log[b]) for b in B])
-        T, slot = minimal_transversal(field)
-        at0 = shifts[0, T]
-        H_in = nullspace(spec.G[:, at0] ^ spec.G[:, partner[0, at0]])
+        T, slot = _minimal_transversal(field)
+    H_in = nullspace(inner_generator(spec, kind))
     at = shifts[:, T]
     at_partner = np.take_along_axis(partner, at, axis=1)
     from_inner = slot[np.argsort(shifts, axis=1)] + len(T) * np.arange(len(B))[:, None]
@@ -239,8 +241,7 @@ def _build_loop_plan(spec: CodeSpec, B: DirectionSet | None, kind: str):
 def _loop_plan(spec: CodeSpec, B, kind: str):
     """`_build_loop_plan` after checking kind and B, which the cache cannot:
     it would raise "unhashable type" for a list B."""
-    if kind not in ("cyclic", "minimal"):
-        raise ValueError(f"kind must be 'cyclic' or 'minimal', got {kind!r}")
+    _check_kind(kind)
     if B is not None and not isinstance(B, DirectionSet):
         raise TypeError(f"B must be a DirectionSet or None, got "
                         f"{type(B).__name__}")
@@ -253,7 +254,8 @@ def fixed_space_dimension(spec: CodeSpec, B: DirectionSet | None = None,
 
     With an exact inner decoder, a hard decision h whose derivative in
     every direction of B (all directions for None) is a codeword of the
-    inner code is a fixed point of the loop: every vote keeps h's sign.
+    inner code (`inner_generator(spec, kind)`) is a fixed point of the
+    loop: every vote keeps h's sign.
     These words form a space Fix that contains C; for the "cyclic" kind
     over all directions it is the derivative ascendant A(D(C)), and for the
     "minimal" kind it is the intersection over B of C + K_beta, with K_beta
@@ -362,28 +364,20 @@ def dd_decode_cyclic(L, spec: CodeSpec, dd_decoder, B: DirectionSet | None = Non
                      N_max: int = 3) -> DecodeReport:
     """Derivative decoding with every direction decoded in the cyclic descendant.
 
-    dd_decoder is a batch decoder for the cyclic descendant code: it maps a
-    (|B|, 2^m) stack of derivative LLR vectors to (bits, iterations,
-    converged).  Per outer iteration the derivative of the running LLR
-    vector is decoded in every direction, the soft votes are averaged into
-    the new LLR vector, and the loop exits early once the hard decision
-    passes every check of `spec.check_matrix`.  A frame whose channel hard
-    decision already passes them, with min |L| >= 1e-4 and N_max >= 1,
-    returns before any inner call if dd_decoder has a `codeword_iterations`
-    attribute, with the report the first iteration gives (see
-    `_derivative_loop`).  Raises ValueError unless L is a finite vector of
+    dd_decoder is a batch decoder for `inner_generator(spec, "cyclic")`,
+    the generator of D(C): it maps a (|B|, 2^m) stack of derivative LLR
+    vectors to (bits, iterations, converged).  Per outer iteration the
+    derivative of the running LLR vector is decoded in every direction of
+    B (all directions for None), the soft votes are averaged into the new
+    LLR vector, and the loop stops once the hard decision is a codeword of
+    C, or at N_max.  It can also leave early, at a codeword or at a word of
+    its fixed space outside C (`fixed_space_dimension(spec, B)`), under the
+    conditions and with the reports that `_derivative_loop` gives.  Over
+    all directions that space is the derivative ascendant A(D(C)), so
+    near-ML output is expected only when C = A(D(C)), as for the
+    Reed-Muller codes.  Raises ValueError unless L is a finite vector of
     length 2^m and N_max an integer >= 0, and TypeError unless B is None or
     a DirectionSet.
-
-    With an exact inner decoder, any hard decision whose derivatives in
-    every direction of B are codewords of D(C) is a fixed point of the
-    loop: every vote keeps its sign.  Over all directions these words form
-    the derivative ascendant A(D(C)).  Near-ML output is therefore expected
-    only when C = A(D(C)), as for the Reed-Muller codes; otherwise the loop
-    can stall on a word of A(D(C)) outside C.  It then leaves at the stall,
-    under the same conditions as the codeword exit, with the report the
-    remaining iterations would give: that word, N_max, unconverged.
-    `fixed_space_dimension(spec, B)` gives the dimension of those words.
     """
     return _derivative_loop(L, spec, dd_decoder, B, N_max, "cyclic")
 
@@ -396,26 +390,18 @@ def dd_decode_minimal(L, spec: CodeSpec, mdd_decoder, B: DirectionSet | None = N
     direction-alpha^0 problem: the derivative of the b-shifted LLR vector in
     direction 1 is decoded by mdd_decoder, and shifting its bits b places
     back aligns the votes with the original word.  That derivative is
-    constant on the pairs {y, y + 1}, so it is formed and decoded only on
-    the positions T = minimal_transversal(spec.field)[0], one per pair:
-    mdd_decoder is a batch decoder for the direction-1 minimal descendant
-    punctured to T, for example
-    osd_batch_decoder(minimal_dd_basis(spec, 1).basis[:, T], 1).  It maps
-    an (|B|, 2^(m-1)) stack of derivative LLR vectors to (bits, iterations,
+    constant on the pairs {y, y + 1}, so it is formed and decoded on one
+    position per pair: mdd_decoder is a batch decoder for
+    `inner_generator(spec, "minimal")`, for example
+    osd_batch_decoder(inner_generator(spec, "minimal"), 1).  It maps an
+    (|B|, 2^(m-1)) stack of derivative LLR vectors to (bits, iterations,
     converged), and each decoded bit is expanded back to both positions of
-    its pair.  All directions in B are processed each iteration in one
-    batch, and the loop exits early once the hard decision passes every
-    check of `spec.check_matrix`; a frame whose channel hard decision
-    passes them leaves before any inner call, as in `dd_decode_cyclic`.
-    A hard decision whose derivative in every direction beta of B lies in
-    the minimal descendant of beta is a fixed point with an exact inner
-    decoder, and the loop leaves at such a word outside C, unconverged at
-    N_max, as the cyclic loop does (`fixed_space_dimension(spec, B,
-    "minimal")`).
-    Raises ValueError unless L is a finite vector of length 2^m and N_max
-    an integer >= 0, and if mdd_decoder's bits do not have the shape of its
-    input stack (a decoder for the full-length descendant, say); raises
-    TypeError unless B is None or a DirectionSet.
+    its pair.  The loop stops, and leaves early at its fixed space
+    (`fixed_space_dimension(spec, B, "minimal")`), as `dd_decode_cyclic`
+    does.  Raises ValueError unless L is a finite vector of length 2^m and
+    N_max an integer >= 0, and if mdd_decoder's bits do not have the shape
+    of its input stack (a decoder for the full-length descendant, say);
+    raises TypeError unless B is None or a DirectionSet.
     """
     return _derivative_loop(L, spec, mdd_decoder, B, N_max, "minimal")
 

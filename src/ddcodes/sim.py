@@ -16,10 +16,10 @@ import numpy as np
 
 from .cyclic import CodeSpec, code_from_generator
 from .ddcodec import (DecodeReport, DirectionSet, dd_decode_cyclic,
-                      dd_decode_minimal, minimal_transversal)
+                      dd_decode_minimal, inner_generator)
 from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
                        spa_batch_decoder)
-from .derivative import dd_code, minimal_dd_basis
+from .gf2 import nullspace
 from .gf2m import GF2m, _is_int, field_for_length
 from .parity import SparseParityMatrix, eg_line_parity_matrix, is_orthogonal_to
 
@@ -29,7 +29,15 @@ __all__ = [
     "write_results", "save_config", "load_config",
 ]
 
-ALGOS = ("dd-spa", "dd-osd", "osd", "spa", "mld")
+# algorithm -> (derivative loop kind, or None to decode C itself; engine)
+_ALGORITHMS = {
+    "dd-spa": ("cyclic", "spa"),
+    "dd-osd": ("minimal", "osd"),
+    "osd": (None, "osd"),
+    "spa": (None, "spa"),
+    "mld": (None, "mld"),
+}
+ALGOS = tuple(_ALGORITHMS)
 
 
 class ConfigError(ValueError):
@@ -195,71 +203,63 @@ def _dd_parity_matrix(spec: CodeSpec) -> SparseParityMatrix:
     """Low-weight checks for the cyclic descendant: EG lines when they fit.
 
     Tries every factorization of m as mu * s with mu >= 2; a line matrix is
-    used only if it verifies orthogonal to the descendant's generator.
-    Falls back to the dense dual basis.  The s = 1 lines are all point
-    pairs, whose weight-2 checks admit only codes inside the repetition
-    code, so they are tried only for a descendant of dimension <= 1.
+    used only if it verifies orthogonal to `inner_generator(spec,
+    "cyclic")`.  Falls back to the dense dual basis.  The s = 1 lines are
+    all point pairs, whose weight-2 checks admit only codes inside the
+    repetition code, so they are tried only for a descendant of dimension
+    <= 1.
     """
-    descendant = dd_code(spec)
+    G = inner_generator(spec, "cyclic")
     m = spec.field.m
-    for s in range(1 if descendant.k <= 1 else 2, m):
+    for s in range(1 if len(G) <= 1 else 2, m):
         if m % s:
             continue
         mu = m // s
         if mu < 2:
             continue
         H = eg_line_parity_matrix(mu, s)
-        if is_orthogonal_to(H, descendant.G):
+        if is_orthogonal_to(H, G):
             return H
-    return SparseParityMatrix.from_dense(descendant.check_matrix)
+    return SparseParityMatrix.from_dense(nullspace(G))
 
 
 def build_decoder(cfg: SimConfig, spec: CodeSpec):
     """Per-frame decode closure: L -> DecodeReport.
 
-    The baselines `mld`, `osd` and `spa` build the batch-decoder closure
-    for the outer code and decode each frame as a one-row stack (one
-    iteration, a (1, 1) tally); the `dd-*` algorithms return the report of
-    a derivative loop around a closure for the descendant.
-    Every algorithm raises ValueError("LLR input ...") unless L is a finite
-    vector of length n.  cfg checked its fields when it was built; building
-    the decoder checks what needs the code, whether or not the algorithm
-    reads it: the direction count must fit the code's field (ValueError),
-    and mld needs k <= 20 (ConfigError).
+    Each algorithm is an engine (SPA, OSD or ML) built on one code.  The
+    baselines `mld`, `osd` and `spa` build it on C and decode each frame as
+    a one-row stack (one iteration, a (1, 1) tally); the `dd-*` algorithms
+    build it on the inner code of their derivative loop
+    (`ddcodec.inner_generator`; SPA runs on `_dd_parity_matrix`'s checks)
+    and return the loop's report.  Every algorithm raises ValueError("LLR
+    input ...") unless L is a finite vector of length n.  cfg checked its
+    fields when it was built; building the decoder checks what needs the
+    code, whether or not the algorithm reads it: the direction count must
+    fit the code's field (ValueError), and mld needs k <= 20 (ConfigError).
     """
-    field = spec.field
-    B = _parse_directions(cfg.directions, field)
-    if cfg.algo in ("mld", "osd", "spa"):
-        if cfg.algo == "mld":
-            if spec.k > 20:
-                raise ConfigError(f"mld needs k <= 20, got {spec.k}")
-            batch = mld_batch_decoder(spec.G)
-        elif cfg.algo == "osd":
-            batch = osd_batch_decoder(spec.G, cfg.order)
-        else:
-            batch = spa_batch_decoder(
-                SparseParityMatrix.from_dense(spec.check_matrix),
-                cfg.inner_max_iter)
-
+    B = _parse_directions(cfg.directions, spec.field)
+    kind, engine = _ALGORITHMS[cfg.algo]
+    if engine == "spa":
+        H = (SparseParityMatrix.from_dense(spec.check_matrix) if kind is None
+             else _dd_parity_matrix(spec))
+        batch = spa_batch_decoder(H, cfg.inner_max_iter)
+    else:
+        G = spec.G if kind is None else inner_generator(spec, kind)
+        if engine == "mld" and len(G) > 20:
+            raise ConfigError(f"mld needs k <= 20, got {len(G)}")
+        batch = (osd_batch_decoder(G, cfg.order) if engine == "osd"
+                 else mld_batch_decoder(G))
+    if kind is None:
         def decode(L):
             # checked as a vector first, so a bad shape is named as passed
             bits, its, conv = batch(_checked_llrs(L, spec.n, batch=False)[None])
             return DecodeReport(bits[0], 1, bool(conv[0]), its[:, None])
         return decode
 
-    cyclic = cfg.algo == "dd-spa"
-    if cyclic:
-        inner = spa_batch_decoder(_dd_parity_matrix(spec), cfg.inner_max_iter)
-    else:
-        # dd-osd: one OSD engine on the direction-1 minimal descendant,
-        # punctured to the positions where the minimal loop decodes
-        T, _ = minimal_transversal(field)
-        inner = osd_batch_decoder(minimal_dd_basis(spec, 1).basis[:, T], cfg.order)
-
     def decode(L):
         # looked up per call, so a wrapper installed after set-up is seen
-        loop = dd_decode_cyclic if cyclic else dd_decode_minimal
-        return loop(L, spec, inner, B, cfg.n_max)
+        loop = dd_decode_cyclic if kind == "cyclic" else dd_decode_minimal
+        return loop(L, spec, batch, B, cfg.n_max)
     return decode
 
 

@@ -24,6 +24,8 @@ def test_code_info(capsys):
     assert "bch_bound = 6" in out
     assert "  fixed_space_dim (cyclic loop, all directions) = 11\n" in out
     assert "  fixed_space_dim (minimal loop, all directions) = 7\n" in out
+    assert "  inner_code (cyclic loop) = (16, 5)\n" in out
+    assert "  inner_code (minimal loop) = (8, 3)\n" in out
 
 
 def test_code_dd(capsys):

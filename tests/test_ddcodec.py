@@ -23,7 +23,8 @@ from ddcodes.ddcodec import (
     dd_decode_minimal,
     fixed_space_dimension,
     flop_account,
-    minimal_transversal,
+    inner_generator,
+    _minimal_transversal,
 )
 from ddcodes.decoders import (LLR_CLIP, _ATANH_LIM, _reliability_bases,
                               mld_batch_decoder, mld_exhaustive,
@@ -249,7 +250,7 @@ def inner_mld(ex_code):
 
 @pytest.fixture(scope="module")
 def inner_minimal_mld(ex_code, f16):
-    T, _ = minimal_transversal(f16)
+    T, _ = _minimal_transversal(f16)
     return mld_batch_decoder(minimal_dd_basis(ex_code, 1).basis[:, T])
 
 
@@ -297,9 +298,9 @@ def test_outer_check_matrix_is_computed_once_per_code(f16, inner_mld,
                                                      inner_minimal_mld, kind,
                                                      monkeypatch):
     """The loop checks against a matrix built from C's dual basis and one
-    check matrix of the inner code, the descendant's (cyclic) or the
-    punctured direction-1 minimal descendant's (minimal): each is computed
-    on the first decode only, and C's is kept read-only."""
+    check matrix of the inner code, the null space of
+    `inner_generator(spec, kind)`: each is computed on the first decode
+    only, and C's is kept read-only."""
     calls, inner_calls = [], []
 
     def counting(M, calls):
@@ -316,10 +317,8 @@ def test_outer_check_matrix_is_computed_once_per_code(f16, inner_mld,
     frames = [_noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
               for _ in range(2)]
     loop(frames[0], spec, inner)
-    outer = [spec.G.shape] + ([dd_code(spec).G.shape] if kind == "cyclic"
-                              else [])
-    assert sorted(calls) == sorted(outer)
-    assert len(inner_calls) == (kind == "minimal")
+    assert calls == [spec.G.shape]
+    assert inner_calls == [inner_generator(spec, kind).shape]
     calls.clear()
     inner_calls.clear()
     loop(frames[1], spec, inner)
@@ -361,7 +360,7 @@ def test_minimal_loop_matches_per_direction_decoding(ex_code, f16):
     minimal descendant directly (one outer iteration, no early exit)."""
     rng = np.random.default_rng(269)
     bases = {b: minimal_dd_basis(ex_code, b).basis for b in range(1, 16)}
-    T, _ = minimal_transversal(f16)
+    T, _ = _minimal_transversal(f16)
     decoder = mld_batch_decoder(bases[f16.alpha_pow(0)][:, T])
     agree = 0
     for _ in range(50):
@@ -406,7 +405,7 @@ def test_minimal_loop_shift_identity(n, data):
 def test_minimal_transversal_is_one_position_per_pair(field):
     """T holds the smaller position of each pair {x, x + 1} in ascending
     order, and slot names every position's pair."""
-    T, slot = minimal_transversal(field)
+    T, slot = _minimal_transversal(field)
     partner = field.pair_permutation(1)
     assert len(T) == field.size // 2
     assert (np.diff(T) > 0).all() and (T < partner[T]).all()
@@ -428,6 +427,24 @@ _PUNCTURE_CODES = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(_PUNCTURE_CODES))
+def test_inner_generator_is_every_directions_inner_code(name):
+    """The cyclic loop's inner code is D(C).  The minimal loop's is the
+    direction-1 minimal basis punctured to T, and in every direction
+    alpha^b the derivatives of C, read at the b-shifted positions of T,
+    span that same code: the minimal descendants are equivalent codes."""
+    spec = _PUNCTURE_CODES[name]()
+    field = spec.field
+    T, _ = _minimal_transversal(field)
+    assert np.array_equal(inner_generator(spec, "cyclic"), dd_code(spec).G)
+    G_in = inner_generator(spec, "minimal")
+    assert np.array_equal(G_in, minimal_dd_basis(spec, 1).basis[:, T])
+    for b in range(field.n):
+        at = field.shift_index(b)[T]
+        partner = field.pair_permutation(int(field.antilog[b]))
+        assert row_spaces_equal(spec.G[:, at] ^ spec.G[:, partner[at]], G_in)
+
+
 def _pair_constant_stacks(field, rng):
     """Half-length LLR stacks with many repeated magnitudes (and two where
     every |L| is equal), for the punctured and the full-length sort."""
@@ -445,7 +462,7 @@ def test_punctured_reliability_bases_pick_the_same_pairs(name):
     full-length stable sort visits each pair's smaller position first, and
     the other one is a repeated column."""
     spec = _PUNCTURE_CODES[name]()
-    T, slot = minimal_transversal(spec.field)
+    T, slot = _minimal_transversal(spec.field)
     basis = minimal_dd_basis(spec, 1).basis
     Lh = _pair_constant_stacks(spec.field, np.random.default_rng(307))
     M_full, piv_full = _reliability_bases(basis, Lh[:, slot])
@@ -471,7 +488,7 @@ def test_half_length_minimal_loop_matches_full_length_reference(name, inner):
     the bits, iteration counts and flags of the full-length reference loop
     with the same kind of decoder on the whole minimal basis."""
     spec = _PUNCTURE_CODES[name]()
-    T, _ = minimal_transversal(spec.field)
+    T, _ = _minimal_transversal(spec.field)
     basis = minimal_dd_basis(spec, 1).basis
     make = mld_batch_decoder if inner == "ml" else (
         lambda G: osd_batch_decoder(G, 1))
@@ -510,7 +527,7 @@ def test_dd_ml_output_is_frozen(case):
     Eb/N0 points, frames per point)."""
     kind, name, N_max, snrs, frames = case
     spec = _PUNCTURE_CODES[name]()
-    T, _ = minimal_transversal(spec.field)
+    T, _ = _minimal_transversal(spec.field)
     inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
                               else minimal_dd_basis(spec, 1).basis[:, T])
     B = DirectionSet.all_of(spec.field)
@@ -630,7 +647,7 @@ def _loop_cases():
                                             rm_exponent_set(2, 5).members)}
     cases = {}
     for name, spec in specs.items():
-        T, _ = minimal_transversal(spec.field)
+        T, _ = _minimal_transversal(spec.field)
         inner_codes = {"cyclic": dd_code(spec).G,
                        "minimal": minimal_dd_basis(spec, 1).basis[:, T]}
         for kind, G in inner_codes.items():
@@ -642,7 +659,7 @@ def _loop_cases():
 def _reference_minimal_punctured(L, spec, mdd_decoder, B, N_max):
     """_reference_minimal with a decoder for the punctured minimal basis:
     each full-length stack is cut to T, and the bits expand through slot."""
-    T, slot = minimal_transversal(spec.field)
+    T, slot = _minimal_transversal(spec.field)
 
     def full_length(Ld):
         bits, its, conv = mdd_decoder(Ld[:, T])
@@ -718,17 +735,17 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
     of the cached plan can be written."""
     field = GF2m(4)
     spec = code_from_generator(field, 0x1D1)
-    T, _ = minimal_transversal(field)
-    inner = mld_batch_decoder(dd_code(spec).G if kind == "cyclic"
-                              else minimal_dd_basis(spec, 1).basis[:, T])
+    inner = mld_batch_decoder(inner_generator(spec, kind))
     calls = _count_builds(monkeypatch)
     loop = _LOOPS[kind][0]
     rng = np.random.default_rng(283)
     B = DirectionSet.random_subset(field, 6, seed=4)
     L = _noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
     loop(L, spec, inner, B)
-    # minimal: a shift per direction, and minimal_transversal's direction 1
-    assert len(calls) == (6 if kind == "cyclic" else 13)
+    # a pair permutation per direction; minimal: a shift per direction, and
+    # three direction-1 pair permutations: the plan's transversal, and the
+    # transversal and derivative of inner_generator
+    assert len(calls) == (6 if kind == "cyclic" else 15)
     calls.clear()
     loop(L, spec, inner, DirectionSet.random_subset(field, 6, seed=4))
     loop(_noisy_llrs(rng, _random_codeword(rng, spec), 0.8), spec, inner, B)
@@ -864,7 +881,7 @@ def _exit_cases():
         if kind == "cyclic":
             H = _dd_parity_matrix(spec)
         else:
-            T, _ = minimal_transversal(spec.field)
+            T, _ = _minimal_transversal(spec.field)
             H = SparseParityMatrix.from_dense(
                 nullspace(minimal_dd_basis(spec, 1).basis[:, T]))
         for cap in (0, 20):
@@ -1097,12 +1114,16 @@ def test_fixed_space_checks_match_the_per_direction_construction(spec):
 
 def test_fixed_space_dimension_rejects_bad_arguments(ex_code):
     """Checked before the plan's cache is reached, which would raise
-    "unhashable type" for a list and cache a plan for an unknown kind."""
+    "unhashable type" for a list and cache a plan for an unknown kind.
+    inner_generator checks kind with the same message."""
     cached = ddcodes.ddcodec._build_loop_plan.cache_info().currsize
     for kind in ("ml", "bad"):
         with pytest.raises(ValueError, match=f"kind must be 'cyclic' or "
                                              f"'minimal', got '{kind}'"):
             fixed_space_dimension(ex_code, kind=kind)
+    with pytest.raises(ValueError, match="kind must be 'cyclic' or "
+                                         "'minimal', got 'bad'"):
+        inner_generator(ex_code, "bad")
     with pytest.raises(TypeError, match="B must be a DirectionSet or None, "
                                         "got list"):
         fixed_space_dimension(ex_code, [1, 2])
@@ -1120,7 +1141,7 @@ def _stall_cases():
     for name, kinds in (("(16,7)", ["cyclic"]), ("eBCH(32,21)", ["cyclic"]),
                         ("eBCH(32,11)", ["cyclic", "minimal"])):
         spec = specs[name]
-        T, _ = minimal_transversal(spec.field)
+        T, _ = _minimal_transversal(spec.field)
         for kind in kinds:
             if kind == "cyclic":
                 G, H = dd_code(spec).G, _dd_parity_matrix(spec)

@@ -19,7 +19,7 @@ import ddcodes.decoders
 from ddcodes.cyclic import (code_from_exponents, code_from_generator, ebch_code,
                              rm_exponent_set)
 from ddcodes.ddcodec import (DirectionSet, _loop_plan, boxplus,
-                             minimal_transversal)
+                             _minimal_transversal)
 from ddcodes.decoders import (
     LLR_CLIP,
     RankDeficientError,
@@ -319,7 +319,7 @@ _SPEC128 = code_from_generator(GF2m(7), 0xCCC3CDB5487A24FA5F3A3DD)
 _WIDE_GENERATORS = {
     "eBCH(32,16)": ebch_code(GF2m(5), 16).G,
     "punctured-minimal-128": minimal_dd_basis(_SPEC128, 1).basis[
-        :, minimal_transversal(GF2m(7))[0]],
+        :, _minimal_transversal(GF2m(7))[0]],
     "k=2": _GENERATORS["RM(1,4)"][:2],
     "k=1": np.ones((1, 16), dtype=np.uint8),
 }

@@ -19,7 +19,7 @@ import ddcodes.decoders
 import ddcodes.sim
 from ddcodes.cyclic import code_from_generator, ebch_code
 from ddcodes.ddcodec import (DecodeReport, dd_decode_cyclic, dd_decode_minimal,
-                             minimal_transversal)
+                             _minimal_transversal)
 from ddcodes.decoders import (all_codewords, mld_exhaustive,
                               osd_batch_decoder, osd_decode, spa_batch_decoder,
                               spa_decode_batch)
@@ -482,7 +482,7 @@ def test_dd_closures_return_the_loop_report(algo, directions):
                                   cfg.inner_max_iter)
     else:
         loop = dd_decode_minimal
-        T, _ = minimal_transversal(spec.field)
+        T, _ = _minimal_transversal(spec.field)
         inner = osd_batch_decoder(minimal_dd_basis(spec, 1).basis[:, T], 2)
     rng = np.random.default_rng(2025)
     ch = ChannelConfig(1.0, spec.k / spec.n)
