@@ -318,8 +318,10 @@ def bch_bound(S: ExponentSet, extended: bool = True) -> int:
         return 1
     if not S.members:
         return n + 1
+    # a Python scan: numpy's first np.diff call in a process costs several
+    # times the whole scan, and building an osd decoder calls this once
     present = sorted(S.members)
-    delta = int(np.diff(present + [present[0] + n]).max())
+    delta = max(b - a for a, b in zip(present, present[1:] + [present[0] + n]))
     if extended and delta % 2 == 1:
         delta += 1
     return delta

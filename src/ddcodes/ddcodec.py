@@ -150,7 +150,9 @@ def _check_kind(kind: str) -> None:
 
 def inner_generator(spec: CodeSpec, kind: str) -> np.ndarray:
     """Generator matrix of the one code the derivative loop of `kind`
-    decodes in; build the loop's inner decoder on it.
+    decodes in; build the loop's inner decoder on it.  Read-only, and
+    built once per (spec, kind): the loop plan, `sim.build_decoder` and the
+    descendant's EG-line checks share it.
 
     "cyclic": the generator of the cyclic derivative descendant D(C), the
     span of C's derivatives over all directions, of length 2^m.
@@ -161,9 +163,17 @@ def inner_generator(spec: CodeSpec, kind: str) -> np.ndarray:
     kind.
     """
     _check_kind(kind)
+    return _build_inner_generator(spec, kind)
+
+
+@lru_cache(maxsize=32)
+def _build_inner_generator(spec: CodeSpec, kind: str) -> np.ndarray:
     if kind == "cyclic":
-        return dd_code(spec).G
-    return minimal_dd_basis(spec, 1).basis[:, _minimal_transversal(spec.field)[0]]
+        G = dd_code(spec).G
+    else:
+        G = minimal_dd_basis(spec, 1).basis[:, _minimal_transversal(spec.field)[0]]
+    G.setflags(write=False)
+    return G
 
 
 @lru_cache(maxsize=32)

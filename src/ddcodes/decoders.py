@@ -23,8 +23,8 @@ only the rows still live, and every row decodes exactly as it would alone.
 Every syndrome is one matmul against a dense transpose of H built once per H.
 `osd_decode` systematizes the whole stack in a single GF(2) elimination
 (`gf2.rref_stack`, one pass over G's rows for all the reliability orders)
-rather than one elimination per vector.  It then scores every
-reprocessing candidate without building it: the correlations come from
+rather than one elimination per vector.  It then scores the
+reprocessing candidates without building them: the correlations come from
 exact sign products.  A flip set J of weight >= 2 extends a smaller set J'
 by an index above max J'; the J' are grouped by their largest index into
 a few blocks, each one product and one batched matmul, and a plan cached
@@ -38,7 +38,19 @@ over the stack's rows.  A row where another screened score lies within the
 rounding tolerance of the best is rescored exactly as direct scoring does,
 by dot products over its full candidate list, one row at a time, so the
 decoded words, and the rule that a tie goes to the earliest candidate, are
-those of direct scoring bit for bit.  The ML closure and `mld_exhaustive`
+those of direct scoring bit for bit.
+Given a lower bound d on the code's minimum distance, `osd_decode` skips
+every flip weight v >= 2 whose candidates all lie below the best one of
+weight <= 1, as Fossorier & Lin (1995) skip reprocessing phases.  Each such
+candidate has a discrepancy (the sum of |L| where it disagrees with the
+hard decision) of at least the sum of the v least reliable basis |L| and
+of the (d - v - |D0p|)+ smallest |L| on the parity positions where the
+order-0 word agrees with the hard decision, D0p those where it does not: the
+sufficient condition of Taipale & Pursley (1991), in `_discrepancy_floors`.
+A weight is skipped only when this floor exceeds the best discrepancy by
+twice the rounding tolerance, so every skipped score would have lain more
+than the tolerance below the best one, and no decoded word changes
+(`osd_decode` derives the margin).  The ML closure and `mld_exhaustive`
 score the codebook that `gf2.all_codewords` lists; `mld_exhaustive`
 decodes one vector and stays as an independent reference for the ML
 closure.
@@ -47,6 +59,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -291,7 +304,52 @@ def _score_blocks(k: int, w: int, rows: int) -> tuple:
     return tuple(blocks)
 
 
-def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int):
+def _smallest_sums(a: np.ndarray, m: int) -> np.ndarray:
+    """(F, m + 1) sums of the j smallest entries of each row of a, for
+    j = 0..m; inf once j passes a row's finite entries."""
+    sums = np.zeros((len(a), m + 1))
+    if m:
+        np.add.accumulate(np.sort(a, axis=1)[:, :m], axis=1, out=sums[:, 1:])
+    return sums
+
+
+def _discrepancy_floors(absL: np.ndarray, basis: np.ndarray, off: np.ndarray,
+                        d: int, weights: np.ndarray) -> np.ndarray:
+    """Lower bounds on the discrepancy of the codewords around a reference
+    codeword c_ref, one per row of the stack and weight v in `weights`.
+
+    The discrepancy of a word is the sum of |L| over the positions where it
+    disagrees with the hard decision.  Row r's c_ref agrees with the hard
+    decision on the k positions basis[r] and, off them, disagrees exactly
+    where off[r] is True.  Let e be a nonzero codeword with v ones on
+    basis[r], and d at most the code's minimum distance.  Then c = c_ref ^ e
+    disagrees with the hard decision on those v basis positions, and e has
+    at least d - v ones off the basis, of which at most |off[r]| fall where
+    c_ref already disagrees; c disagrees at each of the others.  So c's
+    discrepancy is at least
+
+        (sum of the v smallest |L| on basis[r])
+        + (sum of the (d - v - |off[r]|)+ smallest |L| off the basis and
+           outside off[r]),
+
+    the sufficient condition of Taipale & Pursley (1991) with the basis
+    flips added, as Fossorier & Lin (1995) use it to skip OSD's
+    reprocessing phases.  With an empty basis and v = 0 it is Taipale &
+    Pursley's bound on every codeword other than c_ref.  Shapes (F, n),
+    (F, k), (F, n) and ascending weights (W,) -> (F, W); each bound is a
+    float64 sum of at most n of the |L|.
+    """
+    rows = np.arange(len(absL))[:, None]
+    flips = _smallest_sums(absL[rows, basis], int(weights[-1]))
+    need = np.maximum(d - weights - off.sum(axis=1)[:, None], 0)
+    free = np.where(off, np.inf, absL)
+    free[rows, basis] = np.inf
+    rest = _smallest_sums(free, max(d - int(weights[0]), 0))
+    return flips[:, weights] + rest[rows, need]
+
+
+def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int,
+                     floors: np.ndarray | None = None):
     """Correlations (1 - 2c) . L[d] of every candidate of at most w flips,
     in _flip_set_table order, from sign products without building any.
 
@@ -312,25 +370,48 @@ def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int):
     (u the unit roundoff).  Returns the (F, N) scores and the per-row
     tolerance tol = 4 n eps sum|L[d]|, at least twice that bound for both
     sums together.
+
+    floors, if given, is _discrepancy_floors' (F, w - 1) array for weights
+    2..w.  Weight v >= 2 is then skipped, its scores left -inf, when on
+    every row its floor exceeds (sum|L[d]| - top) / 2 by 2 tol, top the
+    best score of weight <= 1; osd_decode says why that changes no decoded
+    word.
     """
     F, k, n = M.shape
     # +-1 in int8, then one cast for the matmuls: mixed uint8/float64
     # arithmetic is ~10x slower.  The product blocks take their signs from
     # the int8 table: gathered as float64, they would double a block's
     # memory to save a fifth of its product time.
+    # The block matmuls run about a third faster on a C-ordered copy of
+    # sigma's transpose than on a transposed view; weight 1 alone (a
+    # 32-row stack of order-1 OSD) is faster on the view.
     sign = 1 - 2 * M.view(np.int8)
-    sigma = sign.astype(np.float64)
-    sigT = sigma.transpose(0, 2, 1)
+    if w >= 2:
+        sigT = np.ascontiguousarray(sign.transpose(0, 2, 1), dtype=np.float64)
+    else:
+        sigT = sign.astype(np.float64).transpose(0, 2, 1)
     s0 = (1.0 - 2.0 * c0) * L
+    total = np.abs(L).sum(axis=1)
+    tol = 4 * n * np.finfo(np.float64).eps * total
     scores = np.empty((F, len(_flip_set_table(k, w))))
     scores[:, 0] = s0.sum(axis=1)
     if w:
         np.matmul(s0[:, None, :], sigT, out=scores[:, None, 1:k + 1])
-    if w >= 2:
-        T = sigma * s0[:, None, :]
-        rows = 1 << (max(1, _BLOCK_BYTES // (8 * n * F)).bit_length() - 1)
-        block = np.empty((F, rows, n))
+    skip = [False] * (w - 1)
+    if floors is not None:
+        lam = (total - scores[:, :k + 1].max(axis=1)) / 2
+        skip = (floors > (lam + 2 * tol)[:, None]).all(axis=0)
+    T = None
+    stop = k + 1
     for v in range(2, w + 1):
+        start, stop = stop, stop + comb(k, v)
+        if skip[v - 2]:
+            scores[:, start:stop] = -np.inf
+            continue
+        if T is None:
+            T = np.multiply(sigT.transpose(0, 2, 1), s0[:, None, :], order="C")
+            rows = 1 << (max(1, _BLOCK_BYTES // (8 * n * F)).bit_length() - 1)
+            block = np.empty((F, rows, n))
         for heads, lo, src, dest in _score_blocks(k, v, rows):
             # mode="clip" keeps np.take from buffering `out`; every index
             # is in range
@@ -340,48 +421,92 @@ def _screened_scores(M: np.ndarray, c0: np.ndarray, L: np.ndarray, w: int):
                 prod *= np.take(sign, h, axis=1)
             scores[:, dest] = np.take(
                 np.matmul(prod, sigT[:, :, lo:]).reshape(F, -1), src, axis=1)
-    tol = 4 * n * np.finfo(np.float64).eps * np.abs(L).sum(axis=1)
     return scores, tol
 
 
-def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
+def _distance_bound(d, shape: tuple) -> int:
+    """d as an int; ValueError unless it is an integer (not a bool) from 1
+    to n - k + 1 for a (k, n) generator, the Singleton bound."""
+    k, n = shape
+    if not _is_int(d) or not 1 <= d <= n - k + 1:
+        raise ValueError(f"OSD distance bound d must be an integer from 1 to "
+                         f"n - k + 1 = {n - k + 1}, got {d!r}")
+    return int(d)
+
+
+def osd_decode(G: np.ndarray, L, order: int, d: int = 1) -> np.ndarray:
     """Ordered statistics decoding of reprocessing depth `order`, per row of
     an (F, n) LLR stack; returns the (F, n) uint8 decoded words.
 
     One rref_stack call systematizes G on every row's most reliable basis.
-    Row d then considers its hard decision re-encoded on that basis, c0, and
+    Row r then considers its hard decision re-encoded on that basis, c0, and
     every candidate c0 ^ XOR_{j in J} M_j for a set J of at most `order`
     basis rows, and keeps the candidate with the highest correlation
-    (1 - 2c) . L[d]; correlation ties resolve to the earliest candidate,
+    (1 - 2c) . L[r]; correlation ties resolve to the earliest candidate,
     with J ordered by size, then lexicographically.
 
     Candidate i flips the rows in row i of _flip_set_table(k, order), whose
     padding k picks a zero row appended to M.  Candidates are screened
     without being built (_screened_scores).  A row whose screened maximum
     is the only score within tol of it has the same unique maximum under
-    the direct sums (1 - 2c) @ L[d], and only that winner is built, in one
+    the direct sums (1 - 2c) @ L[r], and only that winner is built, in one
     gather for the stack.  Any other row (a near or exact tie) builds its
     full candidate list, one row at a time, and scores it with the direct
-    sums (1 - 2c) @ L[d], so every word equals that of direct scoring bit
+    sums (1 - 2c) @ L[r], so every word equals that of direct scoring bit
     for bit.
 
+    d is a lower bound on the minimum distance of G's code (1, the default,
+    holds for every code; a d above the true distance can change words).
+    At order >= 2 it lets whole flip weights go unscored, as Fossorier &
+    Lin (1995) skip reprocessing phases by the sufficient condition of
+    Taipale & Pursley (1991).  The correlation of c is sum|L[r]| - 2 lam(c),
+    lam(c) the discrepancy: the sum of |L[r]| where c disagrees with the
+    hard decision.  c0 agrees with it on the basis, so a candidate of
+    weight v disagrees on exactly v basis positions, and the rest of its
+    discrepancy is bounded through d (_discrepancy_floors): lam >= the sum
+    of the v least reliable basis |L| plus the sum of the (d - v - |D0p|)+
+    smallest |L| on the parity positions where c0 agrees with the hard
+    decision, D0p the parity positions where it does not.  Weight v >= 2 is
+    skipped (its scores stay -inf, no block is built) when on every row of
+    the stack this floor exceeds lam = (sum|L| - top) / 2 by the margin
+    2 tol, with top the best score of weight <= 1 (updating it after
+    weight 2 let no more of 2,200 eBCH(128,36) frames at 4 dB skip weight
+    3), tol = 4 n eps sum|L| = 8 n u sum|L| and u the unit roundoff.  Why no word changes: the
+    floor and sum|L| are sums of at most n terms |L|, each within
+    n u sum|L| of its exact value, and lam and the test round by less than
+    another n u sum|L|, so the exact floor exceeds (sum|L| - top) / 2 by
+    more than 2 tol - 3 n u sum|L|.  Every screened score lies within
+    n u sum|L| of its correlation, so that of a skipped candidate would lie
+    below top - 4 tol + 7 n u sum|L| < top - tol: neither the maximum nor
+    within tol of it.  So `best` and `clear` are those of scoring every
+    candidate, and a tied row is rescored directly over its full candidate
+    list either way.  Weight 1 is always scored: its one matmul costs less
+    than the test.
+
     An empty (0, n) stack decodes to a (0, n) array.  Raises ValueError
-    unless L is a finite (F, n) stack and order an integer >= 0, and
-    RankDeficientError if G's rank is below its row count (F >= 1).
+    unless L is a finite (F, n) stack, order an integer >= 0 and d an
+    integer (not a bool) from 1 to n - k + 1, and RankDeficientError if
+    G's rank is below its row count (F >= 1).
     """
     order = _nonnegative_int(order, "OSD order")
     G = np.asarray(G, dtype=np.uint8)
+    d = _distance_bound(d, G.shape)
     L = _checked_llrs(L, G.shape[1], batch=True)
     if not len(L):
         return np.zeros(L.shape, dtype=np.uint8)
     M, pivots = _reliability_bases(G, L)
     F, k, n = M.shape
     sets = _flip_set_table(k, order)
+    w = sets.shape[1]
     hard = (L < 0).astype(np.uint8)
     flips = np.take_along_axis(hard, pivots, axis=1)
     c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
 
-    scores, tol = _screened_scores(M, c0, L, sets.shape[1])
+    floors = None
+    if w >= 2:
+        floors = _discrepancy_floors(np.abs(L), pivots, c0 != hard, d,
+                                     np.arange(2, w + 1))
+    scores, tol = _screened_scores(M, c0, L, w, floors)
     f = np.arange(F)
     best = np.argmax(scores, axis=1)
     top = scores[f, best]
@@ -391,9 +516,9 @@ def osd_decode(G: np.ndarray, L, order: int) -> np.ndarray:
     Mz = np.concatenate([M, np.zeros((F, 1, n), dtype=np.uint8)], axis=1)
     bits = c0 ^ np.bitwise_xor.reduce(Mz[f[:, None], sets[best]], axis=1)
     # one row at a time: a tied stack's lists together take rows * N * n bytes
-    for d in np.flatnonzero(~clear):
-        cands = _candidates(Mz[d], c0[d], sets)
-        bits[d] = cands[np.argmax((1.0 - 2.0 * cands) @ L[d])]
+    for r in np.flatnonzero(~clear):
+        cands = _candidates(Mz[r], c0[r], sets)
+        bits[r] = cands[np.argmax((1.0 - 2.0 * cands) @ L[r])]
     return bits
 
 
@@ -423,18 +548,20 @@ def spa_batch_decoder(H: SparseParityMatrix, max_iter: int = 20):
     return decode
 
 
-def osd_batch_decoder(G: np.ndarray, order: int):
+def osd_batch_decoder(G: np.ndarray, order: int, d: int = 1):
     """Batch-decoder closure over a fixed generator matrix.
 
-    Each call is one osd_decode(G, Ld, order) on the whole (F, n) stack,
-    reported as converged in one iteration.  Raises ValueError unless order
-    is an integer >= 0.
+    Each call is one osd_decode(G, Ld, order, d) on the whole (F, n) stack,
+    reported as converged in one iteration; d is a lower bound on the
+    minimum distance of G's code (see osd_decode).  Raises ValueError
+    unless order is an integer >= 0 and d an integer from 1 to n - k + 1.
     """
     order = _nonnegative_int(order, "OSD order")
     G = np.asarray(G, dtype=np.uint8)
+    d = _distance_bound(d, G.shape)
 
     def decode(Ld: np.ndarray):
-        bits = osd_decode(G, Ld, order)
+        bits = osd_decode(G, Ld, order, d)
         ones = np.ones(bits.shape[0], dtype=np.int64)
         return bits, ones, ones.astype(bool)
     decode.codeword_iterations = 1

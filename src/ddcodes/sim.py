@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cyclic import CodeSpec, code_from_generator
+from .cyclic import CodeSpec, bch_bound, code_from_generator
 from .ddcodec import (DecodeReport, DirectionSet, dd_decode_cyclic,
                       dd_decode_minimal, inner_generator)
 from .decoders import (_checked_llrs, mld_batch_decoder, osd_batch_decoder,
@@ -231,7 +231,10 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
     a one-row stack (one iteration, a (1, 1) tally); the `dd-*` algorithms
     build it on the inner code of their derivative loop
     (`ddcodec.inner_generator`; SPA runs on `_dd_parity_matrix`'s checks)
-    and return the loop's report.  Every algorithm raises ValueError("LLR
+    and return the loop's report.  The `osd` baseline gives OSD C's BCH
+    bound (`cyclic.bch_bound`) as its distance bound d, so it can skip
+    reprocessing weights; `dd-osd`'s inner OSD takes d = 1, the bound every
+    code meets.  Every algorithm raises ValueError("LLR
     input ...") unless L is a finite vector of length n.  cfg checked its
     fields when it was built; building the decoder checks what needs the
     code, whether or not the algorithm reads it: the direction count must
@@ -245,10 +248,13 @@ def build_decoder(cfg: SimConfig, spec: CodeSpec):
         batch = spa_batch_decoder(H, cfg.inner_max_iter)
     else:
         G = spec.G if kind is None else inner_generator(spec, kind)
-        if engine == "mld" and len(G) > 20:
+        if engine == "osd":
+            d = 1 if kind else bch_bound(spec.exponents)
+            batch = osd_batch_decoder(G, cfg.order, d)
+        elif len(G) > 20:
             raise ConfigError(f"mld needs k <= 20, got {len(G)}")
-        batch = (osd_batch_decoder(G, cfg.order) if engine == "osd"
-                 else mld_batch_decoder(G))
+        else:
+            batch = mld_batch_decoder(G)
     if kind is None:
         def decode(L):
             # checked as a vector first, so a bad shape is named as passed

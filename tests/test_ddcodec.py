@@ -40,7 +40,8 @@ from ddcodes.derivative import (
 from ddcodes.gf2 import nullspace, rank, row_spaces_equal, rref
 from ddcodes.gf2m import GF2m, coset_closure
 from ddcodes.parity import SparseParityMatrix
-from ddcodes.sim import ChannelConfig, _dd_parity_matrix, transmit
+from ddcodes.sim import (ChannelConfig, SimConfig, _dd_parity_matrix,
+                         build_decoder, transmit)
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +446,35 @@ def test_inner_generator_is_every_directions_inner_code(name):
         assert row_spaces_equal(spec.G[:, at] ^ spec.G[:, partner[at]], G_in)
 
 
+@pytest.mark.parametrize("algo, built", [("dd-spa", "dd_code"),
+                                         ("dd-osd", "minimal_dd_basis")])
+def test_inner_generator_is_built_once_per_code_and_kind(algo, built,
+                                                         monkeypatch):
+    """build_decoder, the EG-line fit of dd-spa and the loop plan share one
+    read-only inner generator: building a decoder and decoding two frames
+    builds it once (it was built twice: at set-up and for the plan)."""
+    builds = []
+    for name in ("dd_code", "minimal_dd_basis"):
+        real = getattr(ddcodes.ddcodec, name)
+
+        def counting(*args, real=real, name=name):
+            builds.append(name)
+            return real(*args)
+        monkeypatch.setattr(ddcodes.ddcodec, name, counting)
+    spec = code_from_generator(GF2m(4), 0x1D1)
+    decode = build_decoder(SimConfig(n=16, gen_poly_hex="0x1d1", algo=algo),
+                           spec)
+    rng = np.random.default_rng(307)
+    for _ in range(2):
+        decode(_noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8))
+    assert builds == [built]
+    kind = "cyclic" if algo == "dd-spa" else "minimal"
+    G = inner_generator(spec, kind)
+    assert G is inner_generator(spec, kind)
+    with pytest.raises(ValueError):
+        G[0, 0] ^= 1
+
+
 def _pair_constant_stacks(field, rng):
     """Half-length LLR stacks with many repeated magnitudes (and two where
     every |L| is equal), for the punctured and the full-length sort."""
@@ -743,9 +773,8 @@ def test_direction_maps_are_built_once_per_field_and_set(kind, monkeypatch):
     L = _noisy_llrs(rng, _random_codeword(rng, spec), sigma2=0.8)
     loop(L, spec, inner, B)
     # a pair permutation per direction; minimal: a shift per direction, and
-    # three direction-1 pair permutations: the plan's transversal, and the
-    # transversal and derivative of inner_generator
-    assert len(calls) == (6 if kind == "cyclic" else 15)
+    # the plan's transversal (inner_generator was built above, once)
+    assert len(calls) == (6 if kind == "cyclic" else 13)
     calls.clear()
     loop(L, spec, inner, DirectionSet.random_subset(field, 6, seed=4))
     loop(_noisy_llrs(rng, _random_codeword(rng, spec), 0.8), spec, inner, B)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ddcodes.decoders
-from ddcodes.cyclic import (code_from_exponents, code_from_generator, ebch_code,
-                             rm_exponent_set)
+import ddcodes.sim
+from ddcodes.cyclic import (bch_bound, code_from_exponents, code_from_generator,
+                             ebch_code, min_distance_exhaustive, rm_exponent_set)
 from ddcodes.ddcodec import (DirectionSet, _loop_plan, boxplus,
                              _minimal_transversal)
 from ddcodes.decoders import (
@@ -25,6 +26,7 @@ from ddcodes.decoders import (
     RankDeficientError,
     _candidates,
     _checked_llrs,
+    _discrepancy_floors,
     _flip_set_table,
     _reliability_bases,
     _score_blocks,
@@ -42,7 +44,8 @@ from ddcodes.gf2 import nullspace, rank
 from ddcodes.gf2m import GF2m, field_for_length
 from ddcodes.parity import (SparseParityMatrix, dual_orbit_parity_matrix,
                             eg_line_parity_matrix)
-from ddcodes.sim import ChannelConfig, _dd_parity_matrix, transmit
+from ddcodes.sim import (ChannelConfig, SimConfig, _dd_parity_matrix,
+                         build_decoder, transmit)
 
 
 @pytest.fixture(scope="module")
@@ -666,6 +669,217 @@ def test_osd_fallback_runs_only_on_near_ties(monkeypatch):
     assert float((1.0 - 2.0 * got[0]) @ L) == 16 - 6
 
 
+# eBCH codes with k <= 20, whose exact minimum distance the distance-bound
+# tests enumerate (min_distance_exhaustive), once per code.
+_EXACT_CODES = {f"eBCH({n},{k})": (n, k) for n, k in [
+    (16, 5), (16, 7), (16, 11), (32, 6), (32, 11), (32, 16), (64, 10),
+    (64, 18)]}
+
+
+@lru_cache(maxsize=None)
+def _exact_code(name):
+    """(G, exact minimum distance) of one of _EXACT_CODES."""
+    n, k = _EXACT_CODES[name]
+    spec = ebch_code(field_for_length(n), k)
+    return spec.G, min_distance_exhaustive(spec)
+
+
+@st.composite
+def _coded_llrs(draw, G, rows):
+    """(rows, n) LLR stacks of random codewords of G, each row at its own
+    noise level, so that one stack can hold rows the distance bound clears
+    and rows it does not: Gaussian, rounded to integers (exact ties), or
+    scaled up and saturated at +-LLR_CLIP (ties among the saturated
+    positions)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n = G.shape
+    words = rng.integers(0, 2, size=(rows, k)) @ G % 2
+    sigma = rng.choice([0.35, 0.6, 1.0, 1.4], size=(rows, 1))
+    y = 1.0 - 2.0 * words + sigma * rng.standard_normal((rows, n))
+    L = 2.0 * y / sigma ** 2
+    kind = draw(st.sampled_from(["gaussian", "rounded", "saturated"]))
+    if kind == "rounded":
+        L = np.round(L)
+    elif kind == "saturated":
+        L = np.clip(4.0 * L, -LLR_CLIP, LLR_CLIP)
+    return L
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_EXACT_CODES)), st.sampled_from([1, 2, 8]),
+       st.integers(2, 3), st.booleans(), st.data())
+def test_osd_distance_bound_decodes_as_direct_scoring(name, F, order, exact,
+                                                      data):
+    """Skipping the flip weights the distance bound rules out changes no
+    word, with the exact minimum distance as d and with d = 1, on every
+    SIMD and BLAS kernel (CI runs this test on the baseline kernels)."""
+    G, distance = _exact_code(name)
+    L = data.draw(_coded_llrs(G, F))
+    d = distance if exact else 1
+    assert np.array_equal(osd_decode(G, L, order, d),
+                          _osd_decode_direct(G, L, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_EXACT_CODES)[:6]), st.data())
+def test_discrepancy_floors_bound_every_candidate(name, data):
+    """Every reprocessing candidate of flip weight v has a discrepancy at
+    least _discrepancy_floors(.., v); with an empty basis and v = 0 the
+    floor bounds every codeword but the reference (Taipale & Pursley)."""
+    G, d = _exact_code(name)
+    L = data.draw(_coded_llrs(G, 4))
+    absL = np.abs(L)
+    hard = (L < 0).astype(np.uint8)
+    M, pivots = _reliability_bases(G, L)
+    k = len(G)
+    flips = np.take_along_axis(hard, pivots, axis=1)
+    c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
+    weights = np.arange(1, 4)
+    floors = _discrepancy_floors(absL, pivots, c0 != hard, d, weights)
+    sets = _flip_set_table(k, 3)
+    size = (sets < k).sum(axis=1)
+    Mz = np.pad(M, ((0, 0), (0, 1), (0, 0)))
+    codebook = all_codewords(G)
+    none = np.zeros((1, 0), dtype=np.intp)
+    for r in range(len(L)):
+        lam = (_candidates(Mz[r], c0[r], sets) != hard[r]) @ absL[r]
+        for j, v in enumerate(weights):
+            assert (lam[size == v] >= floors[r, j] * (1 - 1e-12)).all()
+        ref = codebook[data.draw(st.integers(0, len(codebook) - 1))]
+        tp = _discrepancy_floors(absL[r:r + 1], none, (ref != hard[r])[None],
+                                 d, np.zeros(1, dtype=np.intp))[0, 0]
+        others = codebook[(codebook != ref).any(axis=1)]
+        assert ((others != hard[r]) @ absL[r] >= tp * (1 - 1e-12)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_EXACT_CODES)), st.sampled_from([1, 3]),
+       st.data())
+def test_screened_scores_skip_a_weight_only_past_the_margin(name, F, data):
+    """Weight v is left unscored (-inf) when, on every row, its floor
+    exceeds the best discrepancy of weight <= 1, (sum|L| - top) / 2, by the
+    margin 2 tol (up to the rounding of that test, tol / 4 here); every
+    scored entry is the one scoring without floors gives, and every
+    skipped candidate scores more than tol below the row's top."""
+    G, d = _exact_code(name)
+    L = data.draw(_coded_llrs(G, F))
+    hard = (L < 0).astype(np.uint8)
+    M, pivots = _reliability_bases(G, L)
+    flips = np.take_along_axis(hard, pivots, axis=1)
+    c0 = np.bitwise_xor.reduce(M * flips[:, :, None], axis=1)
+    floors = _discrepancy_floors(np.abs(L), pivots, c0 != hard, d,
+                                 np.arange(2, 4))
+    full, tol = _screened_scores(M, c0, L, 3)
+    got, _ = _screened_scores(M, c0, L, 3, floors)
+    total = np.abs(L).sum(axis=1)
+    k = len(G)
+    start = k + 1
+    assert np.array_equal(got[:, :start], full[:, :start])
+    lam = (total - full[:, :start].max(axis=1)) / 2
+    for v in (2, 3):
+        stop = start + comb(k, v)
+        margin = floors[:, v - 2] - lam - 2 * tol
+        if np.isneginf(got[:, start:stop]).all():
+            event(f"weight {v} skipped")
+            assert (margin > -tol / 4).all()
+            assert (full[:, start:stop] < (full.max(axis=1) - tol)[:, None]).all()
+        else:
+            assert np.array_equal(got[:, start:stop], full[:, start:stop])
+            assert not (margin > tol / 4).all()
+        start = stop
+
+
+def _osd3_128_benchmark_frames(count):
+    """LLRs of the first `count` frames of order-3 OSD on eBCH(128,36) at 4
+    dB, seed 1, as run_monte_carlo draws them."""
+    spec = _SPEC128
+    rng = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+    chan = ChannelConfig(4.0, spec.k / spec.n)
+    L = np.empty((count, spec.n))
+    for f in range(count):
+        word = rng.integers(0, 2, size=spec.k).astype(np.uint8) @ spec.G % 2
+        L[f] = transmit(word, chan, rng)
+    return spec.G, bch_bound(spec.exponents), L
+
+
+def _scored_weights(monkeypatch):
+    """A list that records the flip weight of every _score_blocks plan
+    _screened_scores asks for from here on."""
+    weights = []
+    real = ddcodes.decoders._score_blocks
+
+    def counting(k, w, rows):
+        weights.append(w)
+        return real(k, w, rows)
+    monkeypatch.setattr(ddcodes.decoders, "_score_blocks", counting)
+    return weights
+
+
+def test_osd3_on_128_skips_the_weights_the_bound_rules_out(monkeypatch):
+    """Frame 2 of the order-3 eBCH(128,36) benchmark: with the BCH bound
+    d = 32, neither weight 2 nor weight 3 is scored, and the word is the
+    one direct scoring gives; with d = 1 both are.
+    Frame 1 clears neither weight, and a stack of the two scores both."""
+    G, d, L = _osd3_128_benchmark_frames(3)
+    assert d == 32
+    scored = _scored_weights(monkeypatch)
+    want = _osd_decode_direct(G, L[1:3], 3)
+    got = osd_decode(G, L[2:3], 3, d)
+    assert scored == [] and np.array_equal(got[0], want[1])
+    assert np.array_equal(osd_decode(G, L[2:3], 3, 1)[0], want[1])
+    assert scored == [2, 3]
+    scored.clear()
+    assert np.array_equal(osd_decode(G, L[1:3], 3, d), want)
+    assert scored == [2, 3]
+
+
+@pytest.mark.parametrize("d", [0, -1, 94, 2.0, "3", None, True, False])
+def test_osd_rejects_invalid_distance_bounds(d):
+    """d must be an integer from 1 to n - k + 1 = 93 for eBCH(128,36)."""
+    G = _SPEC128.G
+    match = r"OSD distance bound d must be an integer from 1 to n - k \+ 1 = 93"
+    with pytest.raises(ValueError, match=match):
+        osd_decode(G, np.ones((1, 128)), 2, d)
+    with pytest.raises(ValueError, match=match):
+        osd_batch_decoder(G, 2, d)
+
+
+def test_osd_accepts_numpy_integer_distance_bounds():
+    """Any integer from 1 to n - k + 1 is accepted; a valid bound, such as
+    the BCH bound 32, decodes as d = 1 does."""
+    G, d, L = _osd3_128_benchmark_frames(2)
+    want = osd_decode(G, L, 3)
+    for bound in (np.int64(d), 1):
+        assert np.array_equal(osd_decode(G, L, 3, bound), want)
+        assert np.array_equal(osd_batch_decoder(G, 3, bound)(L)[0], want)
+    assert osd_decode(G, L, 1, np.int32(93)).shape == L.shape
+
+
+@pytest.mark.parametrize("algo", ["osd", "dd-osd", "dd-spa", "mld", "spa"])
+def test_build_decoder_passes_the_bch_bound_to_osd_only(algo, monkeypatch):
+    """The osd baseline gets C's BCH bound as OSD's distance bound; the
+    dd-osd inner decoder, on a code whose distance nobody computed, gets
+    d = 1, and no other algorithm builds an OSD."""
+    calls = []
+    real = ddcodes.sim.osd_batch_decoder
+
+    def recording(G, order, d=1):
+        calls.append((G.shape, order, d))
+        return real(G, order, d)
+    monkeypatch.setattr(ddcodes.sim, "osd_batch_decoder", recording)
+    spec = ebch_code(GF2m(5), 16)
+    cfg = SimConfig(n=32, gen_poly_hex=hex(spec.gen_poly), algo=algo, order=2)
+    decode = build_decoder(cfg, spec)
+    decode(np.ones(32))
+    if algo == "osd":
+        assert calls == [((16, 32), 2, bch_bound(spec.exponents))]
+        assert calls[0][2] == 8
+    elif algo == "dd-osd":
+        assert len(calls) == 1 and calls[0][1:] == (2, 1)
+    else:
+        assert calls == []
+
+
 @pytest.mark.parametrize("order", [-1, 2.5, "3", None, True])
 def test_osd_rejects_invalid_orders(order):
     with pytest.raises(ValueError, match="OSD order"):
@@ -780,9 +994,9 @@ def test_osd_closure_makes_one_engine_call_per_stack(monkeypatch):
     calls = []
     real = ddcodes.decoders.osd_decode
 
-    def counting(G, L, order):
+    def counting(G, L, order, d):
         calls.append(L)
-        return real(G, L, order)
+        return real(G, L, order, d)
     monkeypatch.setattr(ddcodes.decoders, "osd_decode", counting)
     L = np.random.default_rng(239).normal(0.0, 2.0, size=(32, 16))
     osd_batch_decoder(_SPEC16.G, 1)(L)
